@@ -9,7 +9,8 @@ Ring constructors: zn, product, poly_quotient, algebra, group_ring,
 idealization.  Gradings: "canonical" (group rings, square-zero extensions,
 and pure-power polynomial quotients carry one), {"trivial": {...}} with an
 optional grade group, or {"explicit": {...}} naming component generators per
-degree.  Exit codes: 0 success, 1 a verification check failed, 2 bad input.
+degree.  Exit codes: 0 success, 1 a verification check failed, 2 bad input
+(for `corpus`, any file that fails to load; the other files are still run).
 """
 
 from __future__ import annotations
@@ -371,9 +372,15 @@ def cmd_corpus(args) -> int:
     totals = [0, 0, 0, 0]
     pass_by_id: dict[str, int] = {t: 0 for t in (ids or theorem_ids())}
     failed = []
+    errors = []
     for file in files:
-        inst = load_instance(str(file))
-        reports = run_all(inst, ids)
+        try:
+            inst = load_instance(str(file))
+            reports = run_all(inst, ids)
+        except AlgebraError as exc:
+            print(f"{file.stem}: ERROR {exc}")
+            errors.append(file.stem)
+            continue
         print(f"{inst.name}:")
         p, f, v, s = _print_reports(reports, args.verbose)
         totals[0] += p
@@ -387,14 +394,16 @@ def cmd_corpus(args) -> int:
                 failed.append(f"{inst.name}/{rep.theorem_id}")
     never_pass = sorted(t for t, n in pass_by_id.items() if n == 0)
     print(
-        f"instances: {len(files)}  pass: {totals[0]}  fail: {totals[1]}  "
+        f"instances: {len(files) - len(errors)}  pass: {totals[0]}  fail: {totals[1]}  "
         f"vacuous: {totals[2]}  skipped: {totals[3]}"
     )
     print(f"checks without a non-vacuous pass: {never_pass if never_pass else 'none'}")
     if failed:
         print(f"failing: {failed}")
-        return 1
-    return 0
+    if errors:
+        print(f"files with errors: {errors}")
+        return 2
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,6 +48,10 @@ class IdealCountLimit(AlgebraError):
     """Ideal enumeration exceeded the configured maximum family size."""
 
 
+class UngradedIdeal(AlgebraError):
+    """An ideal generated by homogeneous elements failed the graded test."""
+
+
 class GraphTooLarge(AlgebraError):
     """An exact graph invariant was requested above the configured order cap."""
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import IdealCountLimit
+from .errors import IdealCountLimit, UngradedIdeal
 from .grading import Grading
 from .ring_core import (
     FiniteModule,
@@ -181,7 +181,10 @@ def enumerate_graded_left_ideals(
         "graded left ideal",
     )
     for m in masks:
-        assert is_graded(grading, m), "homogeneous generation must yield graded ideals"
+        if not is_graded(grading, m):
+            raise UngradedIdeal(
+                f"ideal {m:#x} generated by homogeneous elements is not graded"
+            )
     return [IdealSet(ring, m, graded=True) for m in masks]
 
 

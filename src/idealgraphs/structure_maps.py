@@ -57,14 +57,6 @@ def _trace_mask(parent_mask: int, embedding: Sequence[int]) -> int:
     return out
 
 
-def _embed_mask(child_mask: int, embedding: Sequence[int]) -> int:
-    out = 0
-    for child, parent in enumerate(embedding):
-        if child_mask >> child & 1:
-            out |= 1 << parent
-    return out
-
-
 @dataclass(eq=False)
 class SimPartition:
     """Nontrivial proper graded left ideals, grouped by identity trace.

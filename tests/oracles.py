@@ -10,9 +10,66 @@ from __future__ import annotations
 import itertools
 from math import inf
 
+import numpy as np
+
+from idealgraphs.errors import InvalidConstruction
+
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+# --- ring axioms, checked on every pair and triple
+
+
+def _as_table(table, n: int, what: str) -> np.ndarray:
+    arr = np.asarray(table, dtype=np.int64)
+    if arr.shape != (n, n):
+        raise InvalidConstruction(f"{what} table must be {n}x{n}, got {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise InvalidConstruction(f"{what} table has entries outside 0..{n - 1}")
+    return arr
+
+
+def _validate_abelian_group(add, zero: int, neg, n: int, what: str) -> np.ndarray:
+    A = _as_table(add, n, f"{what} addition")
+    if not np.array_equal(A, A.T):
+        raise InvalidConstruction(f"{what} addition is not commutative")
+    if not np.array_equal(A[zero], np.arange(n)):
+        raise InvalidConstruction(f"{what} zero element {zero} is not neutral")
+    ng = np.asarray(neg, dtype=np.int64)
+    if ng.shape != (n,) or (n and (ng.min() < 0 or ng.max() >= n)):
+        raise InvalidConstruction(f"{what} negation table malformed")
+    if not np.array_equal(A[np.arange(n), ng], np.full(n, zero)):
+        raise InvalidConstruction(f"{what} negation is not an additive inverse")
+    for a in range(n):
+        # (a+b)+c vs a+(b+c) as two n x n arrays
+        if not np.array_equal(A[A[a]], A[a][A]):
+            raise InvalidConstruction(f"{what} addition not associative (witness row {a})")
+    return A
+
+
+def exhaustive_validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) -> bool:
+    """Full ring axiom check over all triples; returns the commutativity flag."""
+    if one == zero:
+        raise InvalidConstruction("unity must differ from zero")
+    A = _validate_abelian_group(add, zero, neg, n, "ring")
+    M = _as_table(mul, n, "ring multiplication")
+    if not np.array_equal(M[one], np.arange(n)):
+        raise InvalidConstruction(f"unity {one} is not left-neutral")
+    if not np.array_equal(M[:, one], np.arange(n)):
+        raise InvalidConstruction(f"unity {one} is not right-neutral")
+    for a in range(n):
+        if not np.array_equal(M[M[a]], M[a][M]):
+            raise InvalidConstruction(f"multiplication not associative (witness row {a})")
+        # a*(b+c) == a*b + a*c
+        if not np.array_equal(M[a][A], A[np.ix_(M[a], M[a])]):
+            raise InvalidConstruction(f"left distributivity fails (witness {a})")
+        # (b+c)*a == b*a + c*a
+        col = M[:, a]
+        if not np.array_equal(col[A], A[np.ix_(col, col)]):
+            raise InvalidConstruction(f"right distributivity fails (witness {a})")
+    return bool(np.array_equal(M, M.T))
 
 
 def brute_left_ideal_masks(ring) -> set[int]:

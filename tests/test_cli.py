@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,57 @@ class TestParsing:
         }
         inst = parse_instance(doc)
         assert inst.grading.support == (0,)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# each ring and module form the README schema documents, with a concrete use
+README_FORMS = [
+    ('"zn": 12', {"zn": 12}),
+    ('"product": [<ring>, <ring>]', {"product": [{"zn": 2}, {"zn": 3}]}),
+    (
+        '"poly_quotient": {"base": <ring>, "modulus": [c0, c1, ..., 1]}',
+        {"poly_quotient": {"base": {"zn": 2}, "modulus": [1, 1, 1]}},
+    ),
+    (
+        '"algebra": {"n": 2, "dim": 3, "table": [[..]], "basis": ["1","x","y"]}',
+        {
+            "algebra": {
+                "n": 2,
+                "dim": 3,
+                "table": [
+                    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                    [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                ],
+                "basis": ["1", "x", "y"],
+            }
+        },
+    ),
+    (
+        '"group_ring": {"base": <ring>, "group": <group>}',
+        {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 3}}},
+    ),
+    (
+        '"idealization": {"base": <ring>, "module": "self"}',
+        {"idealization": {"base": {"zn": 4}, "module": "self"}},
+    ),
+    (
+        '{"zn_quotient": m} over {"zn": n}',
+        {"idealization": {"base": {"zn": 4}, "module": {"zn_quotient": 2}}},
+    ),
+]
+
+
+class TestReadmeSchema:
+    @pytest.mark.parametrize(
+        "form, ring", README_FORMS, ids=[next(iter(r)) for _, r in README_FORMS]
+    )
+    def test_documented_form_parses(self, form, ring):
+        readme = re.sub(r"\s+", " ", README.read_text())
+        assert form in readme
+        inst = parse_instance({"ring": ring, "grading": {"trivial": {}}})
+        assert inst.ring.size > 1
 
 
 class TestExitCodes:
@@ -194,3 +247,13 @@ class TestCorpusCommand:
     def test_empty_directory_is_an_input_error(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_file_does_not_stop_the_sweep(self, corpus_dir, tmp_path, capsys):
+        write(tmp_path, "a_zn1.json", {"ring": {"zn": 1}, "grading": {"trivial": {}}})
+        (tmp_path / "z2.json").write_text((corpus_dir / "z2.json").read_text())
+        assert main(["corpus", str(tmp_path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("a_zn1: ERROR modulus must be at least 2")
+        assert lines[1] == "z2:"
+        assert any(line.startswith("instances: 1  pass: ") for line in lines)
+        assert lines[-1] == "files with errors: ['a_zn1']"

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealgraphs import ideal_lattice
 from idealgraphs import (
     IdealSet,
+    UngradedIdeal,
     enumerate_graded_left_ideals,
     enumerate_left_ideals,
     enumerate_submodules,
@@ -90,6 +92,13 @@ class TestFrozenLattices:
         graded_labels = {i.label() for i in inst.graded_vertices}
         assert all_labels - graded_labels == {"<x+y>"}
         assert len(graded_labels) == 3
+
+
+    def test_ungraded_result_is_an_error(self, corpus_instances, monkeypatch):
+        grading = corpus_instances["z4c2"].grading
+        monkeypatch.setattr(ideal_lattice, "is_graded", lambda grading, mask: False)
+        with pytest.raises(UngradedIdeal):
+            enumerate_graded_left_ideals(grading)
 
 
 class TestPredicates:

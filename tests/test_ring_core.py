@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraphs import (
     InvalidConstruction,
@@ -19,6 +21,15 @@ from idealgraphs import (
     subring_on,
     unital_ring_on,
 )
+
+from oracles import exhaustive_validate_ring_tables
+
+# upper triangular 2x2 matrices over Z2 on the basis 1, E11, E12
+T2_TABLE = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+]
 
 F2XY_TABLE = [
     [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -52,12 +63,52 @@ class TestTableValidation:
         with pytest.raises(InvalidConstruction):
             ring_from_tables(add=[[0]], mul=[[0]], zero=0, one=0)
 
+    def test_rejects_ragged_tables(self):
+        with pytest.raises(InvalidConstruction):
+            ring_from_tables(add=[[0, 1], [1]], mul=[[0, 0], [0, 1]], zero=0, one=1)
+        with pytest.raises(InvalidConstruction):
+            group_from_table([[0, 1], [1]])
+
     def test_rejects_broken_distributivity(self):
         # additive group of Z_4 with an xor-flavored product
         add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
         mul = [[a ^ b for b in range(4)] for a in range(4)]
         with pytest.raises(InvalidConstruction):
             ring_from_tables(add=add, mul=mul, zero=0, one=1)
+
+    def test_rejects_nonassociative_addition(self):
+        # a commutative loop of order 6: zero, inverses, but not a group
+        add = [
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 3, 2, 5, 4],
+            [2, 3, 4, 5, 0, 1],
+            [3, 2, 5, 4, 1, 0],
+            [4, 5, 0, 1, 3, 2],
+            [5, 4, 1, 0, 2, 3],
+        ]
+        mul = [[(a * b) % 6 for b in range(6)] for a in range(6)]
+        with pytest.raises(InvalidConstruction, match="addition not associative"):
+            ring_from_tables(add=add, mul=mul, zero=0, one=1)
+
+    def test_rejects_product_additive_along_one_generator_only(self):
+        # (Z2)^3 under xor with unity 1; the product is fixed on even pairs
+        # and extended so that it distributes over adding 1, but the even
+        # part is not bilinear: 6*6 = 2 while 6*2 + 6*4 = 0
+        def even_part(a, b):
+            return 2 if (a, b) == (6, 6) else 0
+
+        add = [[a ^ b for b in range(8)] for a in range(8)]
+        mul = [[0] * 8 for _ in range(8)]
+        for a in range(0, 8, 2):
+            for b in range(0, 8, 2):
+                g = even_part(a, b)
+                mul[a][b] = g
+                mul[a][b ^ 1] = g ^ a
+                mul[a ^ 1][b] = g ^ b
+                mul[a ^ 1][b ^ 1] = g ^ a ^ b ^ 1
+        with pytest.raises(InvalidConstruction, match="distributivity"):
+            ring_from_tables(add=add, mul=mul, zero=0, one=1)
+        assert _oracle_verdict(add, mul, 0, 1) is None
 
     def test_accepts_klein_style_ring(self):
         # F_2[t]/(t^2+t) written out by hand: indices 0,1,t,1+t
@@ -147,6 +198,24 @@ class TestAlgebra:
         # the honest golden-ratio style table is fine
         algebra_over_zn(2, 2, bad)
 
+    def test_rejects_bilinear_nonassociative_product(self):
+        # basis 1, a, b over Z2 with a*b = a and every other product of a
+        # and b zero: bilinear and unital, but (ab)b = a while a(bb) = 0
+        table = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        ]
+        with pytest.raises(InvalidConstruction, match="multiplication not associative"):
+            algebra_over_zn(2, 3, table)
+
+    def test_upper_triangular_matrices(self):
+        ring = algebra_over_zn(2, 3, T2_TABLE, ["1", "e", "f"])
+        assert ring.size == 8
+        assert not ring.commutative
+        e, f = 2, 4
+        assert ring.mul[e][f] == f and ring.mul[f][e] == ring.zero
+
 
 class TestGroupRing:
     def test_digit_packing(self):
@@ -233,8 +302,91 @@ class TestInducedRings:
         with pytest.raises(NotASubring):
             unital_ring_on(z12, [0, 4])
 
+    def test_zero_subset_has_no_unity(self):
+        with pytest.raises(InvalidConstruction):
+            unital_ring_on(make_cyclic_ring(12), [0])
+
+    def test_induced_tables_follow_the_embedding(self):
+        parent = algebra_over_zn(2, 3, T2_TABLE)
+        # the diagonal matrices: 0, 1, E11 and 1+E11
+        sub, embedding = subring_on(parent, [0, 1, 2, 3])
+        assert sub.commutative and not parent.commutative
+        for a in range(sub.size):
+            assert parent.neg[embedding[a]] == embedding[sub.neg[a]]
+            for b in range(sub.size):
+                assert parent.add[embedding[a]][embedding[b]] == embedding[sub.add[a][b]]
+                assert parent.mul[embedding[a]][embedding[b]] == embedding[sub.mul[a][b]]
+        full, _ = subring_on(parent, range(parent.size))
+        assert not full.commutative
+        assert exhaustive_validate_ring_tables(
+            full.add, full.mul, full.zero, full.one, full.neg, full.size
+        ) is False
+
     def test_subring_on_full_carrier(self):
         z4 = make_cyclic_ring(4)
         sub, embedding = subring_on(z4, [0, 1, 2, 3])
         assert sub.size == 4
         assert tuple(embedding) == (0, 1, 2, 3)
+
+
+def _oracle_rings():
+    z2 = make_cyclic_ring(2)
+    return {
+        "Z12": make_cyclic_ring(12),
+        "Z2[C4]": group_ring(z2, cyclic_group(4)),
+        "Z4[x]/(x^2)": polynomial_quotient(make_cyclic_ring(4), [0, 0, 1]),
+        "T2(Z2)": algebra_over_zn(2, 3, T2_TABLE),
+        "Z2xZ6": direct_product(z2, make_cyclic_ring(6)),
+    }
+
+
+ORACLE_RINGS = _oracle_rings()
+
+
+def _oracle_verdict(add, mul, zero, one):
+    """The exhaustive check, behind the same inverse search as ring_from_tables."""
+    n = len(add)
+    neg = []
+    for a in range(n):
+        hits = [b for b in range(n) if add[a][b] == zero]
+        if not hits:
+            return None
+        neg.append(hits[0])
+    try:
+        return exhaustive_validate_ring_tables(add, mul, zero, one, neg, n)
+    except InvalidConstruction:
+        return None
+
+
+def _library_verdict(add, mul, zero, one):
+    try:
+        return ring_from_tables(add=add, mul=mul, zero=zero, one=one).commutative
+    except InvalidConstruction:
+        return None
+
+
+class TestValidatorAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+    def test_oracle_accepts_library_rings(self, name):
+        ring = ORACLE_RINGS[name]
+        verdict = _oracle_verdict(ring.add, ring.mul, ring.zero, ring.one)
+        assert verdict == ring.commutative
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_entry_corruption(self, data):
+        ring = ORACLE_RINGS[data.draw(st.sampled_from(sorted(ORACLE_RINGS)))]
+        n = ring.size
+        which = data.draw(st.sampled_from(["add", "add_symmetric", "mul"]))
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        shift = data.draw(st.integers(1, n - 1))
+        add = [list(row) for row in ring.add]
+        mul = [list(row) for row in ring.mul]
+        table = mul if which == "mul" else add
+        table[i][j] = (table[i][j] + shift) % n
+        if which == "add_symmetric":
+            table[j][i] = table[i][j]
+        oracle = _oracle_verdict(add, mul, ring.zero, ring.one)
+        library = _library_verdict(add, mul, ring.zero, ring.one)
+        assert library == oracle
