@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AlgebraError, SchemaError, UnknownConstructor
+from .errors import AlgebraError, SchemaError, SizeLimit, UnknownConstructor
 from .grading import (
     INTEGERS,
     GradeGroup,
@@ -36,6 +36,7 @@ from .grading import (
 from .graph_engine import build_intersection_graph, export_graph
 from .ideal_lattice import is_graded, nontrivial_proper
 from .ring_core import (
+    MAX_RING_SIZE,
     FiniteRing,
     cyclic_group,
     direct_product,
@@ -80,7 +81,9 @@ def _parse_group(node, path: str):
     raise UnknownConstructor(f"{path}: unknown group form {sorted(node)!r}")
 
 
-def _parse_ring(node, path: str) -> FiniteRing:
+def _parse_ring(node, path: str, max_size: int) -> FiniteRing:
+    """Build the ring bottom-up; every constructor refuses a carrier over
+    max_size before it fills a table."""
     _require(
         isinstance(node, dict) and len(node) == 1,
         path,
@@ -89,7 +92,7 @@ def _parse_ring(node, path: str) -> FiniteRing:
     ((key, val),) = node.items()
     if key == "zn":
         _require(isinstance(val, int), f"{path}.zn", "expected an integer modulus")
-        return make_cyclic_ring(val)
+        return make_cyclic_ring(val, max_size)
     if key == "product":
         _require(
             isinstance(val, list) and len(val) == 2,
@@ -97,8 +100,9 @@ def _parse_ring(node, path: str) -> FiniteRing:
             "expected a list of two ring descriptions",
         )
         return direct_product(
-            _parse_ring(val[0], f"{path}.product[0]"),
-            _parse_ring(val[1], f"{path}.product[1]"),
+            _parse_ring(val[0], f"{path}.product[0]", max_size),
+            _parse_ring(val[1], f"{path}.product[1]", max_size),
+            max_size,
         )
     if key == "poly_quotient":
         _require(
@@ -106,14 +110,14 @@ def _parse_ring(node, path: str) -> FiniteRing:
             f"{path}.poly_quotient",
             "expected {'base': ring, 'modulus': [c0, ..., 1]}",
         )
-        base = _parse_ring(val["base"], f"{path}.poly_quotient.base")
+        base = _parse_ring(val["base"], f"{path}.poly_quotient.base", max_size)
         _require(
             isinstance(val["modulus"], list)
             and all(isinstance(c, int) for c in val["modulus"]),
             f"{path}.poly_quotient.modulus",
             "expected a list of integer coefficients",
         )
-        return polynomial_quotient(base, val["modulus"])
+        return polynomial_quotient(base, val["modulus"], max_size)
     if key == "algebra":
         _require(
             isinstance(val, dict) and {"n", "dim", "table"} <= set(val) <= {
@@ -126,7 +130,7 @@ def _parse_ring(node, path: str) -> FiniteRing:
             "expected {'n': int, 'dim': int, 'table': [...], 'basis': [...]?}",
         )
         return algebra_over_zn(
-            val["n"], val["dim"], val["table"], val.get("basis")
+            val["n"], val["dim"], val["table"], val.get("basis"), max_size
         )
     if key == "group_ring":
         _require(
@@ -141,7 +145,9 @@ def _parse_ring(node, path: str) -> FiniteRing:
             "group rings need a finite group",
         )
         return group_ring(
-            _parse_ring(val["base"], f"{path}.group_ring.base"), grades.group
+            _parse_ring(val["base"], f"{path}.group_ring.base", max_size),
+            grades.group,
+            max_size,
         )
     if key == "idealization":
         _require(
@@ -149,7 +155,7 @@ def _parse_ring(node, path: str) -> FiniteRing:
             f"{path}.idealization",
             "expected {'base': ring, 'module': 'self' | {'zn_quotient': m}}",
         )
-        base = _parse_ring(val["base"], f"{path}.idealization.base")
+        base = _parse_ring(val["base"], f"{path}.idealization.base", max_size)
         mod = val["module"]
         if mod == "self":
             module = module_self(base)
@@ -160,7 +166,7 @@ def _parse_ring(node, path: str) -> FiniteRing:
                 f"{path}.idealization.module: expected 'self' or "
                 "{'zn_quotient': m}"
             )
-        return idealization(base, module)
+        return idealization(base, module, max_size)
     raise UnknownConstructor(f"{path}: unknown ring constructor {key!r}")
 
 
@@ -239,22 +245,23 @@ def parse_instance(doc, name: str = "instance") -> Instance:
         "$",
         "expected keys 'ring', 'grading', and optionally 'limits'",
     )
-    ring = _parse_ring(doc["ring"], "$.ring")
-    if "limits" in doc:
-        limits = doc["limits"]
-        _require(
-            isinstance(limits, dict) and set(limits) <= {"max_ring_size"},
-            "$.limits",
-            "only 'max_ring_size' is supported",
-        )
-        cap = limits.get("max_ring_size")
-        if cap is not None:
-            _require(isinstance(cap, int), "$.limits.max_ring_size", "expected int")
-            _require(
-                ring.size <= cap,
-                "$.limits.max_ring_size",
-                f"ring has {ring.size} elements, cap is {cap}",
-            )
+    limits = doc.get("limits", {})
+    _require(
+        isinstance(limits, dict) and set(limits) <= {"max_ring_size"},
+        "$.limits",
+        "only 'max_ring_size' is supported",
+    )
+    cap = limits.get("max_ring_size")
+    _require(cap is None or isinstance(cap, int), "$.limits.max_ring_size", "expected int")
+    if cap is None or cap >= MAX_RING_SIZE:
+        ring = _parse_ring(doc["ring"], "$.ring", MAX_RING_SIZE)
+    else:
+        # no part outgrows the ring built from it, so refusing every part over
+        # the cap refuses exactly the rings over it, before a table is filled
+        try:
+            ring = _parse_ring(doc["ring"], "$.ring", cap)
+        except SizeLimit as exc:
+            raise SchemaError(f"$.limits.max_ring_size: {exc}") from None
     grading = _parse_grading(doc["grading"], ring, "$.grading")
     return Instance(name=name, ring=ring, grading=grading)
 

@@ -5,7 +5,10 @@ known closed set is extended by every candidate element, and the closure of
 the union is taken.  For left ideals the closure of (ideal + R*x) is just the
 additive span, because the union of two sets closed under left multiplication
 is still closed under it; that observation keeps the inner loop purely
-additive and fast.
+additive.  Every span here, from enumeration to sums, products and labels, is
+one call to `ring_core.span_extend`, which grows a closed subgroup H by a
+generator g one coset H + kg at a time and so costs O(|result|) rather than
+the O(|result|^2) of closing under pairwise sums.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from .grading import Grading
 from .ring_core import (
     FiniteModule,
     FiniteRing,
+    additive_span,
     is_additive_subgroup,
     mask_members,
+    span_extend,
 )
 
 MAX_IDEALS = 4096
@@ -77,26 +82,6 @@ def is_graded(grading: Grading, mask: int) -> bool:
     return True
 
 
-def _span_extend(add, base_mask: int, base_members: list[int], extra_mask: int) -> int:
-    """Additive span of (closed base) + extras, summing only new elements."""
-    mask = base_mask | extra_mask
-    members = list(base_members)
-    start = len(members)
-    for x in mask_members(extra_mask):
-        if not base_mask & (1 << x):
-            members.append(x)
-    i = start
-    while i < len(members):
-        row = add[members[i]]
-        for j in range(len(members)):
-            s = row[members[j]]
-            if not mask & (1 << s):
-                mask |= 1 << s
-                members.append(s)
-        i += 1
-    return mask
-
-
 def generated_left_ideal(ring: FiniteRing, generators: Iterable[int]) -> int:
     """Smallest left ideal containing the generators: the additive span of
     their left-multiple sets (each R*x is already closed under left
@@ -105,8 +90,7 @@ def generated_left_ideal(ring: FiniteRing, generators: Iterable[int]) -> int:
     lm = ring.left_multiple_masks
     for x in generators:
         seed |= lm[x]
-    zero_mask = ring.zero_mask
-    return _span_extend(ring.add, zero_mask, [ring.zero], seed)
+    return additive_span(ring, seed)
 
 
 def _enumerate_closed(
@@ -132,7 +116,7 @@ def _enumerate_closed(
                 seed = cur | orbit_masks[x]
                 closed = memo.get(seed)
                 if closed is None:
-                    closed = _span_extend(add, cur, base_members, orbit_masks[x])
+                    closed = span_extend(add, cur, base_members, orbit_masks[x])
                     memo[seed] = closed
                 if closed not in found:
                     found.add(closed)
@@ -281,7 +265,7 @@ def maximal_chain_term_counts(family: Sequence[IdealSet]) -> set[int]:
 
 def ideal_sum(ring: FiniteRing, a_mask: int, b_mask: int) -> int:
     """Smallest left ideal holding both: the additive span of the union."""
-    return _span_extend(ring.add, a_mask, mask_members(a_mask), b_mask)
+    return span_extend(ring.add, a_mask, mask_members(a_mask), b_mask)
 
 
 def ideal_intersect(a_mask: int, b_mask: int) -> int:
@@ -296,7 +280,7 @@ def ideal_product(ring: FiniteRing, a_mask: int, b_mask: int) -> int:
         row = mul[a]
         for b in mask_members(b_mask):
             seed |= 1 << row[b]
-    return _span_extend(ring.add, ring.zero_mask, [ring.zero], seed)
+    return additive_span(ring, seed)
 
 
 def ideal_power(ring: FiniteRing, mask: int, k: int) -> int:
@@ -415,11 +399,10 @@ def ideal_label(ring: FiniteRing, mask: int) -> str:
         return "<0>"
     nonzero = [x for x in mask_members(mask) if x != ring.zero]
     lm = ring.left_multiple_masks
-    zero_mask = ring.zero_mask
     for x in nonzero:
-        if _span_extend(ring.add, zero_mask, [ring.zero], lm[x]) == mask:
+        if additive_span(ring, lm[x]) == mask:
             return f"<{ring.names[x]}>"
     for x, y in itertools.combinations(nonzero, 2):
-        if _span_extend(ring.add, zero_mask, [ring.zero], lm[x] | lm[y]) == mask:
+        if additive_span(ring, lm[x] | lm[y]) == mask:
             return f"<{ring.names[x]},{ring.names[y]}>"
     return "{" + ",".join(ring.names[x] for x in mask_members(mask)) + "}"

@@ -33,13 +33,12 @@ MAX_RING_SIZE = 1024
 
 
 def mask_members(mask: int) -> list[int]:
+    """Set bits in increasing order, peeling the lowest one each step."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -249,40 +248,40 @@ class FiniteRing:
         return tuple(out)
 
 
-def additive_span(ring: FiniteRing, seed_mask: int) -> int:
-    """Smallest additive subgroup containing the seed set.
+def span_extend(add, base_mask: int, base_members: list[int], extra_mask: int) -> int:
+    """Additive span of a closed subgroup H (mask and member list) and extras.
 
-    Worklist closure under pairwise sums; in a finite abelian group that
-    already yields inverses, so no negation pass is needed.
+    Coset stepping: for each extra g not yet reached, H + <g> is the union
+    of the cosets H + kg, and the first k with kg in H ends the chain, so
+    every coset added before it is new.  The next coset is the previous one
+    shifted by g.  Extras already reached are skipped as a mask, so a span
+    costs O(|result|) table lookups plus one bitmask step per generator used.
     """
-    mask = seed_mask | (1 << ring.zero)
-    members = mask_members(mask)
-    add = ring.add
-    i = 0
-    while i < len(members):
-        x = members[i]
-        row = add[x]
-        for j in range(len(members)):
-            s = row[members[j]]
-            if not mask & (1 << s):
-                mask |= 1 << s
-                members.append(s)
-        i += 1
+    mask = base_mask
+    members = list(base_members)
+    pending = extra_mask & ~mask
+    while pending:
+        g = (pending & -pending).bit_length() - 1
+        row = add[g]
+        coset = members
+        while not mask >> row[coset[0]] & 1:
+            coset = [row[y] for y in coset]
+            for y in coset:
+                mask |= 1 << y
+            members += coset
+        pending &= ~mask
     return mask
 
 
+def additive_span(ring: FiniteRing, seed_mask: int) -> int:
+    """Smallest additive subgroup containing the seed set: the coset-stepping
+    extension of {0} by the seeds, O(|result|)."""
+    return span_extend(ring.add, ring.zero_mask, [ring.zero], seed_mask)
+
+
 def is_additive_subgroup(ring: FiniteRing, mask: int) -> bool:
-    """Nonempty + closed under addition suffices in a finite abelian group."""
-    if not mask & (1 << ring.zero):
-        return False
-    members = mask_members(mask)
-    add = ring.add
-    for a in members:
-        row = add[a]
-        for b in members:
-            if not mask & (1 << row[b]):
-                return False
-    return True
+    """A subset is an additive subgroup exactly when it is its own span."""
+    return additive_span(ring, mask) == mask
 
 
 def _finish_ring(

@@ -92,6 +92,7 @@ class Instance:
     name: str
     ring: FiniteRing
     grading: Grading
+    _kind_verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def graded_family(self) -> list[IdealSet]:
@@ -158,6 +159,14 @@ class Instance:
         return is_first_strong(self.grading)
 
     def matches(self, requirement: str) -> bool:
+        """Whether the instance meets a check's kind requirement.  Each
+        verdict is kept, because deciding one may build a canonical grading."""
+        verdict = self._kind_verdicts.get(requirement)
+        if verdict is None:
+            verdict = self._kind_verdicts[requirement] = self._decide(requirement)
+        return verdict
+
+    def _decide(self, requirement: str) -> bool:
         kind = self.ring.construction.get("kind")
         if requirement == "idealization":
             return kind == "idealization" and same_grading(

@@ -28,9 +28,3 @@ def small_instances(corpus_instances):
     return {
         name: inst for name, inst in corpus_instances.items() if inst.ring.size <= 16
     }
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance: end-to-end acceptance criteria with timing bounds"
-    )

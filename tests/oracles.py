@@ -72,6 +72,17 @@ def exhaustive_validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) 
     return bool(np.array_equal(M, M.T))
 
 
+def brute_additive_span(add, zero: int, seed_mask: int) -> int:
+    """Smallest additive subgroup holding the seeds: add every pairwise sum
+    until nothing changes."""
+    members = {zero} | {x for x in range(len(add)) if seed_mask >> x & 1}
+    while True:
+        grown = members | {add[a][b] for a in members for b in members}
+        if grown == members:
+            return sum(1 << x for x in members)
+        members = grown
+
+
 def brute_left_ideal_masks(ring) -> set[int]:
     """All left ideal masks by scanning subsets whose size divides |R|."""
     n = ring.size

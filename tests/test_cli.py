@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import idealgraphs.ring_core as ring_core
 import idealgraphs.theorem_suite as suite
 from idealgraphs import SchemaError, UnknownConstructor
 from idealgraphs.cli import main, parse_instance
@@ -59,6 +60,30 @@ class TestParsing:
         doc = {**Z12_DOC, "limits": {"max_ring_size": 8}}
         with pytest.raises(SchemaError):
             parse_instance(doc)
+
+    @pytest.mark.parametrize(
+        "ring, built",
+        [({"zn": 512}, []), ({"product": [{"zn": 2}, {"zn": 512}]}, [2])],
+    )
+    def test_limits_refuse_before_large_tables_are_built(
+        self, monkeypatch, ring, built
+    ):
+        sizes = []
+        real = ring_core._finish_ring
+
+        def counting(size, *args, **kwargs):
+            sizes.append(size)
+            return real(size, *args, **kwargs)
+
+        monkeypatch.setattr(ring_core, "_finish_ring", counting)
+        doc = {"ring": ring, "grading": {"trivial": {}}, "limits": {"max_ring_size": 16}}
+        with pytest.raises(SchemaError) as err:
+            parse_instance(doc)
+        assert "$.limits.max_ring_size" in str(err.value)
+        assert "16" in str(err.value)
+        assert sizes == built
+        parse_instance({**doc, "ring": {"zn": 16}})
+        assert sizes == built + [16]
 
     def test_explicit_degree_keys_parse_negatives(self):
         doc = {

@@ -6,10 +6,14 @@ from idealgraphs import ideal_lattice
 from idealgraphs import (
     IdealSet,
     UngradedIdeal,
+    algebra_over_zn,
+    cyclic_group,
+    direct_product,
     enumerate_graded_left_ideals,
     enumerate_left_ideals,
     enumerate_submodules,
     generated_left_ideal,
+    group_ring,
     ideal_intersect,
     ideal_power,
     ideal_product,
@@ -35,7 +39,9 @@ from idealgraphs import (
     nontrivial_proper,
     trivial_grading,
 )
+from idealgraphs.ring_core import additive_span, is_additive_subgroup
 from oracles import (
+    brute_additive_span,
     brute_graded_left_ideal_masks,
     brute_left_ideal_masks,
     brute_submodule_masks,
@@ -158,6 +164,56 @@ class TestIdealArithmetic:
         assert min_generator_count(ring, m.mask, limit=1) is None
         x_ideal = generated_left_ideal(ring, [2])
         assert min_generator_count(ring, x_ideal) == 1
+
+
+# upper triangular 2x2 matrices over Z2 on the basis 1, E11, E12
+T2_TABLE = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+]
+
+
+def _span_rings():
+    """Rings whose additive groups are cyclic, Z2 x Z6, Z4 x Z4, (Z2)^3 and
+    (Z2)^4, with their left ideal masks."""
+    z2, z4 = make_cyclic_ring(2), make_cyclic_ring(4)
+    rings = {
+        "Z12": make_cyclic_ring(12),
+        "Z2xZ6": direct_product(z2, make_cyclic_ring(6)),
+        "Z4[C2]": group_ring(z4, cyclic_group(2)),
+        "T2(Z2)": algebra_over_zn(2, 3, T2_TABLE),
+        "Z2[C4]": group_ring(z2, cyclic_group(4)),
+    }
+    return {
+        name: (ring, [i.mask for i in enumerate_left_ideals(ring)])
+        for name, ring in rings.items()
+    }
+
+
+SPAN_RINGS = _span_rings()
+
+
+class TestSpansAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_spans_match_pairwise_closure(self, data):
+        ring, family = SPAN_RINGS[data.draw(st.sampled_from(sorted(SPAN_RINGS)))]
+        elements = st.integers(0, ring.size - 1)
+        seeds = data.draw(st.lists(elements, max_size=4))
+        seed_mask = sum(1 << x for x in set(seeds))
+        span = brute_additive_span(ring.add, ring.zero, seed_mask)
+        assert additive_span(ring, seed_mask) == span
+        assert is_additive_subgroup(ring, seed_mask) == (span == seed_mask)
+
+        products = sum({1 << ring.mul[r][x] for r in range(ring.size) for x in seeds})
+        assert generated_left_ideal(ring, seeds) == brute_additive_span(
+            ring.add, ring.zero, products
+        )
+
+        a = data.draw(st.sampled_from(family))
+        b = data.draw(st.sampled_from(family))
+        assert ideal_sum(ring, a, b) == brute_additive_span(ring.add, ring.zero, a | b)
 
 
 class TestGradedStructureFlags:

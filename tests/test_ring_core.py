@@ -22,6 +22,7 @@ from idealgraphs import (
     unital_ring_on,
 )
 
+from idealgraphs.ring_core import mask_members
 from oracles import exhaustive_validate_ring_tables
 
 # upper triangular 2x2 matrices over Z2 on the basis 1, E11, E12
@@ -390,3 +391,21 @@ class TestValidatorAgainstOracle:
         oracle = _oracle_verdict(add, mul, ring.zero, ring.one)
         library = _library_verdict(add, mul, ring.zero, ring.one)
         assert library == oracle
+
+
+def _bit_loop_members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestMaskMembers:
+    @pytest.mark.parametrize(
+        "mask",
+        [0, 1, 0b1011_0100, 1 << 1024, (1 << 1030) - 1, 1 << 2000 | 1 << 1025 | 5],
+    )
+    def test_fixed_masks(self, mask):
+        assert mask_members(mask) == _bit_loop_members(mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mask=st.integers(0, (1 << 1100) - 1))
+    def test_matches_bit_loop(self, mask):
+        assert mask_members(mask) == _bit_loop_members(mask)

@@ -1,5 +1,6 @@
 import pytest
 
+import idealgraphs.theorem_suite as suite
 from idealgraphs import (
     Instance,
     UnknownTheorem,
@@ -12,6 +13,7 @@ from idealgraphs import (
     theorem_summary,
     trivial_grading,
 )
+from idealgraphs.cli import load_instance
 
 ALL_IDS = [
     "lemma_b", "lemma_r1", "t1", "c1", "c11", "c101", "t2", "t51", "t52",
@@ -51,6 +53,33 @@ class TestRegistry:
         assert verdicts["lemma17"] == "SKIPPED"
         assert verdicts["groupring_example"] == "SKIPPED"
         assert verdicts["lemma_ll"] == "SKIPPED"
+
+
+class TestKindRequirements:
+    @pytest.mark.parametrize(
+        "name, builder",
+        [("z4_self", "idealization_grading"), ("z2c3", "group_ring_grading")],
+    )
+    def test_canonical_grading_built_once_per_instance(
+        self, corpus_dir, corpus_instances, monkeypatch, name, builder
+    ):
+        calls = []
+        real = getattr(suite, builder)
+
+        def counting(ring):
+            calls.append(ring)
+            return real(ring)
+
+        monkeypatch.setattr(suite, builder, counting)
+        inst = load_instance(str(corpus_dir / f"{name}.json"))
+        first = verdict_map(inst)
+        assert verdict_map(inst) == first
+        assert len(calls) == 1
+        assert first == verdict_map(corpus_instances[name])
+
+    def test_unknown_requirement_still_raises(self, corpus_instances):
+        with pytest.raises(ValueError):
+            corpus_instances["z12"].matches("matrix_ring")
 
 
 class TestNoFailuresOnCorpus:
