@@ -60,7 +60,19 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
-def _parse_group(node, path: str):
+def _check_group_order(k: int, path: str, cap: int, of_group_ring: bool) -> None:
+    """Refuse a group before its k x k table is built: a grade group of order
+    over the cap, or a group whose group ring, of at least 2^k elements, is."""
+    if of_group_ring and k > cap.bit_length() - 1:
+        raise SchemaError(
+            f"{path}: a group of order {k} gives a group ring of at least 2^{k} "
+            f"elements, over the cap {cap}"
+        )
+    if k > cap:
+        raise SchemaError(f"{path}: group order {k} exceeds the cap {cap}")
+
+
+def _parse_group(node, path: str, cap: int, of_group_ring: bool = False):
     if node == "integers":
         return INTEGERS
     _require(isinstance(node, dict), path, "expected 'integers' or an object")
@@ -70,13 +82,15 @@ def _parse_group(node, path: str):
             path,
             "cyclic group form is {'cyclic': k}",
         )
+        _check_group_order(node["cyclic"], path, cap, of_group_ring)
         return finite_grades(cyclic_group(node["cyclic"]))
     if "table" in node:
         _require(
-            set(node) <= {"table", "names"},
+            set(node) <= {"table", "names"} and isinstance(node["table"], list),
             path,
-            "table group form allows only 'table' and 'names'",
+            "table group form is {'table': [rows], 'names'?: [...]}",
         )
+        _check_group_order(len(node["table"]), path, cap, of_group_ring)
         return finite_grades(group_from_table(node["table"], node.get("names")))
     raise UnknownConstructor(f"{path}: unknown group form {sorted(node)!r}")
 
@@ -138,7 +152,9 @@ def _parse_ring(node, path: str, max_size: int) -> FiniteRing:
             f"{path}.group_ring",
             "expected {'base': ring, 'group': group}",
         )
-        grades = _parse_group(val["group"], f"{path}.group_ring.group")
+        grades = _parse_group(
+            val["group"], f"{path}.group_ring.group", max_size, of_group_ring=True
+        )
         _require(
             grades.kind == "finite",
             f"{path}.group_ring.group",
@@ -180,7 +196,7 @@ def _parse_degree(key: str, grades: GradeGroup, path: str) -> int:
     return deg
 
 
-def _parse_grading(node, ring: FiniteRing, path: str) -> Grading:
+def _parse_grading(node, ring: FiniteRing, path: str, max_size: int) -> Grading:
     if node == "canonical":
         kind = ring.construction.get("kind")
         if kind == "group_ring":
@@ -206,7 +222,7 @@ def _parse_grading(node, ring: FiniteRing, path: str) -> Grading:
             "expected {} or {'group': group}",
         )
         grades = (
-            _parse_group(val["group"], f"{path}.trivial.group")
+            _parse_group(val["group"], f"{path}.trivial.group", max_size)
             if "group" in val
             else None
         )
@@ -217,7 +233,7 @@ def _parse_grading(node, ring: FiniteRing, path: str) -> Grading:
             f"{path}.explicit",
             "expected {'group': group, 'components': {degree: [elements]}}",
         )
-        grades = _parse_group(val["group"], f"{path}.explicit.group")
+        grades = _parse_group(val["group"], f"{path}.explicit.group", max_size)
         comps = val["components"]
         _require(
             isinstance(comps, dict) and comps,
@@ -254,7 +270,8 @@ def parse_instance(doc, name: str = "instance") -> Instance:
     cap = limits.get("max_ring_size")
     _require(cap is None or isinstance(cap, int), "$.limits.max_ring_size", "expected int")
     if cap is None or cap >= MAX_RING_SIZE:
-        ring = _parse_ring(doc["ring"], "$.ring", MAX_RING_SIZE)
+        cap = MAX_RING_SIZE
+        ring = _parse_ring(doc["ring"], "$.ring", cap)
     else:
         # no part outgrows the ring built from it, so refusing every part over
         # the cap refuses exactly the rings over it, before a table is filled
@@ -262,7 +279,7 @@ def parse_instance(doc, name: str = "instance") -> Instance:
             ring = _parse_ring(doc["ring"], "$.ring", cap)
         except SizeLimit as exc:
             raise SchemaError(f"$.limits.max_ring_size: {exc}") from None
-    grading = _parse_grading(doc["grading"], ring, "$.grading")
+    grading = _parse_grading(doc["grading"], ring, "$.grading", cap)
     return Instance(name=name, ring=ring, grading=grading)
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     NotDirectSum,
     NotSubgroup,
@@ -137,24 +139,31 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
         decomposition.append(
             tuple((degs[i], p) for i, p in enumerate(combo) if p != ring.zero)
         )
-    mul = ring.mul
-    zero_mask = ring.zero_mask
-    for ds, dt in itertools.product(degs, repeat=2):
-        target = comps.get(grades.op(ds, dt), zero_mask)
-        for a in mask_members(comps[ds]):
-            if a == ring.zero:
-                continue
-            row = mul[a]
-            for b in mask_members(comps[dt]):
-                if b == ring.zero:
-                    continue
-                if not target & (1 << row[b]):
-                    raise ProductEscapes(
-                        f"product {ring.names[a]} * {ring.names[b]} leaves the degree "
-                        f"{grades.name(grades.op(ds, dt))} component"
-                    )
+    # products of nonzero members, checked per degree pair in one gather
+    # against the target component; the first escape in row-major order over
+    # ascending members is the witness
+    mul = np.asarray(ring.mul)
+    nonzero = [
+        np.array([x for x in ms if x != ring.zero], dtype=np.int64) for ms in member_lists
+    ]
+    inside = {}
+    for d, ms in zip(degs, member_lists):
+        inside[d] = np.zeros(ring.size, dtype=bool)
+        inside[d][ms] = True
+    only_zero = np.zeros(ring.size, dtype=bool)
+    only_zero[ring.zero] = True
+    for (i, ds), (j, dt) in itertools.product(enumerate(degs), repeat=2):
+        target = grades.op(ds, dt)
+        escaped = ~inside.get(target, only_zero)[mul[np.ix_(nonzero[i], nonzero[j])]]
+        if escaped.any():
+            row, col = np.argwhere(escaped)[0]
+            a, b = nonzero[i][row], nonzero[j][col]
+            raise ProductEscapes(
+                f"product {ring.names[a]} * {ring.names[b]} leaves the degree "
+                f"{grades.name(target)} component"
+            )
     e = grades.identity
-    if not comps.get(e, zero_mask) & (1 << ring.one):
+    if not comps.get(e, ring.zero_mask) & (1 << ring.one):
         raise UnityNotInIdentityComponent(
             "unity is not homogeneous of the identity degree"
         )

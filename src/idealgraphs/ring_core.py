@@ -13,6 +13,13 @@ subset of a validated ring that is closed under `+`, `*` and negation is
 a ring already, so only its unity and commutativity are settled.  Subsets
 of a carrier travel as int bitmasks (bit i set = element i present), which
 keeps the lattice and graph code allocation-free.
+
+Tables are filled with numpy, never entry by entry.  Polynomial quotients,
+algebras over Z_n and group rings are all base^d with a bilinear product
+and share one constructor, `free_algebra`, which computes the product rows
+of the monomials c*e_i and fills the other rows by additive extension.
+Frozen tables draw every entry from one list of n shared ints, so an n x n
+table costs n^2 pointers rather than n^2 int objects.
 """
 
 from __future__ import annotations
@@ -144,7 +151,11 @@ def _validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) -> bool:
 
 
 def _freeze(table) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in table)
+    """An n x n table over 0..n-1 as tuples of shared ints: each row points
+    into one list of n int objects instead of owning n of its own."""
+    arr = np.asarray(table)
+    ints = list(range(len(arr)))
+    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in arr)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +174,9 @@ class FiniteGroup:
 def cyclic_group(k: int) -> FiniteGroup:
     if k < 1:
         raise InvalidConstruction("cyclic group order must be positive")
-    op = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
-    inv = tuple((-a) % k for a in range(k))
+    g = np.arange(k)
+    op = _freeze((g[:, None] + g) % k)
+    inv = tuple((-g % k).tolist())
     names = tuple("e" if a == 0 else ("g" if a == 1 else f"g^{a}") for a in range(k))
     return FiniteGroup(size=k, op=op, identity=0, inv=inv, names=names)
 
@@ -239,13 +251,11 @@ class FiniteRing:
     @cached_property
     def left_multiple_masks(self) -> tuple[int, ...]:
         """mask of R*x for every x; the building block of left ideals."""
-        out = []
-        for x in range(self.size):
-            m = 0
-            for r in range(self.size):
-                m |= 1 << self.mul[r][x]
-            out.append(m)
-        return tuple(out)
+        n = self.size
+        hit = np.zeros((n, n), dtype=bool)
+        hit[np.arange(n), np.asarray(self.mul)] = True  # hit[x, r*x]
+        packed = np.packbits(hit, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def span_extend(add, base_mask: int, base_members: list[int], extra_mask: int) -> int:
@@ -322,10 +332,11 @@ def make_cyclic_ring(n: int, max_size: int = MAX_RING_SIZE) -> FiniteRing:
     if n < 2:
         raise InvalidConstruction("modulus must be at least 2 so unity differs from zero")
     _check_size(n, max_size)
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    neg = [(-a) % n for a in range(n)]
-    names = [str(a) for a in range(n)]
+    a = np.arange(n)
+    add = (a[:, None] + a) % n
+    mul = a[:, None] * a % n
+    neg = -a % n
+    names = [str(x) for x in range(n)]
     return _finish_ring(n, add, mul, 0, 1 % n, neg, {"kind": "zn", "n": n}, names)
 
 
@@ -385,28 +396,83 @@ def direct_product(
     )
 
 
-def _index_to_digits(idx: int, radix: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(idx % radix)
-        idx //= radix
-    return tuple(out)
+def _digit_array(radix: int, dim: int) -> np.ndarray:
+    """digits[x, k] is coordinate k of element x: base-`radix` digits, low first."""
+    return np.arange(radix**dim)[:, None] // radix ** np.arange(dim) % radix
 
 
-def _digits_to_index(digits: Sequence[int], radix: int) -> int:
-    idx = 0
-    for d in reversed(digits):
-        idx = idx * radix + d
-    return idx
+def _linear_names(
+    base: FiniteRing,
+    dim: int,
+    basis: Sequence[str],
+    bare: int | None = None,
+    descending: bool = False,
+) -> list[str]:
+    """Names of the elements of base^dim as sums of coefficient-basis terms.
+
+    Zero terms are left out; a coefficient named "1" shows the basis name
+    alone, and a term on basis index `bare` shows the coefficient alone.
+    """
+    order = range(dim - 1, -1, -1) if descending else range(dim)
+
+    def term(c: int, k: int) -> str:
+        cname = base.names[c]
+        if k == bare:
+            return cname
+        return basis[k] if cname == "1" else f"{cname}{basis[k]}"
+
+    return [
+        "+".join(term(row[k], k) for k in order if row[k] != base.zero) or "0"
+        for row in _digit_array(base.size, dim).tolist()
+    ]
 
 
-def _poly_term(coeff_name: str, k: int) -> str:
-    xpow = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-    if k == 0:
-        return coeff_name
-    if coeff_name == "1":
-        return xpow
-    return f"{coeff_name}{xpow}"
+def free_algebra(
+    base: FiniteRing,
+    structure,
+    unit: int,
+    construction: dict,
+    names: Sequence[str],
+    parts: dict | None = None,
+) -> FiniteRing:
+    """The free base-module on e_0..e_{d-1} with a bilinear product.
+
+    structure[i][j][k] is coefficient k (a base index) of e_i*e_j, and
+    (sum a_i e_i)(sum b_j e_j) = sum_k (sum_ij (a_i b_j) structure[i][j][k]) e_k;
+    base.one*e_unit must be the unity.  An element is its coefficient vector
+    packed as base-|base| digits, low coordinate first.  Addition and
+    negation are digitwise gathers.  The product rows of the monomials c*e_i
+    are computed over all right operands at once; every other row follows by
+    additive extension, (low + c*e_k)*b = c*e_k*b + low*b, where `low` runs
+    over the elements whose digits from k up are zero, one gather per digit.
+    """
+    S = np.asarray(structure, dtype=np.int64)
+    d = len(S)
+    r, z = base.size, base.zero
+    n = r**d
+    digits = _digit_array(r, d)
+    weights = r ** np.arange(d)
+    BA, BM = np.asarray(base.add), np.asarray(base.mul)
+    add = sum(BA[digits[:, None, k], digits[None, :, k]] * weights[k] for k in range(d))
+    neg = np.asarray(base.neg)[digits] @ weights
+    cb = BM[:, digits]  # cb[c, b, j] = c * b_j
+    mono = []
+    for i in range(d):
+        terms = BM[cb[..., None], S[i]]  # (c * b_j) * structure[i][j][k]
+        coeff = terms[:, :, 0]
+        for j in range(1, d):
+            coeff = BA[coeff, terms[:, :, j]]
+        mono.append(coeff @ weights)  # mono[i][c] is the row of c*e_i
+    zero = int(z * weights.sum())
+    mul = np.empty((n, n), dtype=np.int64)
+    mul[zero] = zero
+    low = np.array([zero])
+    for k in range(d):
+        rows = low + ((np.arange(r) - z) * weights[k])[:, None]
+        mul[rows] = add[mono[k][:, None, :], mul[low]]
+        low = rows.ravel()
+    one = zero + int((base.one - z) * weights[unit])
+    return _finish_ring(n, add, mul, zero, one, neg, construction, names, parts)
 
 
 def polynomial_quotient(
@@ -429,57 +495,24 @@ def polynomial_quotient(
     for c in modulus:
         if not 0 <= c < base.size:
             raise InvalidConstruction("modulus coefficient out of range")
-    n = base.size**d
-    _check_size(n, max_size)
-    radix = base.size
-    elems = [_index_to_digits(i, radix, d) for i in range(n)]
+    _check_size(base.size**d, max_size)
     badd, bmul, bneg, bzero = base.add, base.mul, base.neg, base.zero
-    low = tuple(modulus[:d])
-
-    def pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        prod = [bzero] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai == bzero:
-                continue
-            row = bmul[ai]
-            for j, bj in enumerate(b):
-                prod[i + j] = badd[prod[i + j]][row[bj]]
-        # x^k = -(low part of modulus) * x^(k-d), repeatedly
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c == bzero:
-                continue
-            prod[k] = bzero
-            row = bmul[c]
-            for i in range(d):
-                prod[k - d + i] = badd[prod[k - d + i]][bneg[row[low[i]]]]
-        return tuple(prod[:d])
-
-    add = [
-        [_digits_to_index([badd[x][y] for x, y in zip(ea, eb)], radix) for eb in elems]
-        for ea in elems
-    ]
-    mul = [[_digits_to_index(pmul(ea, eb), radix) for eb in elems] for ea in elems]
-    neg = [_digits_to_index([bneg[x] for x in ea], radix) for ea in elems]
-    zero = _digits_to_index([bzero] * d, radix)
-    one = _digits_to_index([base.one] + [bzero] * (d - 1), radix)
-
-    def pname(e: tuple[int, ...]) -> str:
-        terms = [
-            _poly_term(base.names[c], k) for k, c in reversed(list(enumerate(e))) if c != bzero
-        ]
-        return "+".join(terms) if terms else "0"
-
-    names = [pname(e) for e in elems]
-    return _finish_ring(
-        n,
-        add,
-        mul,
-        zero,
-        one,
-        neg,
+    # x^m reduced for m < 2d-1: x^(m+1) = x*x^m, and x^d = -(low part of modulus)
+    powers = [[base.one if k == m else bzero for k in range(d)] for m in range(d)]
+    for _ in range(d - 1):
+        top = powers[-1][-1]
+        shifted = [bzero] + powers[-1][:-1]
+        powers.append(
+            [badd[s][bneg[bmul[top][c]]] for s, c in zip(shifted, modulus[:d])]
+        )
+    structure = [[powers[i + j] for j in range(d)] for i in range(d)]
+    basis = ["1", "x"] + [f"x^{k}" for k in range(2, d)]
+    return free_algebra(
+        base,
+        structure,
+        0,
         {"kind": "poly_quotient", "modulus": [int(c) for c in modulus]},
-        names,
+        _linear_names(base, d, basis, bare=0, descending=True),
         parts={"base": base},
     )
 
@@ -500,8 +533,7 @@ def algebra_over_zn(
     """
     if n < 2 or dim < 1:
         raise InvalidConstruction("need modulus >= 2 and at least one basis element")
-    size = n**dim
-    _check_size(size, max_size)
+    _check_size(n**dim, max_size)
     if len(table) != dim or any(len(row) != dim for row in table):
         raise InvalidConstruction(f"structure table must be {dim}x{dim}")
     tab = []
@@ -510,50 +542,16 @@ def algebra_over_zn(
         for cell in tab[-1]:
             if len(cell) != dim:
                 raise InvalidConstruction("structure table cell has wrong length")
-    elems = [_index_to_digits(i, n, dim) for i in range(size)]
-
-    def vmul(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        acc = [0] * dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                c = (ai * bj) % n
-                if c == 0:
-                    continue
-                cell = tab[i][j]
-                for k in range(dim):
-                    acc[k] = (acc[k] + c * cell[k]) % n
-        return _digits_to_index(acc, n)
-
-    add = [
-        [_digits_to_index([(x + y) % n for x, y in zip(ea, eb)], n) for eb in elems]
-        for ea in elems
-    ]
-    mul = [[vmul(ea, eb) for eb in elems] for ea in elems]
-    neg = [_digits_to_index([(-x) % n for x in ea], n) for ea in elems]
     if basis_names is None:
         basis_names = [f"b{i}" for i in range(dim)]
     basis_names = list(basis_names)
     if len(basis_names) != dim:
         raise InvalidConstruction("basis names length mismatch")
-
-    def vname(e: tuple[int, ...]) -> str:
-        terms = []
-        for i, c in enumerate(e):
-            if c == 0:
-                continue
-            terms.append(basis_names[i] if c == 1 else f"{c}{basis_names[i]}")
-        return "+".join(terms) if terms else "0"
-
-    names = [vname(e) for e in elems]
-    return _finish_ring(
-        size,
-        add,
-        mul,
+    base = make_cyclic_ring(n, max_size)
+    return free_algebra(
+        base,
+        tab,
         0,
-        1,
-        neg,
         {
             "kind": "algebra",
             "n": n,
@@ -561,7 +559,7 @@ def algebra_over_zn(
             "table": [[list(cell) for cell in row] for row in tab],
             "basis": basis_names,
         },
-        names,
+        _linear_names(base, dim, basis_names),
     )
 
 
@@ -573,62 +571,18 @@ def group_ring(
     An element is the coefficient tuple indexed by group position, packed as
     base-|base| digits (coefficient of group element k is digit k).
     """
-    n = base.size**group.size
-    _check_size(n, max_size)
-    radix = base.size
     g = group.size
-    elems = [_index_to_digits(i, radix, g) for i in range(n)]
-    badd, bmul, bzero = base.add, base.mul, base.zero
-
-    def gmul(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        out = [bzero] * g
-        for i, ci in enumerate(a):
-            if ci == bzero:
-                continue
-            row = bmul[ci]
-            oprow = group.op[i]
-            for j, cj in enumerate(b):
-                if cj == bzero:
-                    continue
-                k = oprow[j]
-                out[k] = badd[out[k]][row[cj]]
-        return _digits_to_index(out, radix)
-
-    add = [
-        [_digits_to_index([badd[x][y] for x, y in zip(ea, eb)], radix) for eb in elems]
-        for ea in elems
+    _check_size(base.size**g, max_size)
+    structure = [
+        [[base.one if k == group.op[i][j] else base.zero for k in range(g)] for j in range(g)]
+        for i in range(g)
     ]
-    mul = [[gmul(ea, eb) for eb in elems] for ea in elems]
-    neg = [_digits_to_index([base.neg[x] for x in ea], radix) for ea in elems]
-    zero = 0 if base.zero == 0 else _digits_to_index([base.zero] * g, radix)
-    one_digits = [bzero] * g
-    one_digits[group.identity] = base.one
-    one = _digits_to_index(one_digits, radix)
-
-    def gname(e: tuple[int, ...]) -> str:
-        terms = []
-        for k, c in enumerate(e):
-            if c == bzero:
-                continue
-            cname = base.names[c]
-            if k == group.identity:
-                terms.append(cname)
-            elif cname == "1":
-                terms.append(group.names[k])
-            else:
-                terms.append(f"{cname}{group.names[k]}")
-        return "+".join(terms) if terms else "0"
-
-    names = [gname(e) for e in elems]
-    return _finish_ring(
-        n,
-        add,
-        mul,
-        zero,
-        one,
-        neg,
+    return free_algebra(
+        base,
+        structure,
+        group.identity,
         {"kind": "group_ring", "base": base.construction},
-        names,
+        _linear_names(base, g, group.names, bare=group.identity),
         parts={"base": base, "group": group},
     )
 
@@ -720,25 +674,14 @@ def idealization(
     n1, n2 = base.size, module.size
     n = n1 * n2
     _check_size(n, max_size)
-    add = [
-        [
-            base.add[r][rp] * n2 + module.add[m][mp]
-            for rp in range(n1)
-            for mp in range(n2)
-        ]
-        for r in range(n1)
-        for m in range(n2)
-    ]
-    mul = [
-        [
-            base.mul[r][rp] * n2 + module.add[module.act[r][mp]][module.act[rp][m]]
-            for rp in range(n1)
-            for mp in range(n2)
-        ]
-        for r in range(n1)
-        for m in range(n2)
-    ]
-    neg = [base.neg[r] * n2 + module.neg[m] for r in range(n1) for m in range(n2)]
+    MA = np.asarray(module.add)
+    ACT = np.asarray(module.act)
+    r = np.repeat(np.arange(n1), n2)[:, None]
+    m = np.tile(np.arange(n2), n1)[:, None]
+    add = np.asarray(base.add)[r, r.T] * n2 + MA[m, m.T]
+    # (r, m)(r', m') = (rr', r.m' + r'.m); rows are (r, m), columns (r', m')
+    mul = np.asarray(base.mul)[r, r.T] * n2 + MA[ACT[r, m.T], ACT[r.T, m]]
+    neg = np.asarray(base.neg)[r[:, 0]] * n2 + np.asarray(module.neg)[m[:, 0]]
     zero = base.zero * n2 + module.zero
     one = base.one * n2 + module.zero
     names = [

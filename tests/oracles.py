@@ -145,6 +145,174 @@ def brute_submodule_masks(module) -> set[int]:
     return found
 
 
+# --- entrywise constructor tables: every sum and product one entry at a time,
+# with elements as coefficient tuples packed as base-|base| digits, low first
+
+
+def index_to_digits(idx: int, radix: int, length: int) -> tuple[int, ...]:
+    out = []
+    for _ in range(length):
+        out.append(idx % radix)
+        idx //= radix
+    return tuple(out)
+
+
+def digits_to_index(digits, radix: int) -> int:
+    idx = 0
+    for d in reversed(digits):
+        idx = idx * radix + d
+    return idx
+
+
+def pmul(base, modulus, a, b) -> tuple[int, ...]:
+    """Schoolbook product of two coefficient tuples, reduced by the monic
+    modulus from the top degree down."""
+    d = len(modulus) - 1
+    badd, bmul, bneg, bzero = base.add, base.mul, base.neg, base.zero
+    prod = [bzero] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = badd[prod[i + j]][bmul[ai][bj]]
+    for k in range(2 * d - 2, d - 1, -1):
+        c, prod[k] = prod[k], bzero
+        for i in range(d):
+            prod[k - d + i] = badd[prod[k - d + i]][bneg[bmul[c][modulus[i]]]]
+    return tuple(prod[:d])
+
+
+def gmul(base, group, a, b) -> tuple[int, ...]:
+    out = [base.zero] * group.size
+    for i, ci in enumerate(a):
+        for j, cj in enumerate(b):
+            k = group.op[i][j]
+            out[k] = base.add[out[k]][base.mul[ci][cj]]
+    return tuple(out)
+
+
+def vmul(n: int, table, a, b) -> tuple[int, ...]:
+    dim = len(table)
+    acc = [0] * dim
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            for k in range(dim):
+                acc[k] = (acc[k] + ai * bj * table[i][j][k]) % n
+    return tuple(acc)
+
+
+def _entrywise_tables(base_add, base_neg, radix: int, dim: int, product) -> dict:
+    elems = [index_to_digits(i, radix, dim) for i in range(radix**dim)]
+    return {
+        "size": len(elems),
+        "elems": elems,
+        "add": [
+            [digits_to_index([base_add[x][y] for x, y in zip(ea, eb)], radix) for eb in elems]
+            for ea in elems
+        ],
+        "mul": [[digits_to_index(product(ea, eb), radix) for eb in elems] for ea in elems],
+        "neg": [digits_to_index([base_neg[x] for x in ea], radix) for ea in elems],
+    }
+
+
+def _join_terms(terms) -> str:
+    return "+".join(terms) if terms else "0"
+
+
+def entrywise_polynomial_quotient(base, modulus) -> dict:
+    d = len(modulus) - 1
+    out = _entrywise_tables(
+        base.add, base.neg, base.size, d, lambda a, b: pmul(base, modulus, a, b)
+    )
+
+    def term(c, k):
+        name = base.names[c]
+        xpow = "x" if k == 1 else f"x^{k}"
+        return name if k == 0 else (xpow if name == "1" else name + xpow)
+
+    out["names"] = [
+        _join_terms([term(c, k) for k, c in reversed(list(enumerate(e))) if c != base.zero])
+        for e in out["elems"]
+    ]
+    out["zero"] = digits_to_index([base.zero] * d, base.size)
+    out["one"] = digits_to_index([base.one] + [base.zero] * (d - 1), base.size)
+    out["construction"] = {"kind": "poly_quotient", "modulus": list(modulus)}
+    return out
+
+
+def entrywise_group_ring(base, group) -> dict:
+    g = group.size
+    out = _entrywise_tables(
+        base.add, base.neg, base.size, g, lambda a, b: gmul(base, group, a, b)
+    )
+
+    def term(c, k):
+        name = base.names[c]
+        if k == group.identity:
+            return name
+        return group.names[k] if name == "1" else name + group.names[k]
+
+    out["names"] = [
+        _join_terms([term(c, k) for k, c in enumerate(e) if c != base.zero])
+        for e in out["elems"]
+    ]
+    one = [base.zero] * g
+    one[group.identity] = base.one
+    out["zero"] = digits_to_index([base.zero] * g, base.size)
+    out["one"] = digits_to_index(one, base.size)
+    out["construction"] = {"kind": "group_ring", "base": base.construction}
+    return out
+
+
+def entrywise_algebra_over_zn(n: int, table, basis) -> dict:
+    dim = len(table)
+    tab = [[[c % n for c in cell] for cell in row] for row in table]
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    neg = [(-a) % n for a in range(n)]
+    out = _entrywise_tables(add, neg, n, dim, lambda a, b: vmul(n, tab, a, b))
+    out["names"] = [
+        _join_terms([basis[i] if c == 1 else f"{c}{basis[i]}" for i, c in enumerate(e) if c])
+        for e in out["elems"]
+    ]
+    out["zero"], out["one"] = 0, 1
+    out["construction"] = {"kind": "algebra", "n": n, "dim": dim, "table": tab, "basis": list(basis)}
+    return out
+
+
+def entrywise_idealization(base, module) -> dict:
+    """(r, m) at index r*|M| + m, with (r, m)(r', m') = (rr', r.m' + r'.m)."""
+    pairs = [(r, m) for r in range(base.size) for m in range(module.size)]
+    k = module.size
+    return {
+        "add": [[base.add[r][s] * k + module.add[m][p] for s, p in pairs] for r, m in pairs],
+        "mul": [
+            [base.mul[r][s] * k + module.add[module.act[r][p]][module.act[s][m]] for s, p in pairs]
+            for r, m in pairs
+        ],
+        "neg": [base.neg[r] * k + module.neg[m] for r, m in pairs],
+    }
+
+
+def brute_left_multiple_masks(ring) -> list[int]:
+    """Mask of R*x for every x, one product at a time."""
+    return [
+        sum({1 << ring.mul[r][x] for r in range(ring.size)}) for x in range(ring.size)
+    ]
+
+
+def first_escaping_product(ring, grades, comps):
+    """The grading product check as a plain loop: the first pair of nonzero
+    homogeneous elements, over sorted degree pairs and ascending members,
+    whose product leaves its degree's component; None when none does."""
+    degs = sorted(d for d, mask in comps.items() if mask != 1 << ring.zero)
+    members = {d: [x for x in range(ring.size) if comps[d] >> x & 1 and x != ring.zero] for d in degs}
+    for ds, dt in itertools.product(degs, repeat=2):
+        target = comps.get(grades.op(ds, dt), 1 << ring.zero)
+        for a in members[ds]:
+            for b in members[dt]:
+                if not target >> ring.mul[a][b] & 1:
+                    return a, b, grades.op(ds, dt)
+    return None
+
+
 # --- graph references (adjacency given as a dict vertex -> set of vertices)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import idealgraphs.cli as cli
 import idealgraphs.ring_core as ring_core
 import idealgraphs.theorem_suite as suite
 from idealgraphs import SchemaError, UnknownConstructor
@@ -84,6 +85,90 @@ class TestParsing:
         assert sizes == built
         parse_instance({**doc, "ring": {"zn": 16}})
         assert sizes == built + [16]
+
+    @pytest.mark.parametrize(
+        "doc, path, order, cap",
+        [
+            # a group ring over C_k has at least 2^k elements
+            (
+                {"ring": {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 5}}},
+                 "grading": "canonical", "limits": {"max_ring_size": 16}},
+                "$.ring.group_ring.group", 5, 16,
+            ),
+            (
+                {"ring": {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 1000}}},
+                 "grading": "canonical", "limits": {"max_ring_size": 16}},
+                "$.ring.group_ring.group", 1000, 16,
+            ),
+            (
+                {"ring": {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 11}}},
+                 "grading": "canonical"},
+                "$.ring.group_ring.group", 11, 1024,
+            ),
+            (
+                {"ring": {"zn": 2}, "grading": {"trivial": {"group": {"cyclic": 17}}},
+                 "limits": {"max_ring_size": 16}},
+                "$.grading.trivial.group", 17, 16,
+            ),
+            (
+                {"ring": {"zn": 2}, "grading": {"trivial": {"group": {"cyclic": 1025}}}},
+                "$.grading.trivial.group", 1025, 1024,
+            ),
+            (
+                {"ring": {"zn": 2},
+                 "grading": {"explicit": {"group": {"cyclic": 10**6}, "components": {"0": [1]}}},
+                 "limits": {"max_ring_size": 64}},
+                "$.grading.explicit.group", 10**6, 64,
+            ),
+        ],
+    )
+    def test_group_orders_refused_before_tables_are_built(
+        self, monkeypatch, doc, path, order, cap
+    ):
+        built = []
+        real = cli.cyclic_group
+
+        def counting(k):
+            built.append(k)
+            return real(k)
+
+        monkeypatch.setattr(cli, "cyclic_group", counting)
+        with pytest.raises(SchemaError) as err:
+            parse_instance(doc)
+        message = str(err.value)
+        assert message.startswith(f"{path}: ")
+        assert f"order {order}" in message and f"cap {cap}" in message
+        assert len(message) < 120
+        assert built == []
+
+    def test_table_groups_refused_before_they_are_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(cli, "group_from_table", lambda *args: checked.append(args))
+        rows = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+        doc = {
+            "ring": {"group_ring": {"base": {"zn": 2}, "group": {"table": rows}}},
+            "grading": "canonical",
+            "limits": {"max_ring_size": 16},
+        }
+        with pytest.raises(SchemaError, match=r"^\$\.ring\.group_ring\.group: .*order 5.*cap 16"):
+            parse_instance(doc)
+        assert checked == []
+
+    def test_group_orders_at_the_cap_are_accepted(self, monkeypatch):
+        built = []
+        real = cli.cyclic_group
+
+        def counting(k):
+            built.append(k)
+            return real(k)
+
+        monkeypatch.setattr(cli, "cyclic_group", counting)
+        ring = {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 4}}}
+        limits = {"max_ring_size": 16}
+        assert parse_instance({"ring": ring, "grading": "canonical", "limits": limits}).ring.size == 16
+        trivial = {"trivial": {"group": {"cyclic": 16}}}
+        parse_instance({"ring": {"zn": 2}, "grading": trivial, "limits": limits})
+        assert built == [4, 16]
 
     def test_explicit_degree_keys_parse_negatives(self):
         doc = {

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraphs import (
     INTEGERS,
@@ -26,11 +28,13 @@ from idealgraphs import (
     module_self,
     poly_quotient_integer_grading,
     polynomial_quotient,
+    ring_from_tables,
     same_grading,
     support_is_subgroup,
     trivial_grading,
     validate_grading,
 )
+from oracles import first_escaping_product
 
 F2XY_TABLE = [
     [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -181,3 +185,71 @@ class TestClassifiers:
     def test_integer_gradings_are_never_globally_faithful(self, f2xy):
         g = explicit_grading(f2xy, INTEGERS, {0: [1], 1: [2], 2: [4]})
         assert not is_faithful(g)
+
+
+def _canonical_cases():
+    z2, z3, z4 = make_cyclic_ring(2), make_cyclic_ring(3), make_cyclic_ring(4)
+    return {
+        "Z2[C4]": group_ring_grading(group_ring(z2, cyclic_group(4))),
+        "Z3[C3]": group_ring_grading(group_ring(z3, cyclic_group(3))),
+        "Z4[x]/(x^3)": poly_quotient_integer_grading(
+            polynomial_quotient(z4, [0, 0, 0, 1])
+        ),
+        "Z4 x| Z4": idealization_grading(idealization(z4, module_self(z4))),
+    }
+
+
+CANONICAL_CASES = _canonical_cases()
+
+
+def _relabelled(ring, at):
+    """The same ring with element x stored at index at[x]."""
+    n = ring.size
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    names = [""] * n
+    for a in range(n):
+        names[at[a]] = ring.names[a]
+        for b in range(n):
+            add[at[a]][at[b]] = at[ring.add[a][b]]
+            mul[at[a]][at[b]] = at[ring.mul[a][b]]
+    return ring_from_tables(add, mul, at[ring.zero], at[ring.one], names)
+
+
+class TestProductCheckWitness:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_first_escape_matches_the_loop(self, data):
+        # moving the components of a valid grading to permuted degrees keeps
+        # the direct sum, so the product check decides; its witness must be
+        # the loop's first escape in row-major order over ascending members,
+        # which a random relabelling of the elements puts in varied orders
+        grading = CANONICAL_CASES[data.draw(st.sampled_from(sorted(CANONICAL_CASES)))]
+        grades = grading.grades
+        at = data.draw(st.permutations(range(grading.ring.size)))
+        ring = _relabelled(grading.ring, at)
+        degs = list(grading.support)
+        if grades.kind == "integers":
+            targets = data.draw(
+                st.lists(st.integers(-3, 3), min_size=len(degs), max_size=len(degs), unique=True)
+            )
+        else:
+            targets = data.draw(st.permutations(range(grades.group.size)))[: len(degs)]
+        raw = {
+            t: sum(1 << at[x] for x in range(ring.size) if grading.components[d] >> x & 1)
+            for d, t in zip(degs, targets)
+        }
+        expected = first_escaping_product(ring, grades, raw)
+        if expected is None:
+            try:
+                validate_grading(ring, grades, raw)
+            except UnityNotInIdentityComponent:
+                pass
+            return
+        a, b, target = expected
+        with pytest.raises(ProductEscapes) as err:
+            validate_grading(ring, grades, raw)
+        assert str(err.value) == (
+            f"product {ring.names[a]} * {ring.names[b]} leaves the degree "
+            f"{grades.name(target)} component"
+        )

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +25,19 @@ from idealgraphs import (
     unital_ring_on,
 )
 
+import idealgraphs.ring_core as ring_core
 from idealgraphs.ring_core import mask_members
-from oracles import exhaustive_validate_ring_tables
+from oracles import (
+    brute_left_multiple_masks,
+    digits_to_index,
+    entrywise_algebra_over_zn,
+    entrywise_group_ring,
+    entrywise_idealization,
+    entrywise_polynomial_quotient,
+    exhaustive_validate_ring_tables,
+    index_to_digits,
+    pmul,
+)
 
 # upper triangular 2x2 matrices over Z2 on the basis 1, E11, E12
 T2_TABLE = [
@@ -409,3 +423,184 @@ class TestMaskMembers:
     @given(mask=st.integers(0, (1 << 1100) - 1))
     def test_matches_bit_loop(self, mask):
         assert mask_members(mask) == _bit_loop_members(mask)
+
+
+def _relabelled_zn(n, at):
+    """Z_n with residue a stored at index at[a], so zero need not be index 0."""
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            add[at[a]][at[b]] = at[(a + b) % n]
+            mul[at[a]][at[b]] = at[a * b % n]
+    names = [""] * n
+    for a in range(n):
+        names[at[a]] = str(a)
+    return ring_from_tables(add, mul, zero=at[0], one=at[1], names=names)
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    op = [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+    return group_from_table(op, ["e", "a", "b", "c", "d", "f"])
+
+
+def _klein_with_identity_at_2():
+    value = [1, 3, 0, 2]  # index i holds the xor-group element value[i]
+    return group_from_table(
+        [[value.index(value[i] ^ value[j]) for j in range(4)] for i in range(4)]
+    )
+
+
+BASES = {
+    "Z2": make_cyclic_ring(2),
+    "Z3": make_cyclic_ring(3),
+    "Z4": make_cyclic_ring(4),
+    "Z2 swapped": _relabelled_zn(2, [1, 0]),
+    "Z4 relabelled": _relabelled_zn(4, [2, 0, 3, 1]),
+    "T2(Z2)": algebra_over_zn(2, 3, T2_TABLE),
+}
+COMMUTATIVE_BASES = sorted(name for name, ring in BASES.items() if ring.commutative)
+GROUPS = {
+    "C1": cyclic_group(1),
+    "C2": cyclic_group(2),
+    "C3": cyclic_group(3),
+    "C4": cyclic_group(4),
+    "V4": _klein_with_identity_at_2(),
+    "S3": _s3(),
+}
+FIELDS = ("add", "mul", "neg", "zero", "one", "names", "construction")
+
+
+def _fields_of(ring):
+    return {
+        "add": [list(row) for row in ring.add],
+        "mul": [list(row) for row in ring.mul],
+        "neg": list(ring.neg),
+        "zero": ring.zero,
+        "one": ring.one,
+        "names": list(ring.names),
+        "construction": ring.construction,
+    }
+
+
+def _assert_fields_match(got, want):
+    for field in FIELDS:
+        assert got[field] == want[field], field
+
+
+class TestFreeAlgebraAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_group_ring(self, data):
+        base = BASES[data.draw(st.sampled_from(sorted(BASES)))]
+        fits = [g for g in sorted(GROUPS) if base.size ** GROUPS[g].size <= 81]
+        group = GROUPS[data.draw(st.sampled_from(fits))]
+        ring = group_ring(base, group)
+        _assert_fields_match(_fields_of(ring), entrywise_group_ring(base, group))
+        assert ring.parts["base"] is base and ring.parts["group"] is group
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_polynomial_quotient(self, data):
+        base = BASES[data.draw(st.sampled_from(COMMUTATIVE_BASES))]
+        d = data.draw(st.integers(1, 6).filter(lambda k: base.size**k <= 81))
+        low = data.draw(st.lists(st.integers(0, base.size - 1), min_size=d, max_size=d))
+        modulus = low + [base.one]
+        ring = polynomial_quotient(base, modulus)
+        _assert_fields_match(_fields_of(ring), entrywise_polynomial_quotient(base, modulus))
+        assert ring.parts["base"] is base
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_algebra_tables_before_validation(self, data):
+        # any structure constants, ring or not: the tables handed to the
+        # validator are the bilinear extension, entry for entry
+        n = data.draw(st.integers(2, 4))
+        dim = data.draw(st.integers(1, 3).filter(lambda k: n**k <= 64))
+        cell = st.lists(st.integers(-n, 2 * n), min_size=dim, max_size=dim)
+        table = data.draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+        basis = data.draw(st.sampled_from([None, ["1", "x", "y"][:dim]]))
+        handed = {}
+        finish = ring_core._finish_ring
+
+        def capture(size, add, mul, zero, one, neg, construction, names, parts=None):
+            if construction["kind"] != "algebra":  # the base Z_n
+                return finish(size, add, mul, zero, one, neg, construction, names, parts)
+            handed.update(
+                add=np.asarray(add).tolist(),
+                mul=np.asarray(mul).tolist(),
+                neg=np.asarray(neg).tolist(),
+                zero=zero,
+                one=one,
+                names=list(names),
+                construction=construction,
+            )
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ring_core, "_finish_ring", capture)
+            algebra_over_zn(n, dim, table, basis)
+        want = entrywise_algebra_over_zn(n, table, basis or [f"b{i}" for i in range(dim)])
+        _assert_fields_match(handed, want)
+
+    @pytest.mark.parametrize("table, basis", [(T2_TABLE, ["1", "e", "f"]), (F2XY_TABLE, None)])
+    def test_algebra_rings(self, table, basis):
+        ring = algebra_over_zn(2, 3, table, basis)
+        want = entrywise_algebra_over_zn(2, table, basis or ["b0", "b1", "b2"])
+        _assert_fields_match(_fields_of(ring), want)
+
+    @pytest.mark.parametrize(
+        "base_name, quotient",
+        [("Z2", None), ("Z3", None), ("Z4", None), ("Z4 relabelled", None), ("Z4", 2)],
+    )
+    def test_idealization(self, base_name, quotient):
+        base = BASES[base_name]
+        module = module_self(base) if quotient is None else module_zn_quotient(base, quotient)
+        ring = idealization(base, module)
+        want = entrywise_idealization(base, module)
+        got = _fields_of(ring)
+        for field in ("add", "mul", "neg"):
+            assert got[field] == want[field], field
+
+
+class TestLargestBuild:
+    def test_f2_x10_at_the_cap(self):
+        base = make_cyclic_ring(2)
+        modulus = [0] * 10 + [1]
+        ring = polynomial_quotient(base, modulus, max_size=1024)
+        assert ring.size == 1024
+        rng = random.Random(1024)
+        for _ in range(2000):
+            a, b = rng.randrange(1024), rng.randrange(1024)
+            da, db = index_to_digits(a, 2, 10), index_to_digits(b, 2, 10)
+            assert ring.mul[a][b] == digits_to_index(pmul(base, modulus, da, db), 2)
+            assert ring.add[a][b] == a ^ b
+            assert ring.neg[a] == a
+        assert ring.names[1 << 9 | 0b11] == "x^9+x+1"
+
+
+class TestFrozenTables:
+    def test_one_int_object_per_value(self):
+        # 512 elements: values past CPython's small-int cache
+        ring = group_ring(make_cyclic_ring(2), cyclic_group(9))
+        sub, _ = subring_on(ring, range(ring.size))
+        for table in (ring.add, ring.mul, sub.mul):
+            values = {x for row in table for x in row}
+            objects = {id(x) for row in table for x in row}
+            assert len(objects) == len(values) == ring.size
+
+
+class TestLeftMultiples:
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_bases(self, name):
+        ring = BASES[name]
+        assert list(ring.left_multiple_masks) == brute_left_multiple_masks(ring)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+    def test_oracle_rings(self, name):
+        ring = ORACLE_RINGS[name]
+        assert list(ring.left_multiple_masks) == brute_left_multiple_masks(ring)
+
+    def test_noncommutative_group_ring(self):
+        ring = group_ring(make_cyclic_ring(2), GROUPS["S3"])
+        assert list(ring.left_multiple_masks) == brute_left_multiple_masks(ring)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "idealgraphs"
@@ -12,3 +13,15 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_per_entry_table_fills_stay_deleted():
+    # tables are filled by numpy through ring_core.free_algebra; the old
+    # entry-by-entry products live on only as test oracles
+    pattern = re.compile(r"\b(_digits_to_index|_index_to_digits|pmul|gmul|vmul)\b")
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(line):
+                found.append(f"{path.name}:{lineno}")
+    assert not found, f"per-entry table fills in the package: {found}"
