@@ -11,6 +11,8 @@ and pure-power polynomial quotients carry one), {"trivial": {...}} with an
 optional grade group, or {"explicit": {...}} naming component generators per
 degree.  Exit codes: 0 success, 1 a verification check failed, 2 bad input
 (for `corpus`, any file that fails to load; the other files are still run).
+Only `verify` and `corpus` import the check registry (theorem_suite), so the
+other verbs start without it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from .grading import (
     poly_quotient_integer_grading,
     trivial_grading,
 )
-from .graph_engine import build_intersection_graph, export_graph
-from .ideal_lattice import is_graded, nontrivial_proper
+from .graph_engine import export_graph
+from .ideal_lattice import is_graded
+from .instance import Instance
 from .ring_core import (
     MAX_RING_SIZE,
     FiniteRing,
@@ -49,8 +52,6 @@ from .ring_core import (
     polynomial_quotient,
     algebra_over_zn,
 )
-from .structure_maps import quotient_graph, sim_partition
-from .theorem_suite import Instance, run_all, theorem_ids
 
 _RING_KEYS = ("zn", "product", "poly_quotient", "algebra", "group_ring", "idealization")
 
@@ -326,7 +327,7 @@ def _graph_for(inst: Instance, which: str):
     if which == "identity":
         return inst.re_graph
     if which == "quotient":
-        return quotient_graph(sim_partition(inst.grading, inst.graded_family))
+        return inst.quotient
     raise SchemaError(f"unknown graph selector {which!r}")
 
 
@@ -379,6 +380,8 @@ def _print_reports(reports, verbose: bool) -> tuple[int, int, int, int]:
 
 
 def cmd_verify(args) -> int:
+    from .theorem_suite import run_all
+
     inst = load_instance(args.instance)
     reports = run_all(inst, _selected_ids(args.theorems))
     print(f"{inst.name}:")
@@ -388,6 +391,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .theorem_suite import run_all, theorem_ids
+
     root = Path(args.directory)
     files = sorted(root.glob("*.json"))
     if not files:

@@ -187,19 +187,25 @@ def trivial_grading(ring: FiniteRing, grades: GradeGroup | None = None) -> Gradi
     return validate_grading(ring, grades, {grades.identity: ring.full_mask})
 
 
+def _coefficient_line(ring: FiniteRing, base: FiniteRing, k: int) -> int:
+    """Mask of the elements of a free base-module whose coordinates other
+    than k are zero.  Coordinates are base-|base| digits, low first, so the
+    element with coefficient c at k and the base's zero elsewhere sits at
+    ring.zero + (c - base.zero) * |base|^k (see ring_core.free_algebra)."""
+    step = base.size**k
+    mask = 0
+    for c in range(base.size):
+        mask |= 1 << (ring.zero + (c - base.zero) * step)
+    return mask
+
+
 def group_ring_grading(ring: FiniteRing) -> Grading:
     """Degree k component = base-multiples of group element k."""
     if ring.construction.get("kind") != "group_ring":
         raise WrongConstruction("canonical group-ring grading needs a group-ring carrier")
     base: FiniteRing = ring.parts["base"]
     group: FiniteGroup = ring.parts["group"]
-    radix = base.size
-    comps = {}
-    for k in range(group.size):
-        mask = 0
-        for c in range(radix):
-            mask |= 1 << c * radix**k
-        comps[k] = mask
+    comps = {k: _coefficient_line(ring, base, k) for k in range(group.size)}
     return validate_grading(ring, finite_grades(group), comps)
 
 
@@ -232,13 +238,7 @@ def poly_quotient_integer_grading(ring: FiniteRing) -> Grading:
         raise WrongConstruction(
             "integer grading needs a pure-power modulus so degrees are preserved"
         )
-    radix = base.size
-    comps = {}
-    for k in range(d):
-        mask = 0
-        for c in range(radix):
-            mask |= 1 << c * radix**k
-        comps[k] = mask
+    comps = {k: _coefficient_line(ring, base, k) for k in range(d)}
     return validate_grading(ring, INTEGERS, comps)
 
 
@@ -274,11 +274,14 @@ def same_grading(a: Grading, b: Grading) -> bool:
 
 def _span_of_products(grading: Grading, ds: int, dt: int) -> int:
     ring = grading.ring
-    prod_mask = 0
+    right = mask_members(grading.component(dt))
+    products = set()
     for a in mask_members(grading.component(ds)):
         row = ring.mul[a]
-        for b in mask_members(grading.component(dt)):
-            prod_mask |= 1 << row[b]
+        products.update([row[b] for b in right])
+    prod_mask = 0
+    for p in products:
+        prod_mask |= 1 << p
     return additive_span(ring, prod_mask)
 
 

@@ -2,18 +2,21 @@
 intersection graphs this package produces.
 
 Adjacency is a tuple of int bitmasks (bit j of adj[i] = edge i-j).  All
-invariants are exact: BFS for distances and girth, pivoting clique search
-for the clique number, increasing-cardinality search for domination, and a
-Kuratowski-subdivision search for planarity on small orders (larger orders
-fall back to the edge-count bound or report unknown as None).
+invariants are exact: BFS for distances, a triangle test and then BFS for
+girth, pivoting clique search for the clique number, increasing-cardinality
+search for domination, and a Kuratowski-subdivision search for planarity on
+small orders (larger orders fall back to the edge-count bound or report
+unknown as None).  Each invariant is computed once per Graph and kept on it,
+so every caller asking about the same graph shares one computation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GraphTooLarge
@@ -27,6 +30,8 @@ class Graph:
     n: int
     adj: tuple[int, ...]
     labels: tuple[str, ...]
+    # invariant name -> value, filled by the memoized invariants below
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -86,6 +91,20 @@ def build_intersection_graph(ideals: Sequence) -> Graph:
     )
 
 
+def _per_graph(fn):
+    """Compute an invariant once per Graph; later calls read the memo."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def memoized(g: Graph):
+        memo = g.memo
+        if name not in memo:
+            memo[name] = fn(g)
+        return memo[name]
+
+    return memoized
+
+
 # ---------------------------------------------------------------------------
 # distances and connectivity
 
@@ -125,11 +144,13 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+@_per_graph
 def is_connected(g: Graph) -> bool:
     """The empty graph counts as connected."""
     return len(connected_components(g)) <= 1
 
 
+@_per_graph
 def diameter(g: Graph) -> float:
     """Longest shortest path; inf when disconnected, 0 for at most one
     vertex."""
@@ -144,14 +165,22 @@ def diameter(g: Graph) -> float:
     return best
 
 
+@_per_graph
 def girth(g: Graph) -> float:
     """Length of a shortest cycle, inf for forests.
 
-    One BFS per root; a non-tree edge (u, w) seen from root r closes a walk
-    of length dist[u] + dist[w] + 1 that always contains a cycle no longer
-    than itself, and for a root on a shortest cycle the bound is attained,
-    so the minimum over roots is exact.
+    Triangles first: an edge (u, w) whose endpoints share a neighbour,
+    adj[u] & adj[w] != 0, closes one, and no cycle is shorter.  Only a
+    triangle-free graph runs one BFS per root; a non-tree edge (u, w) seen
+    from root r closes a walk of length dist[u] + dist[w] + 1 that always
+    contains a cycle no longer than itself, and for a root on a shortest
+    cycle the bound is attained, so the minimum over roots is exact.
     """
+    adj = g.adj
+    for u in range(g.n):
+        for w in mask_members(adj[u] >> (u + 1) << (u + 1)):
+            if adj[u] & adj[w]:
+                return 3
     best = math.inf
     for root in range(g.n):
         dist = [-1] * g.n
@@ -206,6 +235,7 @@ def maximal_cliques(g: Graph) -> list[list[int]]:
     return out
 
 
+@_per_graph
 def clique_number(g: Graph) -> int:
     """Exact maximum clique size; 0 for the empty graph."""
     _check_order(g)
@@ -231,6 +261,7 @@ def clique_number(g: Graph) -> int:
     return best
 
 
+@_per_graph
 def domination_number(g: Graph) -> int:
     """Exact minimum dominating set size; 0 for the empty graph.
 
@@ -365,6 +396,7 @@ def _has_k33_subdivision(g: Graph) -> bool:
     return False
 
 
+@_per_graph
 def is_planar(g: Graph) -> bool | None:
     """True/False when decidable cheaply or exactly (order <= 12), else None.
 

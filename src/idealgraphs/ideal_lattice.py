@@ -394,15 +394,39 @@ def is_graded_indecomposable(
 
 def ideal_label(ring: FiniteRing, mask: int) -> str:
     """Deterministic display label: a smallest generating set in angle
-    brackets when one of size <= 2 exists, else the member list."""
+    brackets when one of size <= 2 exists, else the member list.  Each
+    label is searched once per ring and then read from the ring's memo."""
+    label = ring.label_memo.get(mask)
+    if label is None:
+        label = ring.label_memo[mask] = _search_label(ring, mask)
+    return label
+
+
+def _search_label(ring: FiniteRing, mask: int) -> str:
+    """The first generator x, then the first pair x < y, in member order.
+
+    The principal span P[x] = span(R*x) is R*x itself, since rx + sx =
+    (r+s)x, so one generator is a lookup.  A pair spans P[x] + P[y], of
+    order |P[x]| |P[y]| / |P[x] & P[y]|; it cannot give the mask when either
+    P lies outside it or that order differs from the mask's, so only the
+    remaining pairs are confirmed with one coset-stepping span.
+    """
     if mask == ring.zero_mask:
         return "<0>"
     nonzero = [x for x in mask_members(mask) if x != ring.zero]
     lm = ring.left_multiple_masks
     for x in nonzero:
-        if additive_span(ring, lm[x]) == mask:
+        if lm[x] == mask:
             return f"<{ring.names[x]}>"
-    for x, y in itertools.combinations(nonzero, 2):
-        if additive_span(ring, lm[x] | lm[y]) == mask:
-            return f"<{ring.names[x]},{ring.names[y]}>"
+    size = mask.bit_count()
+    inside = [x for x in nonzero if lm[x] | mask == mask]
+    for i, x in enumerate(inside):
+        px = lm[x]
+        px_size = px.bit_count()
+        for y in inside[i + 1 :]:
+            py = lm[y]
+            if px_size * py.bit_count() != size * (px & py).bit_count():
+                continue
+            if span_extend(ring.add, px, mask_members(px), py) == mask:
+                return f"<{ring.names[x]},{ring.names[y]}>"
     return "{" + ",".join(ring.names[x] for x in mask_members(mask)) + "}"

@@ -1,0 +1,285 @@
+"""One graded ring under test, and the single owner of what derives from it.
+
+An Instance builds each derived object at most once, on first use:
+
+- the graded and the full left ideal families, their vertices and graphs;
+- the identity component as a subring with its embedding, and that
+  subring's family and graph (under a trivial grading the component is the
+  whole ring, and these are the full family and graph);
+- the trace partition, its quotient graph and the extension map;
+- the identity-faithful and first-strong flags;
+- the base family and the submodule family of a composite carrier;
+- the induced grading, and its graded graph, of each direct-sum factor.
+
+The checks in theorem_suite, the command line, and the transfer and
+comparison functions of structure_maps and ordered_grading all take these
+objects from here, so one run over every check derives each object once.
+
+The caches live on the Instance, never on the ring or the grading: the
+families, gradings and graphs point back at the ring, so a cache hung on the
+ring would form a reference cycle that only the cycle collector frees.
+structure_maps and ordered_grading are imported where they are first
+needed, so loading an instance does not load them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import cached_property
+
+from .errors import NotEFaithful, WrongConstruction
+from .grading import (
+    Grading,
+    group_ring_grading,
+    idealization_grading,
+    is_e_faithful,
+    is_first_strong,
+    same_grading,
+)
+from .graph_engine import Graph, build_intersection_graph
+from .ideal_lattice import (
+    IdealSet,
+    enumerate_graded_left_ideals,
+    enumerate_left_ideals,
+    enumerate_submodules,
+    internal_decompositions,
+    nontrivial_proper,
+)
+from .ring_core import FiniteRing
+
+
+def _vertices(family: list[IdealSet]) -> list[IdealSet]:
+    return sorted(nontrivial_proper(family), key=lambda i: i.sort_key())
+
+
+@dataclass(eq=False)
+class Instance:
+    """One graded ring under test, with lazily cached derived objects."""
+
+    name: str
+    ring: FiniteRing
+    grading: Grading
+    _kind_verdicts: dict = field(default_factory=dict, init=False, repr=False)
+    _factor_gradings: dict = field(default_factory=dict, init=False, repr=False)
+    _factor_graphs: dict = field(default_factory=dict, init=False, repr=False)
+
+    # -- graded and full lattices
+
+    @cached_property
+    def graded_family(self) -> list[IdealSet]:
+        return enumerate_graded_left_ideals(self.grading)
+
+    @cached_property
+    def graded_vertices(self) -> list[IdealSet]:
+        return _vertices(self.graded_family)
+
+    @cached_property
+    def graded_graph(self) -> Graph:
+        return build_intersection_graph(self.graded_vertices)
+
+    @cached_property
+    def graded_decompositions(self) -> list[tuple[IdealSet, IdealSet]]:
+        """Internal direct-sum splittings into two graded ideals."""
+        return internal_decompositions(self.ring, self.graded_family)
+
+    @cached_property
+    def all_family(self) -> list[IdealSet]:
+        return enumerate_left_ideals(self.ring)
+
+    @cached_property
+    def all_vertices(self) -> list[IdealSet]:
+        return _vertices(self.all_family)
+
+    @cached_property
+    def all_graph(self) -> Graph:
+        return build_intersection_graph(self.all_vertices)
+
+    # -- identity component
+
+    @cached_property
+    def identity_data(self) -> tuple[FiniteRing, tuple[int, ...]]:
+        """The identity component as a ring, and its embedding (new index
+        -> parent index)."""
+        from .structure_maps import identity_component_ring
+
+        return identity_component_ring(self.grading)
+
+    @property
+    def re_ring(self) -> FiniteRing:
+        return self.identity_data[0]
+
+    @property
+    def re_embedding(self) -> tuple[int, ...]:
+        return self.identity_data[1]
+
+    @property
+    def _re_is_whole(self) -> bool:
+        """Whether the identity component is the whole ring, as it is under
+        a trivial grading; its lattice and graph are then the full ones."""
+        return self.re_ring is self.ring
+
+    @cached_property
+    def re_family(self) -> list[IdealSet]:
+        if self._re_is_whole:
+            return self.all_family
+        return enumerate_left_ideals(self.re_ring)
+
+    @cached_property
+    def re_vertices(self) -> list[IdealSet]:
+        if self._re_is_whole:
+            return self.all_vertices
+        return _vertices(self.re_family)
+
+    @cached_property
+    def re_graph(self) -> Graph:
+        if self._re_is_whole:
+            return self.all_graph
+        return build_intersection_graph(self.re_vertices)
+
+    @cached_property
+    def e_faithful(self) -> bool:
+        return is_e_faithful(self.grading)
+
+    @cached_property
+    def first_strong(self) -> bool:
+        return is_first_strong(self.grading)
+
+    # -- transfer between the identity component and the graded graph
+
+    @cached_property
+    def partition(self):
+        """The graded vertices grouped by identity trace (a SimPartition);
+        raises NotEFaithful unless the grading is faithful at the identity."""
+        from .structure_maps import sim_partition
+
+        if not self.e_faithful:
+            raise NotEFaithful("grading is not faithful at the identity degree")
+        return sim_partition(
+            self.grading, self.graded_vertices, self.re_ring, self.re_embedding
+        )
+
+    @cached_property
+    def quotient(self) -> Graph:
+        """The graded graph with each trace class collapsed to a vertex."""
+        from .structure_maps import quotient_graph
+
+        return quotient_graph(self.partition)
+
+    @cached_property
+    def extension(self) -> dict:
+        """Identity-component vertex mask -> mask of the graded ideal it
+        generates in the whole ring."""
+        from .structure_maps import extension_map
+
+        return extension_map(self.grading, self.re_embedding, self.re_vertices)
+
+    def phi_iso(self, variant: str) -> dict:
+        """structure_maps.phi_iso_check on the owned objects.  Variant
+        "quotient" needs an identity-faithful grading (else NotEFaithful),
+        "first_strong" a first-strong one (else WrongConstruction)."""
+        from .structure_maps import phi_iso_check
+
+        if variant == "quotient":
+            # a violation in the partition is reported before one in the
+            # extension, so build the partition first
+            partition = self.partition
+            return phi_iso_check(
+                self.grading, self.re_ring, self.re_vertices, self.extension,
+                partition=partition, quotient=self.quotient,
+            )
+        if variant == "first_strong":
+            if not self.first_strong:
+                raise WrongConstruction(
+                    "first-strong comparison needs a first-strong grading"
+                )
+            return phi_iso_check(
+                self.grading, self.re_ring, self.re_vertices, self.extension,
+                graded_vertices=self.graded_vertices,
+            )
+        raise ValueError(f"unknown variant: {variant!r}")
+
+    @cached_property
+    def transfer_report(self) -> dict:
+        from .structure_maps import gamma_omega_transfer
+
+        partition = self.partition  # before the extension, as in phi_iso
+        return gamma_omega_transfer(
+            partition, self.re_vertices, self.re_graph, self.graded_graph, self.extension
+        )
+
+    @cached_property
+    def ordered_report(self) -> dict:
+        from .ordered_grading import ordered_comparison_check
+
+        return ordered_comparison_check(
+            self.grading, self.graded_family, self.all_family,
+            self.graded_graph, self.all_graph,
+        )
+
+    # -- parts of composite carriers
+
+    @cached_property
+    def base_family(self) -> list[IdealSet]:
+        """Left ideals of the base ring of a group ring or idealization."""
+        return enumerate_left_ideals(self.ring.parts["base"])
+
+    @cached_property
+    def base_vertices(self) -> list[IdealSet]:
+        return _vertices(self.base_family)
+
+    @cached_property
+    def base_graph(self) -> Graph:
+        return build_intersection_graph(self.base_vertices)
+
+    @cached_property
+    def module_family(self) -> list[int]:
+        """Submodule masks of an idealization's module."""
+        return enumerate_submodules(self.ring.parts["module"])
+
+    def factor_grading(self, factor_mask: int) -> Grading:
+        """The grading a direct-sum factor inherits, kept per factor."""
+        from .structure_maps import induced_factor_grading
+
+        grading = self._factor_gradings.get(factor_mask)
+        if grading is None:
+            grading = induced_factor_grading(self.grading, factor_mask)
+            self._factor_gradings[factor_mask] = grading
+        return grading
+
+    def factor_graph(self, factor_mask: int) -> Graph:
+        """The graded graph of a direct-sum factor, kept per factor."""
+        graph = self._factor_graphs.get(factor_mask)
+        if graph is None:
+            family = enumerate_graded_left_ideals(self.factor_grading(factor_mask))
+            graph = build_intersection_graph(nontrivial_proper(family))
+            self._factor_graphs[factor_mask] = graph
+        return graph
+
+    # -- construction kinds
+
+    def matches(self, requirement: str) -> bool:
+        """Whether the instance meets a check's kind requirement.  Each
+        verdict is kept, because deciding one may build a canonical grading."""
+        verdict = self._kind_verdicts.get(requirement)
+        if verdict is None:
+            verdict = self._kind_verdicts[requirement] = self._decide(requirement)
+        return verdict
+
+    def _decide(self, requirement: str) -> bool:
+        kind = self.ring.construction.get("kind")
+        if requirement == "idealization":
+            return kind == "idealization" and same_grading(
+                self.grading, idealization_grading(self.ring)
+            )
+        if requirement == "self_idealization":
+            return (
+                self.matches("idealization")
+                and self.ring.parts["module"].construction.get("kind") == "self"
+            )
+        if requirement == "group_ring":
+            return kind == "group_ring" and same_grading(
+                self.grading, group_ring_grading(self.ring)
+            )
+        if requirement == "integer":
+            return self.grading.grades.kind == "integers"
+        raise ValueError(f"unknown kind requirement: {requirement!r}")

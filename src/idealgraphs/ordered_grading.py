@@ -17,14 +17,13 @@ from typing import Sequence
 
 from .errors import NotIntegerGraded
 from .grading import Grading
-from .graph_engine import build_intersection_graph, girth, is_connected
+from .graph_engine import Graph, girth, is_connected
 from .ideal_lattice import (
     IdealSet,
     generated_left_ideal,
     is_graded,
     maximal_chain_term_counts,
     maximal_members,
-    nontrivial_proper,
 )
 
 
@@ -122,9 +121,12 @@ def ordered_comparison_check(
     grading: Grading,
     graded_family: Sequence[IdealSet],
     all_family: Sequence[IdealSet],
+    graded_graph: Graph,
+    all_graph: Graph,
 ) -> dict:
     """Relate the graded graph to the full-lattice graph for an integer
-    grading.
+    grading; each graph is the intersection graph of its family's
+    nontrivial proper members.
 
     Always compared: connectivity of the two graphs (they must agree).  When
     the ring is local (unique maximal left ideal), the girths must agree too.
@@ -136,8 +138,6 @@ def ordered_comparison_check(
     reported either way so the branch can be audited.
     """
     _require_integers(grading)
-    graded_graph = build_intersection_graph(nontrivial_proper(graded_family))
-    all_graph = build_intersection_graph(nontrivial_proper(all_family))
     report: dict = {
         "graded_connected": is_connected(graded_graph),
         "all_connected": is_connected(all_graph),

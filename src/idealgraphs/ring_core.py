@@ -236,6 +236,9 @@ class FiniteRing:
     # live sub-objects for composite constructors (base ring, group, module,
     # factors, parent + embedding); never serialized, never compared
     parts: dict = field(default_factory=dict, repr=False)
+    # display label by ideal mask, filled by ideal_lattice.ideal_label; it
+    # holds only ints and strings, so it never points back at the ring
+    label_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def full_mask(self) -> int:

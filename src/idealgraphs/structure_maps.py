@@ -15,37 +15,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    IsoViolation,
-    NotEFaithful,
-    WellDefinednessViolation,
-    WrongConstruction,
-)
-from .grading import Grading, is_e_faithful, is_first_strong, validate_grading
-from .graph_engine import (
-    Graph,
-    build_intersection_graph,
-    clique_number,
-    domination_number,
-    maximal_cliques,
-)
+from .errors import IsoViolation, WellDefinednessViolation
+from .grading import Grading, validate_grading
+from .graph_engine import Graph, clique_number, domination_number, maximal_cliques
 from .ideal_lattice import (
     IdealSet,
-    enumerate_left_ideals,
     generated_left_ideal,
     ideal_label,
     is_graded,
     is_left_ideal,
-    nontrivial_proper,
 )
 from .ring_core import FiniteRing, mask_members, subring_on, unital_ring_on
 
 
 def identity_component_ring(grading: Grading) -> tuple[FiniteRing, tuple[int, ...]]:
     """The identity-degree component as a ring of its own, with the embedding
-    back into the parent (new index -> parent index)."""
+    back into the parent (new index -> parent index).  When every element
+    has the identity degree, that ring is the parent itself."""
+    ring = grading.ring
     comp = grading.component(grading.grades.identity)
-    return subring_on(grading.ring, mask_members(comp))
+    if comp == ring.full_mask:
+        return ring, tuple(range(ring.size))
+    return subring_on(ring, mask_members(comp))
 
 
 def _trace_mask(parent_mask: int, embedding: Sequence[int]) -> int:
@@ -68,27 +59,28 @@ class SimPartition:
 
     grading: Grading
     re_ring: FiniteRing
-    embedding: tuple[int, ...]
     keys: tuple[int, ...]
     classes: dict
     class_key_of: dict
 
 
-def sim_partition(grading: Grading, graded_family: Sequence[IdealSet]) -> SimPartition:
+def sim_partition(
+    grading: Grading,
+    graded_vertices: Sequence[IdealSet],
+    re_ring: FiniteRing,
+    embedding: Sequence[int],
+) -> SimPartition:
     """Group the nontrivial proper graded ideals by identity trace.
 
-    Raises NotEFaithful when the grading is not faithful at the identity
-    degree (the trace of some ideal could then be zero and the grouping would
-    load nothing).  Verifies that every trace is a nontrivial proper left
-    ideal of the identity component and that every class is a clique.
+    The caller establishes that the grading is faithful at the identity
+    degree (Instance.partition raises NotEFaithful otherwise).  Verifies
+    that every trace is a nontrivial proper left ideal of the identity
+    component (re_ring, embedded into the parent by `embedding`) and that
+    every class is a clique.
     """
-    if not is_e_faithful(grading):
-        raise NotEFaithful("grading is not faithful at the identity degree")
-    re_ring, embedding = identity_component_ring(grading)
-    vertices = sorted(nontrivial_proper(graded_family), key=lambda i: i.sort_key())
     classes: dict = {}
     class_key_of: dict = {}
-    for ideal in vertices:
+    for ideal in graded_vertices:
         key = _trace_mask(ideal.mask, embedding)
         if key == re_ring.zero_mask:
             raise WellDefinednessViolation(
@@ -117,7 +109,6 @@ def sim_partition(grading: Grading, graded_family: Sequence[IdealSet]) -> SimPar
     return SimPartition(
         grading=grading,
         re_ring=re_ring,
-        embedding=embedding,
         keys=keys,
         classes={k: tuple(classes[k]) for k in keys},
         class_key_of=class_key_of,
@@ -155,11 +146,8 @@ def quotient_graph(partition: SimPartition) -> Graph:
     return Graph(n=n, adj=tuple(adj), labels=labels)
 
 
-def _extension_map(
-    grading: Grading,
-    re_ring: FiniteRing,
-    embedding: tuple[int, ...],
-    re_vertices: Sequence[IdealSet],
+def extension_map(
+    grading: Grading, embedding: Sequence[int], re_vertices: Sequence[IdealSet]
 ) -> dict:
     """mask over the identity component -> mask of the generated graded ideal
     of the full ring; raises IsoViolation when an extension fails to be a
@@ -181,39 +169,26 @@ def _extension_map(
 
 def phi_iso_check(
     grading: Grading,
-    graded_family: Sequence[IdealSet],
-    variant: str = "quotient",
+    re_ring: FiniteRing,
+    re_vertices: Sequence[IdealSet],
+    extension: dict,
+    graded_vertices: Sequence[IdealSet] = (),
+    partition: SimPartition | None = None,
+    quotient: Graph | None = None,
 ) -> dict:
     """Verify that ideal extension from the identity component induces a
     graph isomorphism, and return a small report.
 
-    variant "quotient": target is the trace-class quotient of the graded
-    graph; needs a grading faithful at the identity degree.  variant
-    "first_strong": target is the graded graph itself; needs a first-strong
-    grading.  Any failed isomorphism condition raises IsoViolation naming a
-    witness.
+    Variant "quotient", when the trace partition and its quotient graph are
+    given: the target is that quotient of the graded graph.  Variant
+    "first_strong", otherwise: the target is the graded graph itself, on
+    graded_vertices.  The caller checks the variant's hypothesis (identity
+    faithful, or first strong).  Any failed isomorphism condition raises
+    IsoViolation naming a witness.
     """
-    ring = grading.ring
-    if variant == "quotient":
-        partition = sim_partition(grading, graded_family)
-        re_ring, embedding = partition.re_ring, partition.embedding
-    elif variant == "first_strong":
-        if not is_first_strong(grading):
-            raise WrongConstruction(
-                "first-strong comparison needs a first-strong grading"
-            )
-        re_ring, embedding = identity_component_ring(grading)
-        partition = None
-    else:
-        raise ValueError(f"unknown variant: {variant!r}")
-
-    re_vertices = sorted(
-        nontrivial_proper(enumerate_left_ideals(re_ring)), key=lambda i: i.sort_key()
-    )
-    extension = _extension_map(grading, re_ring, embedding, re_vertices)
     zero_re = re_ring.zero_mask
 
-    if variant == "quotient":
+    if partition is not None:
         image_key = {
             ie.mask: partition.class_key_of.get(extension[ie.mask])
             for ie in re_vertices
@@ -232,7 +207,6 @@ def phi_iso_check(
                 f"class {ideal_label(re_ring, missing[0])} is not in the image"
             )
         key_index = {k: i for i, k in enumerate(partition.keys)}
-        quotient = quotient_graph(partition)
         for a in range(len(re_vertices)):
             for b in range(a + 1, len(re_vertices)):
                 ia, ib = re_vertices[a], re_vertices[b]
@@ -245,13 +219,13 @@ def phi_iso_check(
                         f"adjacency of {ia.label()} and {ib.label()} is not preserved"
                     )
         return {
-            "variant": variant,
+            "variant": "quotient",
             "identity_vertices": len(re_vertices),
             "classes": len(partition.keys),
             "class_sizes": [len(partition.classes[k]) for k in partition.keys],
         }
 
-    vertex_masks = {i.mask for i in nontrivial_proper(graded_family)}
+    vertex_masks = {i.mask for i in graded_vertices}
     images = [extension[ie.mask] for ie in re_vertices]
     if len(set(images)) != len(images):
         raise IsoViolation("two identity-component ideals extend to one graded ideal")
@@ -259,9 +233,9 @@ def phi_iso_check(
     if missing:
         mask = sorted(missing, key=lambda m: (m.bit_count(), m))[0]
         raise IsoViolation(
-            f"graded ideal {ideal_label(ring, mask)} is not an extension"
+            f"graded ideal {ideal_label(grading.ring, mask)} is not an extension"
         )
-    zero_full = ring.zero_mask
+    zero_full = grading.ring.zero_mask
     for a in range(len(re_vertices)):
         for b in range(a + 1, len(re_vertices)):
             ia, ib = re_vertices[a], re_vertices[b]
@@ -272,27 +246,25 @@ def phi_iso_check(
                     f"adjacency of {ia.label()} and {ib.label()} is not preserved"
                 )
     return {
-        "variant": variant,
+        "variant": "first_strong",
         "identity_vertices": len(re_vertices),
         "graded_vertices": len(vertex_masks),
     }
 
 
-def gamma_omega_transfer(grading: Grading, graded_family: Sequence[IdealSet]) -> dict:
+def gamma_omega_transfer(
+    partition: SimPartition,
+    re_vertices: Sequence[IdealSet],
+    re_graph: Graph,
+    graded_graph: Graph,
+    extension: dict,
+) -> dict:
     """Compare domination and clique numbers across the transfer.
 
     Reports both domination numbers, both clique numbers, and the clique
     number predicted for the graded graph by summing class sizes over the
     cliques of the identity component's graph.
     """
-    partition = sim_partition(grading, graded_family)
-    re_ring, embedding = partition.re_ring, partition.embedding
-    re_vertices = sorted(
-        nontrivial_proper(enumerate_left_ideals(re_ring)), key=lambda i: i.sort_key()
-    )
-    re_graph = build_intersection_graph(re_vertices)
-    graded_graph = build_intersection_graph(nontrivial_proper(graded_family))
-    extension = _extension_map(grading, re_ring, embedding, re_vertices)
     size_of = {
         ie.mask: len(partition.classes[partition.class_key_of[extension[ie.mask]]])
         for ie in re_vertices

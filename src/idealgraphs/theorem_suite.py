@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
@@ -24,19 +23,8 @@ from .errors import (
     WellDefinednessViolation,
     WrongInstanceKind,
 )
-from .grading import (
-    Grading,
-    group_ring_grading,
-    idealization_grading,
-    is_e_faithful,
-    is_first_strong,
-    is_sigma_faithful,
-    is_strong,
-    same_grading,
-)
+from .grading import is_sigma_faithful, is_strong
 from .graph_engine import (
-    Graph,
-    build_intersection_graph,
     clique_number,
     diameter,
     domination_number,
@@ -49,14 +37,9 @@ from .graph_engine import (
     is_star,
 )
 from .ideal_lattice import (
-    IdealSet,
-    enumerate_graded_left_ideals,
-    enumerate_left_ideals,
-    enumerate_submodules,
     generated_left_ideal,
     ideal_power,
     ideal_sum,
-    internal_decompositions,
     is_essential,
     is_graded,
     is_graded_domain,
@@ -68,122 +51,20 @@ from .ideal_lattice import (
     maximal_members,
     min_generator_count,
     minimal_members,
-    nontrivial_proper,
 )
-from .ordered_grading import lemma_ll_check, ordered_comparison_check
+from .instance import Instance
+from .ordered_grading import lemma_ll_check
 from .ring_core import FiniteRing, mask_members
-from .structure_maps import (
-    gamma_omega_transfer,
-    identity_component_ring,
-    induced_factor_grading,
-    phi_iso_check,
-)
+
+# The checks reach structure_maps through Instance, which imports it on first
+# use; loading it with the registry keeps that import out of the running time
+# of whichever check comes first.
+from . import structure_maps  # noqa: F401
 
 PASS = "PASS"
 FAIL = "FAIL"
 VACUOUS = "VACUOUS"
 SKIPPED = "SKIPPED"
-
-
-@dataclass(eq=False)
-class Instance:
-    """One graded ring under test, with lazily cached derived objects."""
-
-    name: str
-    ring: FiniteRing
-    grading: Grading
-    _kind_verdicts: dict = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def graded_family(self) -> list[IdealSet]:
-        return enumerate_graded_left_ideals(self.grading)
-
-    @cached_property
-    def graded_vertices(self) -> list[IdealSet]:
-        return sorted(
-            nontrivial_proper(self.graded_family), key=lambda i: i.sort_key()
-        )
-
-    @cached_property
-    def graded_graph(self) -> Graph:
-        return build_intersection_graph(self.graded_vertices)
-
-    @cached_property
-    def all_family(self) -> list[IdealSet]:
-        return enumerate_left_ideals(self.ring)
-
-    @cached_property
-    def all_vertices(self) -> list[IdealSet]:
-        return sorted(nontrivial_proper(self.all_family), key=lambda i: i.sort_key())
-
-    @cached_property
-    def all_graph(self) -> Graph:
-        return build_intersection_graph(self.all_vertices)
-
-    @cached_property
-    def identity_data(self) -> tuple[FiniteRing, tuple[int, ...]]:
-        return identity_component_ring(self.grading)
-
-    @property
-    def re_ring(self) -> FiniteRing:
-        return self.identity_data[0]
-
-    @cached_property
-    def re_family(self) -> list[IdealSet]:
-        return enumerate_left_ideals(self.re_ring)
-
-    @cached_property
-    def re_vertices(self) -> list[IdealSet]:
-        return sorted(nontrivial_proper(self.re_family), key=lambda i: i.sort_key())
-
-    @cached_property
-    def re_graph(self) -> Graph:
-        return build_intersection_graph(self.re_vertices)
-
-    @cached_property
-    def transfer_report(self) -> dict:
-        return gamma_omega_transfer(self.grading, self.graded_family)
-
-    @cached_property
-    def ordered_report(self) -> dict:
-        return ordered_comparison_check(
-            self.grading, self.graded_family, self.all_family
-        )
-
-    @cached_property
-    def e_faithful(self) -> bool:
-        return is_e_faithful(self.grading)
-
-    @cached_property
-    def first_strong(self) -> bool:
-        return is_first_strong(self.grading)
-
-    def matches(self, requirement: str) -> bool:
-        """Whether the instance meets a check's kind requirement.  Each
-        verdict is kept, because deciding one may build a canonical grading."""
-        verdict = self._kind_verdicts.get(requirement)
-        if verdict is None:
-            verdict = self._kind_verdicts[requirement] = self._decide(requirement)
-        return verdict
-
-    def _decide(self, requirement: str) -> bool:
-        kind = self.ring.construction.get("kind")
-        if requirement == "idealization":
-            return kind == "idealization" and same_grading(
-                self.grading, idealization_grading(self.ring)
-            )
-        if requirement == "self_idealization":
-            return (
-                self.matches("idealization")
-                and self.ring.parts["module"].construction.get("kind") == "self"
-            )
-        if requirement == "group_ring":
-            return kind == "group_ring" and same_grading(
-                self.grading, group_ring_grading(self.ring)
-            )
-        if requirement == "integer":
-            return self.grading.grades.kind == "integers"
-        raise ValueError(f"unknown kind requirement: {requirement!r}")
 
 
 @dataclass(frozen=True)
@@ -282,15 +163,26 @@ def _report(
 def _check_lemma_b(inst: Instance) -> TheoremReport:
     ring = inst.ring
     family = inst.graded_family
+    graded: dict[int, bool] = {}
+
+    def graded_mask(mask: int) -> bool:
+        # many pairs share a sum or an intersection; test each set once
+        flag = graded.get(mask)
+        if flag is None:
+            flag = graded[mask] = is_graded(inst.grading, mask)
+        return flag
+
     witness = None
     ok = True
-    for a in family:
-        for b in family:
+    # sums and intersections are symmetric, so each unordered pair is tested
+    # once, at its first position in row-major order
+    for i, a in enumerate(family):
+        for b in family[i:]:
             s = ideal_sum(ring, a.mask, b.mask)
-            if not is_graded(inst.grading, s):
+            if not graded_mask(s):
                 ok, witness = False, f"sum of {a.label()} and {b.label()}"
                 break
-            if not is_graded(inst.grading, a.mask & b.mask):
+            if not graded_mask(a.mask & b.mask):
                 ok, witness = False, f"intersection of {a.label()} and {b.label()}"
                 break
         if not ok:
@@ -315,7 +207,6 @@ def _check_lemma_r1(inst: Instance) -> TheoremReport:
     vertices = inst.graded_vertices
     family = inst.graded_family
     g = inst.graded_graph
-    mask_to_idx = {v.mask: i for i, v in enumerate(vertices)}
     ok_min = ok_iso = ok_ess = True
     witness = None
     for i, v in enumerate(vertices):
@@ -425,10 +316,10 @@ def _check_c11(inst: Instance) -> TheoremReport:
     if hyp:
         disconnected = not is_connected(inst.graded_graph)
         split = None
-        for a, b in internal_decompositions(inst.ring, inst.graded_family):
-            ga = induced_factor_grading(inst.grading, a.mask)
-            gb = induced_factor_grading(inst.grading, b.mask)
-            if is_graded_field(ga) and is_graded_field(gb):
+        for a, b in inst.graded_decompositions:
+            if is_graded_field(inst.factor_grading(a.mask)) and is_graded_field(
+                inst.factor_grading(b.mask)
+            ):
                 split = (a.label(), b.label())
                 break
         details = {"field_split": split, "disconnected": disconnected}
@@ -583,7 +474,7 @@ def _check_t6(inst: Instance) -> TheoremReport:
         directions.append(("gamma_at_most_two", PASS if gamma <= 2 else FAIL))
         if gamma > 2:
             witness = f"domination number {gamma}"
-        decomps = internal_decompositions(inst.ring, inst.graded_family)
+        decomps = inst.graded_decompositions
         indecomposable = not decomps
         if indecomposable and not inst.graded_vertices:
             annotations.append(
@@ -600,14 +491,8 @@ def _check_t6(inst: Instance) -> TheoremReport:
         evaluable_pairs = 0
         split_ok = True
         for a, b in decomps:
-            ga = induced_factor_grading(inst.grading, a.mask)
-            gb = induced_factor_grading(inst.grading, b.mask)
-            graph_a = build_intersection_graph(
-                nontrivial_proper(enumerate_graded_left_ideals(ga))
-            )
-            graph_b = build_intersection_graph(
-                nontrivial_proper(enumerate_graded_left_ideals(gb))
-            )
+            graph_a = inst.factor_graph(a.mask)
+            graph_b = inst.factor_graph(b.mask)
             if graph_a.n == 0 or graph_b.n == 0:
                 annotations.append(
                     f"split {a.label()} + {b.label()} skipped: a factor has no "
@@ -900,7 +785,7 @@ def _check_t1001(inst: Instance) -> TheoremReport:
     details: dict = {}
     if hyp:
         try:
-            details = phi_iso_check(inst.grading, inst.graded_family, "quotient")
+            details = inst.phi_iso("quotient")
             directions = [("isomorphism", PASS)]
         except (IsoViolation, WellDefinednessViolation) as exc:
             directions = [("isomorphism", FAIL)]
@@ -1060,7 +945,7 @@ def _check_t56(inst: Instance) -> TheoremReport:
     details: dict = {}
     if hyp:
         try:
-            details = phi_iso_check(inst.grading, inst.graded_family, "first_strong")
+            details = inst.phi_iso("first_strong")
             directions = [("isomorphism", PASS)]
         except (IsoViolation, WellDefinednessViolation) as exc:
             directions = [("isomorphism", FAIL)]
@@ -1094,9 +979,9 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
     ]
     witness = None
     details: dict = {}
-    radix = base.size
-    shift = radix**group.identity
-    embed = {r: r * shift for r in range(base.size)}
+    # coefficient r on the group identity, the base's zero elsewhere
+    shift = base.size**group.identity
+    embed = {r: ring.zero + (r - base.zero) * shift for r in range(base.size)}
     re_member_set = set(
         mask_members(inst.grading.component(inst.grading.grades.identity))
     )
@@ -1114,10 +999,7 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
                 break
     directions.append(("coefficient_ring_is_identity_component", PASS if iso_ok else FAIL))
     if iso_ok:
-        base_vertices = {
-            frozenset(v.members)
-            for v in nontrivial_proper(enumerate_left_ideals(base))
-        }
+        base_vertices = {frozenset(v.members) for v in inst.base_vertices}
         lifted = {
             frozenset(embed[x] for x in vs) for vs in base_vertices
         }
@@ -1132,7 +1014,7 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
         if lifted != re_lifted:
             witness = "coefficient-ring ideals do not match the identity component"
         try:
-            details = phi_iso_check(inst.grading, inst.graded_family, "first_strong")
+            details = inst.phi_iso("first_strong")
             directions.append(("graded_graph_isomorphism", PASS))
         except (IsoViolation, WellDefinednessViolation) as exc:
             directions.append(("graded_graph_isomorphism", FAIL))
@@ -1155,12 +1037,6 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
 # square-zero extensions
 
 
-def _idealization_parts(inst: Instance):
-    base: FiniteRing = inst.ring.parts["base"]
-    module = inst.ring.parts["module"]
-    return base, module
-
-
 def _pair_mask(base: FiniteRing, module, i_mask: int, n_mask: int) -> int:
     out = 0
     for r in mask_members(i_mask):
@@ -1176,17 +1052,15 @@ def _pair_mask(base: FiniteRing, module, i_mask: int, n_mask: int) -> int:
     kinds=("idealization",),
 )
 def _check_lemma17(inst: Instance) -> TheoremReport:
-    base, module = _idealization_parts(inst)
+    base, module = inst.ring.parts["base"], inst.ring.parts["module"]
     hyp = module.size > 1
     directions = []
     witness = None
     details: dict = {}
     if hyp:
-        base_ideals = enumerate_left_ideals(base)
-        submodules = enumerate_submodules(module)
         expected = {}
-        for bi in base_ideals:
-            for sm_mask in submodules:
+        for bi in inst.base_family:
+            for sm_mask in inst.module_family:
                 if all(
                     sm_mask >> module.act[r][m] & 1
                     for r in bi.members
@@ -1234,18 +1108,15 @@ def _check_lemma17(inst: Instance) -> TheoremReport:
     )
 
 
-def _base_is_simple(base: FiniteRing) -> bool:
+def _base_is_simple(inst: Instance) -> bool:
     # for the commutative carriers used here, simple means no nontrivial ideal
-    return not nontrivial_proper(enumerate_left_ideals(base))
+    return not inst.base_vertices
 
 
-def _module_is_simple(module) -> bool:
+def _module_is_simple(inst: Instance) -> bool:
+    module = inst.ring.parts["module"]
     full = (1 << module.size) - 1
-    inner = [
-        m
-        for m in enumerate_submodules(module)
-        if m != 1 << module.zero and m != full
-    ]
+    inner = [m for m in inst.module_family if m != 1 << module.zero and m != full]
     return module.size > 1 and not inner
 
 
@@ -1255,7 +1126,7 @@ def _module_is_simple(module) -> bool:
     kinds=("idealization",),
 )
 def _check_t777(inst: Instance) -> TheoremReport:
-    base, module = _idealization_parts(inst)
+    base, module = inst.ring.parts["base"], inst.ring.parts["module"]
     hyp = module.size > 1
     directions = []
     witness = None
@@ -1264,10 +1135,10 @@ def _check_t777(inst: Instance) -> TheoremReport:
     if hyp:
         g = inst.graded_graph
         edgeless = is_null(g)
-        tiny = _base_is_simple(base) and _module_is_simple(module)
+        tiny = _base_is_simple(inst) and _module_is_simple(inst)
         details["edgeless"] = edgeless
-        details["base_simple"] = _base_is_simple(base)
-        details["module_simple"] = _module_is_simple(module)
+        details["base_simple"] = _base_is_simple(inst)
+        details["module_simple"] = _module_is_simple(inst)
         directions.append(
             ("edgeless_iff_simple_pair", PASS if edgeless == tiny else FAIL)
         )
@@ -1275,9 +1146,8 @@ def _check_t777(inst: Instance) -> TheoremReport:
             witness = f"edgeless {edgeless}, simple pair {tiny}"
         gv = girth(g)
         details["girth"] = "inf" if gv == math.inf else gv
-        base_vertices = nontrivial_proper(enumerate_left_ideals(base))
-        trig_a = (not _base_is_simple(base)) and not _module_is_simple(module)
-        trig_b = len(base_vertices) >= 2
+        trig_a = (not _base_is_simple(inst)) and not _module_is_simple(inst)
+        trig_b = len(inst.base_vertices) >= 2
         full_action = 0
         for r in range(base.size):
             for m in range(module.size):
@@ -1313,7 +1183,7 @@ def _check_t777(inst: Instance) -> TheoremReport:
     kinds=("self_idealization",),
 )
 def _check_t777_cor(inst: Instance) -> TheoremReport:
-    base, module = _idealization_parts(inst)
+    module = inst.ring.parts["module"]
     hyp = module.size > 1
     directions = []
     witness = None
@@ -1321,7 +1191,7 @@ def _check_t777_cor(inst: Instance) -> TheoremReport:
     if hyp:
         g = inst.graded_graph
         has_edges = not is_null(g)
-        nonsimple = not _base_is_simple(base)
+        nonsimple = not _base_is_simple(inst)
         three = girth(g) == 3
         details = {
             "has_edges": has_edges,
@@ -1351,16 +1221,14 @@ def _check_t777_cor(inst: Instance) -> TheoremReport:
     kinds=("self_idealization",),
 )
 def _check_t231(inst: Instance) -> TheoremReport:
-    base, module = _idealization_parts(inst)
+    module = inst.ring.parts["module"]
     hyp = module.size > 1
     directions = []
     witness = None
     details: dict = {}
     if hyp:
-        base_vertices = sorted(
-            nontrivial_proper(enumerate_left_ideals(base)), key=lambda i: i.sort_key()
-        )
-        base_graph = build_intersection_graph(base_vertices)
+        base_vertices = inst.base_vertices
+        base_graph = inst.base_graph
         omega_base = clique_number(base_graph)
         bound = 1 + 2 * omega_base + len(base_vertices)
         omega = clique_number(inst.graded_graph)
@@ -1398,13 +1266,13 @@ def _check_t231(inst: Instance) -> TheoremReport:
     kinds=("self_idealization",),
 )
 def _check_planarity_cor(inst: Instance) -> TheoremReport:
-    base, module = _idealization_parts(inst)
+    module = inst.ring.parts["module"]
     hyp = module.size > 1
     directions = []
     witness = None
     details: dict = {}
     if hyp:
-        base_count = len(nontrivial_proper(enumerate_left_ideals(base)))
+        base_count = len(inst.base_vertices)
         planar = is_planar(inst.graded_graph)
         details = {"planar": planar, "base_ideals": base_count}
         if planar is None:

@@ -13,6 +13,7 @@ from math import inf
 import numpy as np
 
 from idealgraphs.errors import InvalidConstruction
+from idealgraphs.ring_core import additive_span, mask_members, ring_from_tables
 
 
 def divisors(n: int) -> list[int]:
@@ -81,6 +82,41 @@ def brute_additive_span(add, zero: int, seed_mask: int) -> int:
         if grown == members:
             return sum(1 << x for x in members)
         members = grown
+
+
+def relabelled_ring(ring, at):
+    """The same ring with element x stored at index at[x], built and
+    validated from its tables."""
+    n = ring.size
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    names = [""] * n
+    for a in range(n):
+        names[at[a]] = ring.names[a]
+        for b in range(n):
+            add[at[a]][at[b]] = at[ring.add[a][b]]
+            mul[at[a]][at[b]] = at[ring.mul[a][b]]
+    return ring_from_tables(add, mul, at[ring.zero], at[ring.one], names)
+
+
+# --- display labels, by the search the library used before its principal
+# spans and memo
+
+
+def ideal_label(ring, mask: int) -> str:
+    """Deterministic display label: a smallest generating set in angle
+    brackets when one of size <= 2 exists, else the member list."""
+    if mask == ring.zero_mask:
+        return "<0>"
+    nonzero = [x for x in mask_members(mask) if x != ring.zero]
+    lm = ring.left_multiple_masks
+    for x in nonzero:
+        if additive_span(ring, lm[x]) == mask:
+            return f"<{ring.names[x]}>"
+    for x, y in itertools.combinations(nonzero, 2):
+        if additive_span(ring, lm[x] | lm[y]) == mask:
+            return f"<{ring.names[x]},{ring.names[y]}>"
+    return "{" + ",".join(ring.names[x] for x in mask_members(mask)) + "}"
 
 
 def brute_left_ideal_masks(ring) -> set[int]:

@@ -147,7 +147,13 @@ def test_criterion_05_fixed_points(corpus_instances):
     checks.append(("doubled z4 clique formula", omega == 4 and omega == bound))
 
     z4c2 = corpus_instances["z4c2"]
-    phi = phi_iso_check(z4c2.grading, z4c2.graded_family, "first_strong")
+    phi = phi_iso_check(
+        z4c2.grading,
+        z4c2.re_ring,
+        z4c2.re_vertices,
+        z4c2.extension,
+        graded_vertices=z4c2.graded_vertices,
+    )
     checks.append(
         (
             "group ring copies its coefficient graph",

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from idealgraphs import (
     INTEGERS,
+    Instance,
     NotDirectSum,
     NotSubgroup,
     ProductEscapes,
@@ -28,13 +29,14 @@ from idealgraphs import (
     module_self,
     poly_quotient_integer_grading,
     polynomial_quotient,
-    ring_from_tables,
+    run_check,
     same_grading,
     support_is_subgroup,
     trivial_grading,
     validate_grading,
 )
-from oracles import first_escaping_product
+from oracles import first_escaping_product, relabelled_ring
+from idealgraphs.ring_core import mask_members
 
 F2XY_TABLE = [
     [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -139,6 +141,47 @@ class TestCanonicalGradings:
         assert not same_grading(a, trivial_grading(z4c2, finite_grades(cyclic_group(2))))
 
 
+# Z4 with residue a stored at index [2, 0, 3, 1][a]: zero at index 2
+Z4_ZERO_AT_2 = relabelled_ring(make_cyclic_ring(4), [2, 0, 3, 1])
+
+
+def _component_names(grading):
+    ring = grading.ring
+    return {
+        deg: sorted(ring.names[x] for x in mask_members(mask))
+        for deg, mask in grading.components.items()
+    }
+
+
+class TestBasesWithZeroAwayFromIndexZero:
+    """Canonical gradings of free base-modules find each coefficient line
+    from the base's zero, wherever the base stores it."""
+
+    def test_group_ring_grading(self):
+        assert Z4_ZERO_AT_2.zero == 2
+        ring = group_ring(Z4_ZERO_AT_2, cyclic_group(2))
+        plain = group_ring(make_cyclic_ring(4), cyclic_group(2))
+        assert _component_names(group_ring_grading(ring)) == _component_names(
+            group_ring_grading(plain)
+        )
+
+    def test_poly_quotient_integer_grading(self):
+        zero, one = Z4_ZERO_AT_2.zero, Z4_ZERO_AT_2.one
+        ring = polynomial_quotient(Z4_ZERO_AT_2, [zero, zero, zero, one])
+        plain = polynomial_quotient(make_cyclic_ring(4), [0, 0, 0, 1])
+        g = poly_quotient_integer_grading(ring)
+        assert g.support == (0, 1, 2)
+        assert _component_names(g) == _component_names(
+            poly_quotient_integer_grading(plain)
+        )
+
+    def test_group_ring_check_sees_the_coefficients(self):
+        ring = group_ring(Z4_ZERO_AT_2, cyclic_group(2))
+        inst = Instance(name="z4c2", ring=ring, grading=group_ring_grading(ring))
+        report = run_check(inst, "groupring_example")
+        assert report.verdict == "PASS", report.directions
+
+
 class TestClassifiers:
     def test_trivial_grading_is_everything(self):
         z12 = make_cyclic_ring(12)
@@ -202,20 +245,6 @@ def _canonical_cases():
 CANONICAL_CASES = _canonical_cases()
 
 
-def _relabelled(ring, at):
-    """The same ring with element x stored at index at[x]."""
-    n = ring.size
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    names = [""] * n
-    for a in range(n):
-        names[at[a]] = ring.names[a]
-        for b in range(n):
-            add[at[a]][at[b]] = at[ring.add[a][b]]
-            mul[at[a]][at[b]] = at[ring.mul[a][b]]
-    return ring_from_tables(add, mul, at[ring.zero], at[ring.one], names)
-
-
 class TestProductCheckWitness:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -227,7 +256,7 @@ class TestProductCheckWitness:
         grading = CANONICAL_CASES[data.draw(st.sampled_from(sorted(CANONICAL_CASES)))]
         grades = grading.grades
         at = data.draw(st.permutations(range(grading.ring.size)))
-        ring = _relabelled(grading.ring, at)
+        ring = relabelled_ring(grading.ring, at)
         degs = list(grading.support)
         if grades.kind == "integers":
             targets = data.draw(

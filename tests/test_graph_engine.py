@@ -3,7 +3,10 @@ import json
 import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraphs import (
     Graph,
@@ -30,6 +33,7 @@ from idealgraphs import (
     nontrivial_proper,
     star_center,
 )
+from idealgraphs.cli import load_instance
 from oracles import (
     brute_clique_number,
     brute_components,
@@ -155,6 +159,89 @@ class TestInvariants:
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         assert diameter(g) == math.inf
         assert len(connected_components(g)) == 2
+
+
+def nx_girth(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return nx.girth(G)
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_from_edges(n, edges)
+
+
+def subdivided(g):
+    """Every edge replaced by a path of two edges: no triangles, and every
+    cycle twice as long."""
+    edges = []
+    for k, (u, w) in enumerate(g.edges):
+        mid = g.n + k
+        edges += [(u, mid), (mid, w)]
+    return graph_from_edges(g.n + g.edge_count, edges)
+
+
+class TestGirthAgainstNetworkx:
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs())
+    def test_random_graphs(self, g):
+        assert girth(g) == nx_girth(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs(max_n=9))
+    def test_subdivided_graphs_have_no_triangle(self, g):
+        h = subdivided(g)
+        assert girth(h) == nx_girth(h) == 2 * nx_girth(g)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_cycles(self, n):
+        assert girth(cycle_graph(n)) == nx_girth(cycle_graph(n)) == n
+
+    @settings(max_examples=50, deadline=None)
+    @given(parents=st.lists(st.integers(0, 10**6), max_size=20))
+    def test_trees(self, parents):
+        # vertex k + 1 hangs below one of the vertices before it
+        tree = graph_from_edges(
+            len(parents) + 1, [(p % (k + 1), k + 1) for k, p in enumerate(parents)]
+        )
+        assert girth(tree) == nx_girth(tree) == math.inf
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 6), (2, 2), (2, 5), (3, 3), (4, 5)])
+    def test_complete_bipartite(self, a, b):
+        g = graph_from_edges(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+        assert girth(g) == nx_girth(g) == (4 if min(a, b) >= 2 else math.inf)
+
+
+class TestInvariantMemo:
+    def test_second_call_reads_the_memo(self):
+        g = cycle_graph(5)
+        assert girth(g) == 5
+        g.memo["girth"] = "planted"
+        assert girth(g) == "planted"
+        assert g == cycle_graph(5)  # the memo takes no part in equality
+
+    def test_checks_share_one_girth(self, corpus_dir):
+        from idealgraphs import run_all
+
+        # a planted girth reaches every check that asks, so none computes
+        # its own
+        inst = load_instance(str(corpus_dir / "z8_self.json"))
+        inst.graded_graph.memo["girth"] = "planted"
+        reports = {r.theorem_id: r for r in run_all(inst, ["t3", "t777"])}
+        assert reports["t3"].details["girth"] == "planted"
+        assert reports["t777"].details["girth"] == "planted"
+
+        inst = load_instance(str(corpus_dir / "f2x3.json"))
+        inst.graded_graph.memo["girth"] = "graded"
+        inst.all_graph.memo["girth"] = "full"
+        report = run_all(inst, ["t544"])[0]
+        assert report.details["graded_girth"] == "graded"
+        assert report.details["all_girth"] == "full"
 
 
 class TestShapes:

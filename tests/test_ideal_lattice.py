@@ -15,6 +15,7 @@ from idealgraphs import (
     generated_left_ideal,
     group_ring,
     ideal_intersect,
+    ideal_label,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -45,7 +46,9 @@ from oracles import (
     brute_graded_left_ideal_masks,
     brute_left_ideal_masks,
     brute_submodule_masks,
+    relabelled_ring,
 )
+from oracles import ideal_label as oracle_label
 
 
 def ideal_masks(family):
@@ -214,6 +217,36 @@ class TestSpansAgainstOracle:
         a = data.draw(st.sampled_from(family))
         b = data.draw(st.sampled_from(family))
         assert ideal_sum(ring, a, b) == brute_additive_span(ring.add, ring.zero, a | b)
+
+
+LABEL_RINGS = {name: ring for name, (ring, _) in SPAN_RINGS.items()}
+# Z4 with residue a stored at index [2, 0, 3, 1][a]: zero at index 2
+LABEL_RINGS["Z4 zero at 2"] = relabelled_ring(make_cyclic_ring(4), [2, 0, 3, 1])
+
+
+class TestLabelsAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(LABEL_RINGS))
+    def test_every_ideal(self, name):
+        ring = LABEL_RINGS[name]
+        for ideal in enumerate_left_ideals(ring):
+            assert ideal.label() == oracle_label(ring, ideal.mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_ideal_under_relabelling(self, data):
+        # a relabelling reorders the members, and so the order in which the
+        # search meets generators; each example's ring is new, so every
+        # label is searched, and asking again reads the memo
+        base = LABEL_RINGS[data.draw(st.sampled_from(sorted(LABEL_RINGS)))]
+        ring = relabelled_ring(base, data.draw(st.permutations(range(base.size))))
+        family = enumerate_left_ideals(ring)
+        expected = {i.mask: oracle_label(ring, i.mask) for i in family}
+        for ideal in family:
+            assert ideal_label(ring, ideal.mask) == expected[ideal.mask]
+        assert {i.mask: i.label() for i in family} == expected
+        # a set that need not be an ideal takes the same search
+        mask = data.draw(st.integers(0, ring.full_mask))
+        assert ideal_label(ring, mask) == oracle_label(ring, mask)
 
 
 class TestGradedStructureFlags:

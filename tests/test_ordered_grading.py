@@ -4,6 +4,7 @@ import pytest
 
 from idealgraphs import (
     IdealSet,
+    Instance,
     NotIntegerGraded,
     cyclic_group,
     finite_grades,
@@ -76,7 +77,13 @@ class TestClosureProperties:
 class TestOrderedComparison:
     def test_local_chain_ring(self, corpus_instances):
         inst = corpus_instances["f2x3"]
-        rep = ordered_comparison_check(inst.grading, inst.graded_family, inst.all_family)
+        rep = ordered_comparison_check(
+            inst.grading,
+            inst.graded_family,
+            inst.all_family,
+            inst.graded_graph,
+            inst.all_graph,
+        )
         assert rep["local"]
         assert rep["connectivity_agrees"]
         assert rep["girth_agrees"]
@@ -86,14 +93,26 @@ class TestOrderedComparison:
 
     def test_triangle_case(self, corpus_instances):
         inst = corpus_instances["f2x4"]
-        rep = ordered_comparison_check(inst.grading, inst.graded_family, inst.all_family)
+        rep = ordered_comparison_check(
+            inst.grading,
+            inst.graded_family,
+            inst.all_family,
+            inst.graded_graph,
+            inst.all_graph,
+        )
         assert rep["graded_girth"] == 3 and rep["all_girth"] == 3
         assert rep["girth_agrees"]
         assert not rep["branch_triggered"]
 
     def test_nonlocal_ring_skips_girth_comparison(self, corpus_instances):
         inst = corpus_instances["m2f2"]
-        rep = ordered_comparison_check(inst.grading, inst.graded_family, inst.all_family)
+        rep = ordered_comparison_check(
+            inst.grading,
+            inst.graded_family,
+            inst.all_family,
+            inst.graded_graph,
+            inst.all_graph,
+        )
         assert not rep["local"]
         assert rep["girth_agrees"] is None
         assert rep["connectivity_agrees"]
@@ -101,9 +120,9 @@ class TestOrderedComparison:
     def test_rejects_finite_grade_groups(self):
         z4 = make_cyclic_ring(4)
         g = trivial_grading(z4, finite_grades(cyclic_group(2)))
-        from idealgraphs import enumerate_graded_left_ideals, enumerate_left_ideals
+        inst = Instance(name="z4", ring=z4, grading=g)
 
         with pytest.raises(NotIntegerGraded):
             ordered_comparison_check(
-                g, enumerate_graded_left_ideals(g), enumerate_left_ideals(z4)
+                g, inst.graded_family, inst.all_family, inst.graded_graph, inst.all_graph
             )

@@ -36,14 +36,14 @@ class TestIdentityComponent:
 class TestSimPartition:
     def test_group_ring_single_class(self, corpus_instances):
         inst = corpus_instances["z4c2"]
-        part = sim_partition(inst.grading, inst.graded_family)
+        part = sim_partition(inst.grading, inst.graded_vertices, *inst.identity_data)
         assert len(part.keys) == 1
         (members,) = part.classes.values()
         assert [i.label() for i in members] == ["<2>"]
 
     def test_matrix_ring_classes(self, corpus_instances):
         inst = corpus_instances["m2f2"]
-        part = sim_partition(inst.grading, inst.graded_family)
+        part = sim_partition(inst.grading, inst.graded_vertices, *inst.identity_data)
         # two identity-component ideals, one graded ideal over each
         assert len(part.keys) == 2
         assert sorted(len(v) for v in part.classes.values()) == [1, 1]
@@ -51,11 +51,11 @@ class TestSimPartition:
     def test_rejects_unfaithful_gradings(self, corpus_instances):
         inst = corpus_instances["f2xy_12"]
         with pytest.raises(NotEFaithful):
-            sim_partition(inst.grading, inst.graded_family)
+            inst.partition
 
     def test_quotient_graph_of_group_ring(self, corpus_instances):
         inst = corpus_instances["z4c2"]
-        g = quotient_graph(sim_partition(inst.grading, inst.graded_family))
+        g = quotient_graph(sim_partition(inst.grading, inst.graded_vertices, *inst.identity_data))
         assert g.n == 1
         assert g.edge_count == 0
 
@@ -64,26 +64,42 @@ class TestPhiIsomorphism:
     @pytest.mark.parametrize("name", ["z12", "z4c2", "z8c2", "m2f2", "f4", "z2c3"])
     def test_quotient_variant_on_faithful_instances(self, corpus_instances, name):
         inst = corpus_instances[name]
-        report = phi_iso_check(inst.grading, inst.graded_family, "quotient")
+        report = phi_iso_check(
+            inst.grading,
+            inst.re_ring,
+            inst.re_vertices,
+            inst.extension,
+            partition=inst.partition,
+            quotient=quotient_graph(inst.partition),
+        )
         assert report["variant"] == "quotient"
         assert report["identity_vertices"] == report["classes"]
 
     @pytest.mark.parametrize("name", ["z12", "z4c2", "z8c2", "z2c3"])
     def test_first_strong_variant(self, corpus_instances, name):
         inst = corpus_instances[name]
-        report = phi_iso_check(inst.grading, inst.graded_family, "first_strong")
+        report = phi_iso_check(
+            inst.grading,
+            inst.re_ring,
+            inst.re_vertices,
+            inst.extension,
+            graded_vertices=inst.graded_vertices,
+        )
+        assert report["variant"] == "first_strong"
         assert report["identity_vertices"] == report["graded_vertices"]
 
     def test_first_strong_variant_guards(self, corpus_instances):
         inst = corpus_instances["m2f2"]  # identity faithful but not first strong
         with pytest.raises(WrongConstruction):
-            phi_iso_check(inst.grading, inst.graded_family, "first_strong")
+            inst.phi_iso("first_strong")
 
 
 class TestTransferNumbers:
     def test_group_ring_numbers(self, corpus_instances):
         inst = corpus_instances["z8c2"]
-        rep = gamma_omega_transfer(inst.grading, inst.graded_family)
+        rep = gamma_omega_transfer(
+            inst.partition, inst.re_vertices, inst.re_graph, inst.graded_graph, inst.extension
+        )
         assert rep["gamma_identity"] == rep["gamma_graded"] == 1
         assert rep["omega_identity"] == rep["omega_graded"] == 2
         assert rep["omega_from_classes"] == 2
@@ -91,7 +107,9 @@ class TestTransferNumbers:
 
     def test_matrix_ring_numbers(self, corpus_instances):
         inst = corpus_instances["m2f2"]
-        rep = gamma_omega_transfer(inst.grading, inst.graded_family)
+        rep = gamma_omega_transfer(
+            inst.partition, inst.re_vertices, inst.re_graph, inst.graded_graph, inst.extension
+        )
         # two isolated vertices on both sides
         assert rep["gamma_identity"] == rep["gamma_graded"] == 2
         assert rep["omega_identity"] == rep["omega_graded"] == 1

@@ -1,6 +1,6 @@
 import pytest
 
-import idealgraphs.theorem_suite as suite
+import idealgraphs.instance as owner
 from idealgraphs import (
     Instance,
     UnknownTheorem,
@@ -64,13 +64,13 @@ class TestKindRequirements:
         self, corpus_dir, corpus_instances, monkeypatch, name, builder
     ):
         calls = []
-        real = getattr(suite, builder)
+        real = getattr(owner, builder)
 
         def counting(ring):
             calls.append(ring)
             return real(ring)
 
-        monkeypatch.setattr(suite, builder, counting)
+        monkeypatch.setattr(owner, builder, counting)
         inst = load_instance(str(corpus_dir / f"{name}.json"))
         first = verdict_map(inst)
         assert verdict_map(inst) == first
