@@ -65,6 +65,9 @@ def finite_grades(group: FiniteGroup) -> GradeGroup:
     return GradeGroup(kind="finite", group=group)
 
 
+_C2 = finite_grades(cyclic_group(2))  # every idealization's grade group
+
+
 @dataclass(eq=False)
 class Grading:
     ring: FiniteRing
@@ -199,14 +202,26 @@ def _coefficient_line(ring: FiniteRing, base: FiniteRing, k: int) -> int:
     return mask
 
 
+def _canonical(ring: FiniteRing) -> tuple[GradeGroup, dict]:
+    """Grade group and unvalidated components of a group ring's or
+    idealization's canonical grading."""
+    base: FiniteRing = ring.parts["base"]
+    if ring.construction["kind"] == "group_ring":
+        group: FiniteGroup = ring.parts["group"]
+        lines = {k: _coefficient_line(ring, base, k) for k in range(group.size)}
+        return finite_grades(group), lines
+    module = ring.parts["module"]
+    n2 = module.size
+    comp0 = sum(1 << (r * n2 + module.zero) for r in range(base.size))
+    comp1 = sum(1 << (base.zero * n2 + m) for m in range(n2))
+    return _C2, {0: comp0, 1: comp1}
+
+
 def group_ring_grading(ring: FiniteRing) -> Grading:
     """Degree k component = base-multiples of group element k."""
     if ring.construction.get("kind") != "group_ring":
         raise WrongConstruction("canonical group-ring grading needs a group-ring carrier")
-    base: FiniteRing = ring.parts["base"]
-    group: FiniteGroup = ring.parts["group"]
-    comps = {k: _coefficient_line(ring, base, k) for k in range(group.size)}
-    return validate_grading(ring, finite_grades(group), comps)
+    return validate_grading(ring, *_canonical(ring))
 
 
 def idealization_grading(ring: FiniteRing) -> Grading:
@@ -214,16 +229,7 @@ def idealization_grading(ring: FiniteRing) -> Grading:
     in degree 1 of a two-element grade group."""
     if ring.construction.get("kind") != "idealization":
         raise WrongConstruction("canonical idealization grading needs an idealization carrier")
-    base: FiniteRing = ring.parts["base"]
-    module = ring.parts["module"]
-    n2 = module.size
-    comp0 = 0
-    for r in range(base.size):
-        comp0 |= 1 << (r * n2 + module.zero)
-    comp1 = 0
-    for m in range(n2):
-        comp1 |= 1 << (base.zero * n2 + m)
-    return validate_grading(ring, finite_grades(cyclic_group(2)), {0: comp0, 1: comp1})
+    return validate_grading(ring, *_canonical(ring))
 
 
 def poly_quotient_integer_grading(ring: FiniteRing) -> Grading:
@@ -258,14 +264,25 @@ def explicit_grading(
     return validate_grading(ring, grades, comps)
 
 
+def _has_components(grading: Grading, grades: GradeGroup, components: dict) -> bool:
+    """Same degrees with the same nonzero components over the same kind of
+    grade group (finite grade groups must share their operation table)."""
+    if grading.grades.kind != grades.kind:
+        return False
+    if grades.kind == "finite" and grading.grades.group.op != grades.group.op:
+        return False
+    zero = grading.ring.zero_mask
+    return grading.components == {d: c for d, c in components.items() if c != zero}
+
+
 def same_grading(a: Grading, b: Grading) -> bool:
-    """Same degrees with the same components over the same kind of grade
-    group (finite grade groups must share their operation table)."""
-    if a.ring is not b.ring or a.grades.kind != b.grades.kind:
-        return False
-    if a.grades.kind == "finite" and a.grades.group.op != b.grades.group.op:
-        return False
-    return a.components == b.components
+    """The same grading of the same ring."""
+    return a.ring is b.ring and _has_components(a, b.grades, b.components)
+
+
+def is_canonical(grading: Grading) -> bool:
+    """Whether a group ring or an idealization carries its canonical grading."""
+    return _has_components(grading, *_canonical(grading.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotEFaithful, WrongConstruction
-from .grading import (
-    Grading,
-    group_ring_grading,
-    idealization_grading,
-    is_e_faithful,
-    is_first_strong,
-    same_grading,
-)
+from .grading import Grading, is_canonical, is_e_faithful, is_first_strong
 from .graph_engine import Graph, build_intersection_graph
 from .ideal_lattice import (
     IdealSet,
@@ -59,7 +52,6 @@ class Instance:
     name: str
     ring: FiniteRing
     grading: Grading
-    _kind_verdicts: dict = field(default_factory=dict, init=False, repr=False)
     _factor_gradings: dict = field(default_factory=dict, init=False, repr=False)
     _factor_graphs: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -258,27 +250,14 @@ class Instance:
     # -- construction kinds
 
     def matches(self, requirement: str) -> bool:
-        """Whether the instance meets a check's kind requirement.  Each
-        verdict is kept, because deciding one may build a canonical grading."""
-        verdict = self._kind_verdicts.get(requirement)
-        if verdict is None:
-            verdict = self._kind_verdicts[requirement] = self._decide(requirement)
-        return verdict
-
-    def _decide(self, requirement: str) -> bool:
+        """Whether the instance meets a check's kind requirement."""
         kind = self.ring.construction.get("kind")
-        if requirement == "idealization":
-            return kind == "idealization" and same_grading(
-                self.grading, idealization_grading(self.ring)
-            )
+        if requirement in ("idealization", "group_ring"):
+            return kind == requirement and is_canonical(self.grading)
         if requirement == "self_idealization":
             return (
                 self.matches("idealization")
                 and self.ring.parts["module"].construction.get("kind") == "self"
-            )
-        if requirement == "group_ring":
-            return kind == "group_ring" and same_grading(
-                self.grading, group_ring_grading(self.ring)
             )
         if requirement == "integer":
             return self.grading.grades.kind == "integers"

@@ -2,16 +2,17 @@
 
 Every carrier is the index range 0..size-1; operations are dense tables
 (tuples of tuples), so all algebra below is table lookups.  Constructors
-validate the complete ring axiom set before returning, which means
-downstream code never has to re-check algebra laws.  The cubic laws are
-checked on an additive generating set S of at most log2(n) elements
-rather than on every triple: Light's test for associativity of `+`,
-distributivity with one argument in S, and associativity of `*` on S^3,
-which suffices because the associator is additive in each argument.  That
-makes validation O(n^2 log n).  Subrings skip validation altogether: a
-subset of a validated ring that is closed under `+`, `*` and negation is
-a ring already, so only its unity and commutativity are settled.  Subsets
-of a carrier travel as int bitmasks (bit i set = element i present), which
+validate every axiom before returning, so downstream code never re-checks
+algebra laws.  Group tables, ring addition and module addition share one
+generator routine, `_generators`, which picks a generating set S of at most
+log2(n) elements and proves associativity by Light's test on each of them.
+The other cubic laws of rings and modules are checked with one argument in
+S, and associativity of `*` and of the action on S x S, which suffices
+because the associator is additive in each argument: O(n^2 log n) in all.
+A module is validated where it enters a ring, in `idealization`, after its
+size check.  Subrings skip validation altogether: a subset of a validated
+ring closed under `+`, `*` and negation is a ring already.  Subsets of a
+carrier travel as int bitmasks (bit i set = element i present), which
 keeps the lattice and graph code allocation-free.
 
 Tables are filled with numpy, never entry by entry.  Polynomial quotients,
@@ -65,18 +66,57 @@ def _as_table(table, n: int, what: str) -> np.ndarray:
     return arr
 
 
+def _refuse(bad: np.ndarray, message: str) -> None:
+    """Raise InvalidConstruction naming the first position where `bad` holds."""
+    if bad.any():
+        raise InvalidConstruction(message.format(*np.argwhere(bad)[0]))
+
+
+def _generators(T: np.ndarray, start: int, what: str, sym: str) -> list[int]:
+    """Greedy generating set of a table's operation, proving it associative.
+
+    Each generator, the first element not reached from the neutral `start`
+    by right multiplication, passes Light's test, (x s) y == x (s y) for all
+    x, y, before use; the elements that pass are closed under the operation
+    and generate it, so all pass.  The reached set is closed under every
+    chosen generator, a subgroup H of a group table, and the next one adds
+    the coset H s, so there are at most log2(n) generators.
+    """
+    gens: list[int] = []
+    reached = np.zeros(len(T), dtype=bool)
+    reached[start] = True
+    while not reached.all():
+        s = int(np.argmin(reached))
+        # row x of each side: (x s) y and x (s y) over all y
+        bad = T[T[:, s]] != T[:, T[s]]
+        _refuse(bad, f"{what} not associative (witness ({{}}{sym}{s}){sym}{{}})")
+        gens.append(s)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = T[frontier[:, None], gens].ravel()
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return gens
+
+
+def _identity(T: np.ndarray, members: np.ndarray) -> int | None:
+    """Position of the first two-sided neutral member, or None; T is the
+    operation gathered on the members, T[i, j] = members[i] * members[j]."""
+    neutral = (T == members).all(axis=1) & (T == members[:, None]).all(axis=0)
+    return int(np.argmax(neutral)) if neutral.any() else None
+
+
+def _inverses(T: np.ndarray, e: int, missing: str) -> list[int]:
+    """The first two-sided inverse of each element; `missing` names one without."""
+    hit = (T == e) & (T.T == e)
+    _refuse(~hit.any(axis=1), missing)
+    return hit.argmax(axis=1).tolist()
+
+
 def _validate_abelian_group(
     add, zero: int, neg, n: int, what: str
 ) -> tuple[np.ndarray, list[int]]:
-    """Abelian group check; returns the table and an additive generating set.
-
-    Generators are chosen greedily: the first element not yet reached from
-    `zero` by adding chosen generators on the right.  Each one must pass
-    Light's test, (x+s)+y == x+(s+y) for all x, y, before it is used; the
-    elements passing that test are closed under `+`, and every element is a
-    sum of generators, so `+` is associative.  A generator that passes also
-    makes the reached set at least double, hence at most log2(n) of them.
-    """
+    """Abelian group check; returns the table and an additive generating set."""
     A = _as_table(add, n, f"{what} addition")
     if not np.array_equal(A, A.T):
         raise InvalidConstruction(f"{what} addition is not commutative")
@@ -87,25 +127,7 @@ def _validate_abelian_group(
         raise InvalidConstruction(f"{what} negation table malformed")
     if not np.array_equal(A[np.arange(n), ng], np.full(n, zero)):
         raise InvalidConstruction(f"{what} negation is not an additive inverse")
-    gens: list[int] = []
-    reached = np.zeros(n, dtype=bool)
-    reached[zero] = True
-    while not reached.all():
-        s = int(np.argmin(reached))
-        # row x of each side: (x+s)+y and x+(s+y) over all y
-        bad = A[A[:, s]] != A[:, A[s]]
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            raise InvalidConstruction(
-                f"{what} addition not associative (witness ({x}+{s})+{y})"
-            )
-        gens.append(s)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            step = A[frontier, s]
-            frontier = step[~reached[step]]
-            reached[frontier] = True
-    return A, gens
+    return A, _generators(A, zero, f"{what} addition", "+")
 
 
 def _validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) -> bool:
@@ -126,19 +148,14 @@ def _validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) -> bool:
         raise InvalidConstruction(f"unity {one} is not right-neutral")
     for s in gens:
         # a*(b+s) == a*b + a*s, rows a and columns b
-        bad = M[:, A[s]] != A[M, M[:, s, None]]
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            raise InvalidConstruction(
-                f"left distributivity fails (witness {a}*({b}+{s}))"
-            )
+        _refuse(
+            M[:, A[s]] != A[M, M[:, s, None]],
+            f"left distributivity fails (witness {{}}*({{}}+{s}))",
+        )
         # (b+s)*a == b*a + s*a, rows b and columns a
-        bad = M[A[s]] != A[M, M[s]]
-        if bad.any():
-            b, a = np.argwhere(bad)[0]
-            raise InvalidConstruction(
-                f"right distributivity fails (witness ({b}+{s})*{a})"
-            )
+        _refuse(
+            M[A[s]] != A[M, M[s]], f"right distributivity fails (witness ({{}}+{s})*{{}})"
+        )
     G = np.asarray(gens)
     P = M[np.ix_(G, G)]
     bad = M[P][:, :, G] != M[G][:, P]
@@ -184,28 +201,14 @@ def cyclic_group(k: int) -> FiniteGroup:
 def group_from_table(op, names: Sequence[str] | None = None) -> FiniteGroup:
     n = len(op)
     T = _as_table(op, n, "group")
-    identity = None
-    for e in range(n):
-        if np.array_equal(T[e], np.arange(n)) and np.array_equal(T[:, e], np.arange(n)):
-            identity = e
-            break
+    identity = _identity(T, np.arange(n))
     if identity is None:
         raise InvalidConstruction("group table has no two-sided identity")
-    inv = []
-    for a in range(n):
-        hits = [b for b in range(n) if T[a][b] == identity and T[b][a] == identity]
-        if not hits:
-            raise InvalidConstruction(f"group element {a} has no inverse")
-        inv.append(hits[0])
-    for a in range(n):
-        if not np.array_equal(T[T[a]], T[a][T]):
-            raise InvalidConstruction(f"group operation not associative (witness row {a})")
-    if names is None:
-        names = tuple(str(a) for a in range(n))
-    else:
-        names = tuple(names)
-        if len(names) != n:
-            raise InvalidConstruction("group names length mismatch")
+    inv = _inverses(T, identity, "group element {} has no inverse")
+    _generators(T, identity, "group operation", "*")
+    names = tuple(map(str, range(n))) if names is None else tuple(names)
+    if len(names) != n:
+        raise InvalidConstruction("group names length mismatch")
     return FiniteGroup(size=n, op=_freeze(T), identity=identity, inv=tuple(inv), names=names)
 
 
@@ -355,15 +358,10 @@ def ring_from_tables(
     recovered by search."""
     n = len(add)
     _check_size(n, max_size)
-    to_zero = _as_table(add, n, "ring addition") == zero
-    has_inverse = to_zero.any(axis=1)
-    if not has_inverse.all():
-        raise InvalidConstruction(
-            f"element {np.argmin(has_inverse)} has no additive inverse"
-        )
-    neg = to_zero.argmax(axis=1)
+    A = _as_table(add, n, "ring addition")
+    neg = _inverses(A, zero, "element {} has no additive inverse")
     if names is None:
-        names = [str(a) for a in range(n)]
+        names = list(map(str, range(n)))
     return _finish_ring(n, add, mul, zero, one, neg, {"kind": "table"}, names)
 
 
@@ -607,27 +605,42 @@ class FiniteModule:
 
 
 def _validate_module(mod: FiniteModule) -> None:
-    n, m = mod.ring.size, mod.size
+    """Module axioms on the ring's additive generators S: (r+s).x = r.x + s.x
+    makes the action additive in r, so s.(x+y) = s.x + s.y extends to all of
+    R, and so does (st).x = s.(t.x), whose two sides are additive in s and t.
+    """
+    ring, m = mod.ring, mod.size
     MA, _ = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
     ACT = np.asarray(mod.act, dtype=np.int64)
-    if ACT.shape != (n, m) or (ACT.size and (ACT.min() < 0 or ACT.max() >= m)):
+    if ACT.shape != (ring.size, m) or (ACT.size and (ACT.min() < 0 or ACT.max() >= m)):
         raise InvalidConstruction("module action table malformed")
-    if not np.array_equal(ACT[mod.ring.one], np.arange(m)):
+    if not np.array_equal(ACT[ring.one], np.arange(m)):
         raise InvalidConstruction("unity does not act as identity on the module")
-    RA = np.asarray(mod.ring.add)
-    RM = np.asarray(mod.ring.mul)
-    for r in range(n):
-        if not np.array_equal(ACT[r][ACT], ACT[RM[r]]):
-            raise InvalidConstruction(f"module action not associative (witness {r})")
-        if not np.array_equal(ACT[RA[r]], MA[ACT[r][None, :], ACT]):
-            raise InvalidConstruction(f"module action not additive in the ring (witness {r})")
-        if not np.array_equal(ACT[r][MA], MA[np.ix_(ACT[r], ACT[r])]):
-            raise InvalidConstruction(f"module action not additive in the module (witness {r})")
+    RA = np.asarray(ring.add)
+    gens = _generators(RA, ring.zero, "ring addition", "+")
+    for s in gens:
+        # (r+s).x == r.x + s.x, rows r and columns x
+        _refuse(
+            ACT[RA[:, s]] != MA[ACT, ACT[s]],
+            f"module action not additive in the ring (witness ({{}}+{s}).{{}})",
+        )
+        # s.(x+y) == s.x + s.y, rows x and columns y
+        _refuse(
+            ACT[s][MA] != MA[np.ix_(ACT[s], ACT[s])],
+            f"module action not additive in the module (witness {s}.({{}}+{{}}))",
+        )
+    G = np.asarray(gens)
+    bad = ACT[np.asarray([ring.mul[s] for s in gens])[:, G]] != ACT[G][:, ACT[G]]
+    if bad.any():
+        s, t, x = np.argwhere(bad)[0]
+        raise InvalidConstruction(
+            f"module action not associative (witness ({G[s]}*{G[t]}).{x})"
+        )
 
 
 def module_self(ring: FiniteRing) -> FiniteModule:
     """The ring acting on itself by left multiplication."""
-    mod = FiniteModule(
+    return FiniteModule(
         ring=ring,
         size=ring.size,
         add=ring.add,
@@ -637,8 +650,6 @@ def module_self(ring: FiniteRing) -> FiniteModule:
         names=ring.names,
         construction={"kind": "self"},
     )
-    _validate_module(mod)
-    return mod
 
 
 def module_zn_quotient(ring: FiniteRing, m: int) -> FiniteModule:
@@ -648,18 +659,17 @@ def module_zn_quotient(ring: FiniteRing, m: int) -> FiniteModule:
     n = ring.construction["n"]
     if m < 1 or n % m != 0:
         raise InvalidConstruction(f"modulus {m} must divide {n}")
-    mod = FiniteModule(
+    a = np.arange(m)
+    return FiniteModule(
         ring=ring,
         size=m,
-        add=tuple(tuple((a + b) % m for b in range(m)) for a in range(m)),
+        add=_freeze((a[:, None] + a) % m),
         zero=0,
-        neg=tuple((-a) % m for a in range(m)),
-        act=tuple(tuple((r * x) % m for x in range(m)) for r in range(ring.size)),
-        names=tuple(str(a) for a in range(m)),
+        neg=tuple((-a % m).tolist()),
+        act=_freeze(np.arange(n)[:, None] * a % m),
+        names=tuple(map(str, range(m))),
         construction={"kind": "zn_quotient", "m": m},
     )
-    _validate_module(mod)
-    return mod
 
 
 def idealization(
@@ -677,6 +687,7 @@ def idealization(
     n1, n2 = base.size, module.size
     n = n1 * n2
     _check_size(n, max_size)
+    _validate_module(module)
     MA = np.asarray(module.add)
     ACT = np.asarray(module.act)
     r = np.repeat(np.arange(n1), n2)[:, None]
@@ -774,15 +785,8 @@ def unital_ring_on(
     ms = sorted(set(members))
     if parent.zero not in ms:
         raise NotASubring("subset misses the zero element")
-    sset = set(ms)
-    one = None
-    for e in ms:
-        if all(parent.mul[e][a] == a and parent.mul[a][e] == a for a in ms):
-            one = e
-            break
+    sub = np.asarray(ms, dtype=np.int64)
+    one = _identity(np.asarray([parent.mul[a] for a in ms])[:, sub], sub)
     if one is None:
         raise InvalidConstruction("subset has no internal identity element")
-    for a in ms:
-        if any(parent.add[a][b] not in sset for b in ms):
-            raise NotASubring(f"subset not additively closed (witness {a})")
-    return _induced_ring(parent, ms, one, "unital_subring")
+    return _induced_ring(parent, ms, ms[one], "unital_subring")

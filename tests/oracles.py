@@ -12,8 +12,15 @@ from math import inf
 
 import numpy as np
 
-from idealgraphs.errors import InvalidConstruction
-from idealgraphs.ring_core import additive_span, mask_members, ring_from_tables
+from idealgraphs.errors import InvalidConstruction, NotASubring
+from idealgraphs.ring_core import (
+    FiniteGroup,
+    _freeze,
+    _induced_ring,
+    additive_span,
+    mask_members,
+    ring_from_tables,
+)
 
 
 def divisors(n: int) -> list[int]:
@@ -71,6 +78,89 @@ def exhaustive_validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) 
         if not np.array_equal(col[A], A[np.ix_(col, col)]):
             raise InvalidConstruction(f"right distributivity fails (witness {a})")
     return bool(np.array_equal(M, M.T))
+
+
+# --- groups, modules and unital subrings, by the element loops the library
+# used before its generator validator
+
+
+def exhaustive_group_from_table(op, names=None) -> FiniteGroup:
+    """Identity and inverses by search, associativity row by row: O(n^3)."""
+    n = len(op)
+    T = _as_table(op, n, "group")
+    identity = None
+    for e in range(n):
+        if np.array_equal(T[e], np.arange(n)) and np.array_equal(T[:, e], np.arange(n)):
+            identity = e
+            break
+    if identity is None:
+        raise InvalidConstruction("group table has no two-sided identity")
+    inv = []
+    for a in range(n):
+        hits = [b for b in range(n) if T[a][b] == identity and T[b][a] == identity]
+        if not hits:
+            raise InvalidConstruction(f"group element {a} has no inverse")
+        inv.append(hits[0])
+    for a in range(n):
+        if not np.array_equal(T[T[a]], T[a][T]):
+            raise InvalidConstruction(f"group operation not associative (witness row {a})")
+    if names is None:
+        names = tuple(str(a) for a in range(n))
+    else:
+        names = tuple(names)
+        if len(names) != n:
+            raise InvalidConstruction("group names length mismatch")
+    return FiniteGroup(size=n, op=_freeze(T), identity=identity, inv=tuple(inv), names=names)
+
+
+def exhaustive_validate_module(mod) -> None:
+    """Every module law for every ring element: O(|R| |M|^2)."""
+    n, m = mod.ring.size, mod.size
+    MA = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
+    ACT = np.asarray(mod.act, dtype=np.int64)
+    if ACT.shape != (n, m) or (ACT.size and (ACT.min() < 0 or ACT.max() >= m)):
+        raise InvalidConstruction("module action table malformed")
+    if not np.array_equal(ACT[mod.ring.one], np.arange(m)):
+        raise InvalidConstruction("unity does not act as identity on the module")
+    RA = np.asarray(mod.ring.add)
+    RM = np.asarray(mod.ring.mul)
+    for r in range(n):
+        if not np.array_equal(ACT[r][ACT], ACT[RM[r]]):
+            raise InvalidConstruction(f"module action not associative (witness {r})")
+        if not np.array_equal(ACT[RA[r]], MA[ACT[r][None, :], ACT]):
+            raise InvalidConstruction(f"module action not additive in the ring (witness {r})")
+        if not np.array_equal(ACT[r][MA], MA[np.ix_(ACT[r], ACT[r])]):
+            raise InvalidConstruction(f"module action not additive in the module (witness {r})")
+
+
+def entrywise_zn_quotient_module(n: int, m: int) -> dict:
+    """Tables of Z_m as a Z_n-module, entry by entry."""
+    return {
+        "add": tuple(tuple((a + b) % m for b in range(m)) for a in range(m)),
+        "neg": tuple((-a) % m for a in range(m)),
+        "act": tuple(tuple((r * x) % m for x in range(m)) for r in range(n)),
+        "names": tuple(str(a) for a in range(m)),
+    }
+
+
+def exhaustive_unital_ring_on(parent, members):
+    """Identity by search over the members, then additive closure pair by
+    pair, before the induced ring is built."""
+    ms = sorted(set(members))
+    if parent.zero not in ms:
+        raise NotASubring("subset misses the zero element")
+    sset = set(ms)
+    one = None
+    for e in ms:
+        if all(parent.mul[e][a] == a and parent.mul[a][e] == a for a in ms):
+            one = e
+            break
+    if one is None:
+        raise InvalidConstruction("subset has no internal identity element")
+    for a in ms:
+        if any(parent.add[a][b] not in sset for b in ms):
+            raise NotASubring(f"subset not additively closed (witness {a})")
+    return _induced_ring(parent, ms, one, "unital_subring")
 
 
 def brute_additive_span(add, zero: int, seed_mask: int) -> int:

@@ -273,6 +273,20 @@ class TestExitCodes:
         assert main(["classify", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "base, module", [({"zn": 512}, "self"), ({"zn": 64}, {"zn_quotient": 32})]
+    )
+    def test_over_cap_idealization_refused_before_its_module_is_checked(
+        self, tmp_path, capsys, monkeypatch, base, module
+    ):
+        checked = []
+        monkeypatch.setattr(ring_core, "_validate_module", checked.append)
+        ring = {"idealization": {"base": base, "module": module}}
+        path = write(tmp_path, "big.json", {"ring": ring, "grading": "canonical"})
+        assert main(["classify", path]) == 2
+        assert "exceeds the cap 1024" in capsys.readouterr().err
+        assert checked == []
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["ideals", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err

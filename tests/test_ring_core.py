@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 
 import numpy as np
@@ -34,6 +36,10 @@ from oracles import (
     entrywise_group_ring,
     entrywise_idealization,
     entrywise_polynomial_quotient,
+    entrywise_zn_quotient_module,
+    exhaustive_group_from_table,
+    exhaustive_unital_ring_on,
+    exhaustive_validate_module,
     exhaustive_validate_ring_tables,
     index_to_digits,
     pmul,
@@ -264,6 +270,37 @@ class TestGroupRing:
         with pytest.raises(InvalidConstruction):
             group_from_table([[0, 0], [0, 0]])
 
+    def test_rejects_order_five_loop(self):
+        # identity 0, every element its own inverse, every row and column a
+        # permutation, yet not a group: no group of order 5 is elementary
+        loop = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        with pytest.raises(InvalidConstruction, match="group operation not associative"):
+            group_from_table(loop)
+        with pytest.raises(InvalidConstruction, match="group operation not associative"):
+            exhaustive_group_from_table(loop)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_symmetric_groups_need_at_most_log2_n_generators(self, k, monkeypatch):
+        perms = list(itertools.permutations(range(k)))
+        op = [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+        chosen = []
+        real = ring_core._generators
+
+        def recording(*args):
+            chosen.append(real(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(ring_core, "_generators", recording)
+        group = group_from_table(op)
+        assert group.identity == 0 and group.op == exhaustive_group_from_table(op).op
+        assert len(chosen) == 1 and 1 <= len(chosen[0]) <= math.log2(len(op))
+
 
 class TestIdealization:
     def test_pair_layout_and_square_zero(self):
@@ -286,6 +323,28 @@ class TestIdealization:
         assert mod.act[3][1] == 1 and mod.act[2][1] == 0
         ring = idealization(base, mod)
         assert ring.size == 8
+
+    def test_quotient_module_tables_match_entrywise_fill(self):
+        for n, m in [(4, 1), (4, 2), (12, 4), (12, 12), (64, 32)]:
+            mod = module_zn_quotient(make_cyclic_ring(n), m)
+            want = entrywise_zn_quotient_module(n, m)
+            assert (mod.add, mod.neg, mod.act, mod.names) == (
+                want["add"], want["neg"], want["act"], want["names"]
+            )
+
+    def test_module_is_validated_where_it_enters_a_ring(self):
+        # r.m + 2 is no action (the unity moves every m), yet the two 2s
+        # cancel in (r, m)(r', m') = (rr', r.m' + r'.m), so the ring tables
+        # equal the genuine idealization's and ring validation passes them
+        z4 = make_cyclic_ring(4)
+        shifted = dataclasses.replace(
+            module_self(z4),
+            act=tuple(tuple((r * m + 2) % 4 for m in range(4)) for r in range(4)),
+        )
+        genuine = idealization(z4, module_self(z4))
+        assert entrywise_idealization(z4, shifted)["mul"] == [list(row) for row in genuine.mul]
+        with pytest.raises(InvalidConstruction, match="unity does not act as identity"):
+            idealization(z4, shifted)
 
     def test_noncommutative_base_rejected(self):
         tbl = [
@@ -359,7 +418,8 @@ ORACLE_RINGS = _oracle_rings()
 
 
 def _oracle_verdict(add, mul, zero, one):
-    """The exhaustive check, behind the same inverse search as ring_from_tables."""
+    """The exhaustive check, behind a one-sided inverse search (on a
+    commutative table it finds the inverses ring_from_tables finds)."""
     n = len(add)
     neg = []
     for a in range(n):
@@ -579,6 +639,33 @@ class TestLargestBuild:
         assert ring.names[1 << 9 | 0b11] == "x^9+x+1"
 
 
+    def test_relabelled_cyclic_group_of_order_1024(self):
+        n = 1024
+        at = np.random.default_rng(1024).permutation(n)
+        a = np.arange(n)
+        op = np.empty((n, n), dtype=np.int64)
+        op[at[:, None], at] = at[(a[:, None] + a) % n]
+        group = group_from_table(op.tolist())
+        inv = np.empty(n, dtype=np.int64)
+        inv[at] = at[-a % n]
+        assert group.identity == at[0]
+        assert group.inv == tuple(inv.tolist())
+        assert np.array_equal(np.asarray(group.op), op)
+        op[at[3], at[5]] = at[9]
+        with pytest.raises(InvalidConstruction):
+            group_from_table(op.tolist())
+
+    def test_module_over_a_1024_element_ring(self):
+        z1024 = make_cyclic_ring(1024)
+        ring_core._validate_module(module_self(z1024))
+        ring_core._validate_module(module_zn_quotient(z1024, 32))
+        act = np.asarray(z1024.mul)
+        act[700, 3] = (act[700, 3] + 512) % 1024
+        bent = dataclasses.replace(module_self(z1024), act=act)
+        with pytest.raises(InvalidConstruction, match="module action"):
+            ring_core._validate_module(bent)
+
+
 class TestFrozenTables:
     def test_one_int_object_per_value(self):
         # 512 elements: values past CPython's small-int cache
@@ -604,3 +691,147 @@ class TestLeftMultiples:
     def test_noncommutative_group_ring(self):
         ring = group_ring(make_cyclic_ring(2), GROUPS["S3"])
         assert list(ring.left_multiple_masks) == brute_left_multiple_masks(ring)
+
+
+def _group_verdict(build, op):
+    """What a group constructor makes of a table: the group's identity,
+    inverses and table, or the refusal up to its witness."""
+    try:
+        group = build(op)
+    except InvalidConstruction as exc:
+        return str(exc).split(" (witness")[0]
+    return group.identity, group.inv, group.op
+
+
+def _module_accepted(validate, module):
+    try:
+        validate(module)
+    except InvalidConstruction:
+        return False
+    return True
+
+
+def _modules():
+    z4 = make_cyclic_ring(4)
+    z2c2 = group_ring(make_cyclic_ring(2), cyclic_group(2))
+    return {
+        "Z4 self": module_self(z4),
+        "Z2 over Z4": module_zn_quotient(z4, 2),
+        "Z2[C2] self": module_self(z2c2),
+    }
+
+
+GROUP_TABLES = {
+    "C4": cyclic_group(4).op,
+    "V4 relabelled": GROUPS["V4"].op,
+    "S3": GROUPS["S3"].op,
+    "C6": cyclic_group(6).op,
+}
+MODULES = _modules()
+
+
+class TestGroupsAndModulesAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_group_single_entry_corruption(self, data):
+        op = GROUP_TABLES[data.draw(st.sampled_from(sorted(GROUP_TABLES)))]
+        n = len(op)
+        at = data.draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[at[a]][at[b]] = at[op[a][b]]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i][j] = (table[i][j] + data.draw(st.integers(0, n - 1))) % n  # 0 keeps it
+        library = _group_verdict(group_from_table, table)
+        assert library == _group_verdict(exhaustive_group_from_table, table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_module_single_entry_corruption(self, data):
+        module = MODULES[data.draw(st.sampled_from(sorted(MODULES)))]
+        m = module.size
+        which = data.draw(st.sampled_from(["add", "add_symmetric", "act"]))
+        add = [list(row) for row in module.add]
+        act = [list(row) for row in module.act]
+        table = act if which == "act" else add
+        i, j = data.draw(st.integers(0, len(table) - 1)), data.draw(st.integers(0, m - 1))
+        table[i][j] = (table[i][j] + data.draw(st.integers(0, m - 1))) % m  # 0 keeps it
+        if which == "add_symmetric":
+            table[j][i] = table[i][j]
+        bent = dataclasses.replace(module, add=add, act=act)
+        library = _module_accepted(ring_core._validate_module, bent)
+        assert library == _module_accepted(exhaustive_validate_module, bent)
+
+    @pytest.mark.parametrize(
+        "ring, size, maps, law",
+        [
+            # Z2[C2] on F2^2 with g as an involution that moves 0: additive in
+            # the ring by construction and g.(g.x) = x, but g.0 != 0
+            (
+                group_ring(make_cyclic_ring(2), cyclic_group(2)),
+                4,
+                [lambda x: x, lambda x: {0: 1, 1: 0}.get(x, x)],
+                "not additive in the module",
+            ),
+            # F2[x,y]/(x^2, xy, y^2) on F2^3 with x: e1 -> e2 and y: e2 -> e3;
+            # x.x, y.y and x.(y.m) vanish but y.(x.e1) = e3 while yx = 0
+            (
+                algebra_over_zn(2, 3, F2XY_TABLE),
+                8,
+                [lambda v: v, lambda v: (v & 1) << 1, lambda v: (v & 2) << 1],
+                "not associative",
+            ),
+        ],
+        ids=["additive-in-module", "associative"],
+    )
+    def test_module_failing_one_law(self, ring, size, maps, law):
+        # additive in the ring: r acts as the sum of the maps of its F2 digits
+        act = [[0] * size for _ in range(ring.size)]
+        for r in range(ring.size):
+            for x in range(size):
+                for i, f in enumerate(maps):
+                    if r >> i & 1:
+                        act[r][x] ^= f(x)
+        module = ring_core.FiniteModule(
+            ring=ring,
+            size=size,
+            add=[[a ^ b for b in range(size)] for a in range(size)],
+            zero=0,
+            neg=list(range(size)),
+            act=act,
+            names=[str(x) for x in range(size)],
+            construction={"kind": "hand-built"},
+        )
+        with pytest.raises(InvalidConstruction, match=law):
+            ring_core._validate_module(module)
+        assert not _module_accepted(exhaustive_validate_module, module)
+
+    @pytest.mark.parametrize("name", sorted(MODULES))
+    def test_genuine_modules_accepted(self, name):
+        ring_core._validate_module(MODULES[name])
+        exhaustive_validate_module(MODULES[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_unital_ring_on(self, data):
+        ring = ORACLE_RINGS[data.draw(st.sampled_from(sorted(ORACLE_RINGS)))]
+        n = ring.size
+        x = data.draw(st.integers(0, n - 1))
+        extra = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+        how = data.draw(st.sampled_from(["principal", "principal plus", "random"]))
+        if how == "random":
+            members = data.draw(st.sets(st.integers(0, n - 1))) | {ring.zero}
+        else:
+            members = set(mask_members(ring.left_multiple_masks[x]))
+            if how == "principal plus":
+                members |= extra
+        outcomes = []
+        for build in (unital_ring_on, exhaustive_unital_ring_on):
+            try:
+                sub, embedding = build(ring, members)
+            except (InvalidConstruction, NotASubring) as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append((sub.add, sub.mul, sub.zero, sub.one, sub.neg, embedding))
+        assert outcomes[0] == outcomes[1]

@@ -25,3 +25,32 @@ def test_per_entry_table_fills_stay_deleted():
             if pattern.search(line):
                 found.append(f"{path.name}:{lineno}")
     assert not found, f"per-entry table fills in the package: {found}"
+
+
+def _loops_over_range(function: ast.FunctionDef) -> list[int]:
+    return [
+        node.iter.lineno
+        for node in ast.walk(function)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Call)
+        and getattr(node.iter.func, "id", None) == "range"
+    ]
+
+
+def test_validators_loop_over_generators_only():
+    # groups, rings and modules are checked on generating sets by numpy
+    # gathers; the element-by-element loops live on only as test oracles
+    guarded = {"group_from_table", "_validate_module", "unital_ring_on", "ring_from_tables"}
+    source = (PACKAGE_DIR / "ring_core.py").read_text()
+    functions = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in guarded
+    }
+    assert set(functions) == guarded
+    found = [
+        f"ring_core.py:{lineno} ({name})"
+        for name, function in sorted(functions.items())
+        for lineno in _loops_over_range(function)
+    ]
+    assert not found, f"element loops in the validators: {found}"

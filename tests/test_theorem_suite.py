@@ -1,6 +1,7 @@
 import pytest
 
-import idealgraphs.instance as owner
+import idealgraphs.cli as cli
+import idealgraphs.grading as grading
 from idealgraphs import (
     Instance,
     UnknownTheorem,
@@ -13,7 +14,7 @@ from idealgraphs import (
     theorem_summary,
     trivial_grading,
 )
-from idealgraphs.cli import load_instance
+from idealgraphs.cli import load_instance, parse_instance
 
 ALL_IDS = [
     "lemma_b", "lemma_r1", "t1", "c1", "c11", "c101", "t2", "t51", "t52",
@@ -63,19 +64,55 @@ class TestKindRequirements:
     def test_canonical_grading_built_once_per_instance(
         self, corpus_dir, corpus_instances, monkeypatch, name, builder
     ):
+        # the parser builds the canonical grading; deciding a check's kind
+        # compares with it and builds none
         calls = []
-        real = getattr(owner, builder)
+        real = getattr(cli, builder)
 
         def counting(ring):
             calls.append(ring)
             return real(ring)
 
-        monkeypatch.setattr(owner, builder, counting)
+        monkeypatch.setattr(cli, builder, counting)
         inst = load_instance(str(corpus_dir / f"{name}.json"))
         first = verdict_map(inst)
         assert verdict_map(inst) == first
         assert len(calls) == 1
         assert first == verdict_map(corpus_instances[name])
+
+    @pytest.mark.parametrize("name", ["z4_self", "z2c3"])
+    def test_grading_validated_once_per_instance(
+        self, corpus_dir, corpus_instances, monkeypatch, name
+    ):
+        calls = []
+        real = grading.validate_grading
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(grading, "validate_grading", counting)
+        inst = load_instance(str(corpus_dir / f"{name}.json"))
+        first = verdict_map(inst)
+        assert verdict_map(inst) == first
+        assert len(calls) == 1
+        assert first == verdict_map(corpus_instances[name])
+
+    def test_explicit_copy_of_the_canonical_grading_matches(self, corpus_instances):
+        # Z2[C3] with the coefficient lines of e, g and g^2 at 1, 2 and 4
+        doc = {
+            "ring": {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 3}}},
+            "grading": {
+                "explicit": {
+                    "group": {"cyclic": 3},
+                    "components": {"0": [1], "1": [2], "2": [4]},
+                }
+            },
+        }
+        inst = parse_instance(doc)
+        assert inst.matches("group_ring")
+        assert verdict_map(inst)["groupring_example"] == "PASS"
+        assert verdict_map(inst) == verdict_map(corpus_instances["z2c3"])
 
     def test_unknown_requirement_still_raises(self, corpus_instances):
         with pytest.raises(ValueError):
