@@ -145,7 +145,7 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
     # products of nonzero members, checked per degree pair in one gather
     # against the target component; the first escape in row-major order over
     # ascending members is the witness
-    mul = np.asarray(ring.mul)
+    mul = ring.mul_array
     nonzero = [
         np.array([x for x in ms if x != ring.zero], dtype=np.int64) for ms in member_lists
     ]

@@ -19,8 +19,13 @@ Tables are filled with numpy, never entry by entry.  Polynomial quotients,
 algebras over Z_n and group rings are all base^d with a bilinear product
 and share one constructor, `free_algebra`, which computes the product rows
 of the monomials c*e_i and fills the other rows by additive extension.
-Frozen tables draw every entry from one list of n shared ints, so an n x n
-table costs n^2 pointers rather than n^2 int objects.
+A ring stores its validated addition and multiplication once, as read-only
+arrays of the smallest signed dtype holding n-1 (int16 at the cap), and
+every vectorized reader gathers from them.  The tuple-of-tuples tables
+`add` and `mul` are frozen from the arrays on first use, for the Python
+loops that read them entry by entry; they draw every entry from one list of
+n shared ints, so an n x n table costs n^2 pointers rather than n^2 int
+objects.
 """
 
 from __future__ import annotations
@@ -54,16 +59,25 @@ def mask_members(mask: int) -> list[int]:
 # table validation
 
 
+def _compact_dtype(n: int) -> np.dtype:
+    """The smallest signed integer dtype holding 0..n-1 (and -1)."""
+    return np.min_scalar_type(-n)
+
+
 def _as_table(table, n: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(table, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise InvalidConstruction(f"{what} table must be {n}x{n} integers")
-    if arr.shape != (n, n):
-        raise InvalidConstruction(f"{what} table must be {n}x{n}, got {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
+    """The table as an n x n array of the compact dtype; an array that
+    already has that dtype is range-checked and passed through."""
+    dtype = _compact_dtype(n)
+    if not (isinstance(table, np.ndarray) and table.dtype == dtype):
+        try:
+            table = np.asarray(table, dtype=np.int64)
+        except (TypeError, ValueError):
+            raise InvalidConstruction(f"{what} table must be {n}x{n} integers")
+    if table.shape != (n, n):
+        raise InvalidConstruction(f"{what} table must be {n}x{n}, got {table.shape}")
+    if table.size and (table.min() < 0 or table.max() >= n):
         raise InvalidConstruction(f"{what} table has entries outside 0..{n - 1}")
-    return arr
+    return table.astype(dtype, copy=False)
 
 
 def _refuse(bad: np.ndarray, message: str) -> None:
@@ -130,8 +144,11 @@ def _validate_abelian_group(
     return A, _generators(A, zero, f"{what} addition", "+")
 
 
-def _validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) -> bool:
-    """Full ring axiom check; returns the commutativity flag.
+def _validate_ring_tables(
+    add, mul, zero: int, one: int, neg, n: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Full ring axiom check; returns the addition and multiplication as
+    compact arrays and the additive generating set.
 
     With `+` an abelian group generated by S, distributivity in the second
     argument ranging over S extends to all of R, and the associator
@@ -164,7 +181,7 @@ def _validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) -> bool:
         raise InvalidConstruction(
             f"multiplication not associative (witness ({x}*{y})*{z})"
         )
-    return bool(np.array_equal(M, M.T))
+    return A, M, gens
 
 
 def _freeze(table) -> tuple[tuple[int, ...], ...]:
@@ -228,8 +245,9 @@ def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
 @dataclass(eq=False)
 class FiniteRing:
     size: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    # the validated tables, read-only, in the compact dtype of `size`
+    add_array: np.ndarray = field(repr=False)
+    mul_array: np.ndarray = field(repr=False)
     zero: int
     one: int
     neg: tuple[int, ...]
@@ -242,6 +260,26 @@ class FiniteRing:
     # display label by ideal mask, filled by ideal_lattice.ideal_label; it
     # holds only ints and strings, so it never points back at the ring
     label_memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.add_array.flags.writeable = False
+        self.mul_array.flags.writeable = False
+
+    @cached_property
+    def add(self) -> tuple[tuple[int, ...], ...]:
+        """The addition as tuple rows, for Python loops; frozen on first use."""
+        return _freeze(self.add_array)
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The multiplication as tuple rows, for Python loops; frozen on first use."""
+        return _freeze(self.mul_array)
+
+    @cached_property
+    def add_generators(self) -> tuple[int, ...]:
+        """An additive generating set.  Validation finds one and stores it
+        here; induced subrings, which skip validation, compute it on demand."""
+        return tuple(_generators(self.add_array, self.zero, "ring addition", "+"))
 
     @property
     def full_mask(self) -> int:
@@ -259,7 +297,7 @@ class FiniteRing:
         """mask of R*x for every x; the building block of left ideals."""
         n = self.size
         hit = np.zeros((n, n), dtype=bool)
-        hit[np.arange(n), np.asarray(self.mul)] = True  # hit[x, r*x]
+        hit[np.arange(n), self.mul_array] = True  # hit[x, r*x]
         packed = np.packbits(hit, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
@@ -311,19 +349,21 @@ def _finish_ring(
     names: Sequence[str],
     parts: dict | None = None,
 ) -> FiniteRing:
-    commutative = _validate_ring_tables(add, mul, zero, one, neg, size)
-    return FiniteRing(
+    A, M, gens = _validate_ring_tables(add, mul, zero, one, neg, size)
+    ring = FiniteRing(
         size=size,
-        add=_freeze(add),
-        mul=_freeze(mul),
+        add_array=A,
+        mul_array=M,
         zero=zero,
         one=one,
         neg=tuple(int(x) for x in neg),
-        commutative=commutative,
+        commutative=bool(np.array_equal(M, M.T)),
         construction=construction,
         names=tuple(names),
         parts=dict(parts or {}),
     )
+    vars(ring)["add_generators"] = tuple(gens)  # the set the axioms were checked on
+    return ring
 
 
 def _check_size(size: int, max_size: int) -> None:
@@ -358,11 +398,14 @@ def ring_from_tables(
     recovered by search."""
     n = len(add)
     _check_size(n, max_size)
+    # the ring keeps its own tables: a caller's array is copied, never shared
+    add, mul = (np.array(t) if isinstance(t, np.ndarray) else t for t in (add, mul))
     A = _as_table(add, n, "ring addition")
     neg = _inverses(A, zero, "element {} has no additive inverse")
-    if names is None:
-        names = list(map(str, range(n)))
-    return _finish_ring(n, add, mul, zero, one, neg, {"kind": "table"}, names)
+    names = tuple(map(str, range(n))) if names is None else tuple(names)
+    if len(names) != n:
+        raise InvalidConstruction("ring names length mismatch")
+    return _finish_ring(n, A, mul, zero, one, neg, {"kind": "table"}, names)
 
 
 def direct_product(
@@ -372,14 +415,12 @@ def direct_product(
     n1, n2 = left.size, right.size
     n = n1 * n2
     _check_size(n, max_size)
-    A1 = np.asarray(left.add)
-    A2 = np.asarray(right.add)
-    M1 = np.asarray(left.mul)
-    M2 = np.asarray(right.mul)
+    # widened to the product's dtype before scaling, which then holds every sum
+    wide = _compact_dtype(n)
     r = np.repeat(np.arange(n1), n2)
     s = np.tile(np.arange(n2), n1)
-    add = A1[np.ix_(r, r)] * n2 + A2[np.ix_(s, s)]
-    mul = M1[np.ix_(r, r)] * n2 + M2[np.ix_(s, s)]
+    add = (left.add_array.astype(wide) * n2)[np.ix_(r, r)] + right.add_array[np.ix_(s, s)]
+    mul = (left.mul_array.astype(wide) * n2)[np.ix_(r, r)] + right.mul_array[np.ix_(s, s)]
     neg = np.asarray(left.neg)[r] * n2 + np.asarray(right.neg)[s]
     zero = left.zero * n2 + right.zero
     one = left.one * n2 + right.one
@@ -452,8 +493,10 @@ def free_algebra(
     r, z = base.size, base.zero
     n = r**d
     digits = _digit_array(r, d)
-    weights = r ** np.arange(d)
-    BA, BM = np.asarray(base.add), np.asarray(base.mul)
+    # sums are taken in the algebra's dtype, which holds every weighted digit
+    # sum (at most n - 1); base sums are widened to it before they are scaled
+    weights = (r ** np.arange(d)).astype(_compact_dtype(n))
+    BA, BM = base.add_array.astype(weights.dtype), base.mul_array
     add = sum(BA[digits[:, None, k], digits[None, :, k]] * weights[k] for k in range(d))
     neg = np.asarray(base.neg)[digits] @ weights
     cb = BM[:, digits]  # cb[c, b, j] = c * b_j
@@ -465,7 +508,7 @@ def free_algebra(
             coeff = BA[coeff, terms[:, :, j]]
         mono.append(coeff @ weights)  # mono[i][c] is the row of c*e_i
     zero = int(z * weights.sum())
-    mul = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=weights.dtype)
     mul[zero] = zero
     low = np.array([zero])
     for k in range(d):
@@ -604,20 +647,35 @@ class FiniteModule:
     construction: dict
 
 
-def _validate_module(mod: FiniteModule) -> None:
+def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
     """Module axioms on the ring's additive generators S: (r+s).x = r.x + s.x
     makes the action additive in r, so s.(x+y) = s.x + s.y extends to all of
     R, and so does (st).x = s.(t.x), whose two sides are additive in s and t.
+    Returns the module addition and the action as arrays.
+
+    A module whose addition, zero and negation are the ring's own, as in
+    `module_self`, skips the abelian group check the ring passed already.
     """
     ring, m = mod.ring, mod.size
-    MA, _ = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
-    ACT = np.asarray(mod.act, dtype=np.int64)
+    frozen = vars(ring)  # the tuple tables frozen so far; a lookup freezes none
+    if (
+        mod.add is frozen.get("add")
+        and mod.neg is ring.neg
+        and (m, mod.zero) == (ring.size, ring.zero)
+    ):
+        MA = ring.add_array
+    else:
+        MA, _ = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
+    if mod.act is frozen.get("mul"):
+        ACT = ring.mul_array
+    else:
+        ACT = np.asarray(mod.act, dtype=np.int64)
     if ACT.shape != (ring.size, m) or (ACT.size and (ACT.min() < 0 or ACT.max() >= m)):
         raise InvalidConstruction("module action table malformed")
     if not np.array_equal(ACT[ring.one], np.arange(m)):
         raise InvalidConstruction("unity does not act as identity on the module")
-    RA = np.asarray(ring.add)
-    gens = _generators(RA, ring.zero, "ring addition", "+")
+    RA = ring.add_array
+    gens = ring.add_generators
     for s in gens:
         # (r+s).x == r.x + s.x, rows r and columns x
         _refuse(
@@ -630,12 +688,13 @@ def _validate_module(mod: FiniteModule) -> None:
             f"module action not additive in the module (witness {s}.({{}}+{{}}))",
         )
     G = np.asarray(gens)
-    bad = ACT[np.asarray([ring.mul[s] for s in gens])[:, G]] != ACT[G][:, ACT[G]]
+    bad = ACT[ring.mul_array[np.ix_(G, G)]] != ACT[G][:, ACT[G]]
     if bad.any():
         s, t, x = np.argwhere(bad)[0]
         raise InvalidConstruction(
             f"module action not associative (witness ({G[s]}*{G[t]}).{x})"
         )
+    return MA, ACT
 
 
 def module_self(ring: FiniteRing) -> FiniteModule:
@@ -687,14 +746,14 @@ def idealization(
     n1, n2 = base.size, module.size
     n = n1 * n2
     _check_size(n, max_size)
-    _validate_module(module)
-    MA = np.asarray(module.add)
-    ACT = np.asarray(module.act)
+    MA, ACT = _validate_module(module)
+    # widened to the ring's dtype before scaling, which then holds every sum
+    wide = _compact_dtype(n)
     r = np.repeat(np.arange(n1), n2)[:, None]
     m = np.tile(np.arange(n2), n1)[:, None]
-    add = np.asarray(base.add)[r, r.T] * n2 + MA[m, m.T]
+    add = (base.add_array.astype(wide) * n2)[r, r.T] + MA[m, m.T]
     # (r, m)(r', m') = (rr', r.m' + r'.m); rows are (r, m), columns (r', m')
-    mul = np.asarray(base.mul)[r, r.T] * n2 + MA[ACT[r, m.T], ACT[r.T, m]]
+    mul = (base.mul_array.astype(wide) * n2)[r, r.T] + MA[ACT[r, m.T], ACT[r.T, m]]
     neg = np.asarray(base.neg)[r[:, 0]] * n2 + np.asarray(module.neg)[m[:, 0]]
     zero = base.zero * n2 + module.zero
     one = base.one * n2 + module.zero
@@ -732,10 +791,11 @@ def _induced_ring(
     by the callers' choice, so the tables are not validated again.
     """
     sub = np.asarray(members, dtype=np.int64)
-    index_of = np.full(parent.size, -1, dtype=np.int64)
+    index_of = np.full(parent.size, -1, dtype=_compact_dtype(len(members)))
     index_of[sub] = np.arange(len(members))
-    add = index_of[np.asarray([parent.add[a] for a in members])[:, sub]]
-    mul = index_of[np.asarray([parent.mul[a] for a in members])[:, sub]]
+    grid = np.ix_(sub, sub)
+    add = index_of[parent.add_array[grid]]
+    mul = index_of[parent.mul_array[grid]]
     escapes = (add < 0) | (mul < 0)
     if escapes.any():
         a, b = sub[np.argwhere(escapes)[0]]
@@ -750,8 +810,8 @@ def _induced_ring(
     embedding = tuple(members)
     ring = FiniteRing(
         size=len(members),
-        add=_freeze(add),
-        mul=_freeze(mul),
+        add_array=add,
+        mul_array=mul,
         zero=int(index_of[parent.zero]),
         one=int(index_of[one_parent]),
         neg=tuple(neg.tolist()),
@@ -786,7 +846,7 @@ def unital_ring_on(
     if parent.zero not in ms:
         raise NotASubring("subset misses the zero element")
     sub = np.asarray(ms, dtype=np.int64)
-    one = _identity(np.asarray([parent.mul[a] for a in ms])[:, sub], sub)
+    one = _identity(parent.mul_array[np.ix_(sub, sub)], sub)
     if one is None:
         raise InvalidConstruction("subset has no internal identity element")
     return _induced_ring(parent, ms, ms[one], "unital_subring")

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +14,18 @@ from idealgraphs import (
     NotASubring,
     SizeLimit,
     algebra_over_zn,
+    build_intersection_graph,
     cyclic_group,
     direct_product,
+    enumerate_graded_left_ideals,
     group_from_table,
     group_ring,
+    group_ring_grading,
     idealization,
     make_cyclic_ring,
     module_self,
     module_zn_quotient,
+    nontrivial_proper,
     polynomial_quotient,
     ring_from_tables,
     subring_on,
@@ -130,6 +135,18 @@ class TestTableValidation:
         with pytest.raises(InvalidConstruction, match="distributivity"):
             ring_from_tables(add=add, mul=mul, zero=0, one=1)
         assert _oracle_verdict(add, mul, 0, 1) is None
+
+    def test_rejects_names_of_the_wrong_length(self):
+        with pytest.raises(InvalidConstruction, match="ring names length mismatch"):
+            ring_from_tables([[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, 1, names=["z"])
+
+    def test_caller_arrays_are_copied(self):
+        add = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        mul = np.array([[0, 0], [0, 1]], dtype=np.int8)
+        ring = ring_from_tables(add, mul, 0, 1)
+        add[0, 0] = mul[1, 1] = 1
+        assert add.flags.writeable and mul.flags.writeable
+        assert ring.add == ((0, 1), (1, 0)) and ring.mul == ((0, 0), (0, 1))
 
     def test_accepts_klein_style_ring(self):
         # F_2[t]/(t^2+t) written out by hand: indices 0,1,t,1+t
@@ -629,11 +646,13 @@ class TestLargestBuild:
         modulus = [0] * 10 + [1]
         ring = polynomial_quotient(base, modulus, max_size=1024)
         assert ring.size == 1024
+        assert ring.add_array.dtype == ring.mul_array.dtype == np.int16
         rng = random.Random(1024)
         for _ in range(2000):
             a, b = rng.randrange(1024), rng.randrange(1024)
             da, db = index_to_digits(a, 2, 10), index_to_digits(b, 2, 10)
             assert ring.mul[a][b] == digits_to_index(pmul(base, modulus, da, db), 2)
+            assert ring.mul_array[a, b] == ring.mul[a][b]
             assert ring.add[a][b] == a ^ b
             assert ring.neg[a] == a
         assert ring.names[1 << 9 | 0b11] == "x^9+x+1"
@@ -665,6 +684,62 @@ class TestLargestBuild:
         with pytest.raises(InvalidConstruction, match="module action"):
             ring_core._validate_module(bent)
 
+    def test_z1024_at_the_cap(self):
+        ring = make_cyclic_ring(1024)
+        a = np.arange(1024)
+        assert ring.add_array.dtype == ring.mul_array.dtype == np.int16
+        assert np.array_equal(ring.add_array, (a[:, None] + a) % 1024)
+        assert np.array_equal(ring.mul_array, a[:, None] * a % 1024)
+        rng = random.Random(1024)
+        for _ in range(2000):
+            x, y = rng.randrange(1024), rng.randrange(1024)
+            assert ring.add[x][y] == (x + y) % 1024
+            assert ring.mul[x][y] == x * y % 1024
+
+
+class TestModuleValidationReuse:
+    @pytest.fixture
+    def generator_calls(self, monkeypatch):
+        calls = []
+        real = ring_core._generators
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(ring_core, "_generators", counting)
+        return calls
+
+    def test_self_module_reuses_the_ring_validation(self, generator_calls):
+        z1024 = make_cyclic_ring(1024)
+        module = module_self(z1024)
+        generator_calls.clear()
+        ring_core._validate_module(module)
+        assert generator_calls == []
+
+    def test_quotient_module_checks_its_own_addition_only(self, generator_calls):
+        z1024 = make_cyclic_ring(1024)
+        module = module_zn_quotient(z1024, 32)
+        generator_calls.clear()
+        ring_core._validate_module(module)
+        assert generator_calls == ["module addition"]
+
+    def test_induced_rings_find_generators_on_demand(self, generator_calls):
+        parent = make_cyclic_ring(12)
+        factor, _ = unital_ring_on(parent, [0, 3, 6, 9])
+        assert generator_calls == ["ring addition"]  # the parent's validation
+        assert "add_generators" not in vars(factor)
+        module = module_self(factor)
+        ring_core._validate_module(module)
+        assert generator_calls == ["ring addition"] * 2
+        assert factor.add_generators == (1,)
+
+    def test_self_module_with_another_zero_is_checked(self):
+        z4 = make_cyclic_ring(4)
+        moved = dataclasses.replace(module_self(z4), zero=2)
+        with pytest.raises(InvalidConstruction, match="zero element 2 is not neutral"):
+            ring_core._validate_module(moved)
+
 
 class TestFrozenTables:
     def test_one_int_object_per_value(self):
@@ -675,6 +750,65 @@ class TestFrozenTables:
             values = {x for row in table for x in row}
             objects = {id(x) for row in table for x in row}
             assert len(objects) == len(values) == ring.size
+
+
+def _array_rings():
+    """Rings of every constructor, with induced subrings and unital factors."""
+    rings = {**BASES, **ORACLE_RINGS}
+    z2, z4 = make_cyclic_ring(2), make_cyclic_ring(4)
+    rings["Z4 self-idealization"] = idealization(z4, module_self(z4))
+    rings["Z2[C9]"] = group_ring(z2, cyclic_group(9))
+    rings["Z4 in Z4[x]/(x^2)"] = subring_on(ORACLE_RINGS["Z4[x]/(x^2)"], range(4))[0]
+    rings["diagonal of T2(Z2)"] = subring_on(BASES["T2(Z2)"], range(4))[0]
+    product = ORACLE_RINGS["Z2xZ6"]  # (r, s) at 6r + s
+    rings["Z6 factor"] = unital_ring_on(product, range(6))[0]
+    rings["Z2 factor"] = unital_ring_on(product, [0, 6])[0]
+    rings["Z3 in Z12"] = unital_ring_on(ORACLE_RINGS["Z12"], [0, 4, 8])[0]
+    return rings
+
+
+ARRAY_RINGS = _array_rings()
+
+
+class TestArrayStorage:
+    @pytest.mark.parametrize("name", sorted(ARRAY_RINGS))
+    def test_arrays_are_read_only(self, name):
+        ring = ARRAY_RINGS[name]
+        for array in (ring.add_array, ring.mul_array):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+            with pytest.raises(ValueError):
+                array[:, 1] += 1
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_RINGS))
+    def test_compact_dtype_and_frozen_rows(self, name):
+        ring = ARRAY_RINGS[name]
+        want = np.int8 if ring.size <= 128 else np.int16
+        for array, table in ((ring.add_array, ring.add), (ring.mul_array, ring.mul)):
+            assert array.dtype == want and array.shape == (ring.size, ring.size)
+            assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+            assert [list(row) for row in table] == array.tolist()
+
+    def test_graded_graph_of_z2_c9_never_freezes_mul(self):
+        ring = group_ring(make_cyclic_ring(2), cyclic_group(9))
+        grading = group_ring_grading(ring)
+        family = enumerate_graded_left_ideals(grading)
+        build_intersection_graph(nontrivial_proper(family))
+        assert "mul" not in vars(ring)
+
+    def test_traced_peak_of_z2_c9_graded_graph(self):
+        # Two frozen 512 x 512 tuple tables cost 4.2 MiB and an int64 copy of
+        # one table 2 MiB; this layout peaks at about 3.7 MiB
+        tracemalloc.start()
+        try:
+            ring = group_ring(make_cyclic_ring(2), cyclic_group(9))
+            grading = group_ring_grading(ring)
+            family = enumerate_graded_left_ideals(grading)
+            build_intersection_graph(nontrivial_proper(family))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 class TestLeftMultiples:

@@ -54,3 +54,25 @@ def test_validators_loop_over_generators_only():
         for lineno in _loops_over_range(function)
     ]
     assert not found, f"element loops in the validators: {found}"
+
+
+def test_ring_tables_are_not_converted_back_to_numpy():
+    # rings keep their tables as arrays (add_array, mul_array); the tuple
+    # rows `add` and `mul` are for Python loops, never to be fed to numpy
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            func = getattr(node, "func", None)
+            if not (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("asarray", "array")
+                and getattr(func.value, "id", None) == "np"
+            ):
+                continue
+            for arg in [*node.args, *(k.value for k in node.keywords)]:
+                if any(
+                    isinstance(sub, ast.Attribute) and sub.attr in ("add", "mul")
+                    for sub in ast.walk(arg)
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"tuple tables converted to numpy: {found}"
