@@ -124,24 +124,28 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
             f"component sizes multiply to {total}, ring has {ring.size} elements"
         )
     member_lists = [mask_members(comps[d]) for d in degs]
-    seen: dict = {}
-    add = ring.add
-    for combo in itertools.product(*member_lists):
-        s = ring.zero
-        for x in combo:
-            s = add[s][x]
-        if s in seen:
-            raise NotDirectSum(
-                f"element {ring.names[s]} decomposes two ways; components overlap"
-            )
-        seen[s] = combo
-    # injective + size match means every element was hit exactly once
-    decomposition = []
-    for x in range(ring.size):
-        combo = seen[x]
-        decomposition.append(
-            tuple((degs[i], p) for i, p in enumerate(combo) if p != ring.zero)
+    # the sum of every combination of members, in itertools.product order
+    sums = np.array([ring.zero])
+    for ms in member_lists:
+        sums = ring.add_array[sums[:, None], ms].ravel()
+    order = np.argsort(sums, kind="stable")
+    repeats = order[1:][sums[order[1:]] == sums[order[:-1]]]
+    if repeats.size:
+        s = sums[repeats.min()]
+        raise NotDirectSum(
+            f"element {ring.names[s]} decomposes two ways; components overlap"
         )
+    # injective + size match means every element was hit exactly once
+    where = np.empty(ring.size, dtype=np.int64)
+    where[sums] = np.arange(ring.size)
+    parts = np.stack(
+        [np.asarray(ms)[c] for ms, c in zip(member_lists, np.unravel_index(where, sizes))],
+        axis=1,
+    )
+    decomposition = [
+        tuple((degs[i], p) for i, p in enumerate(combo) if p != ring.zero)
+        for combo in parts.tolist()
+    ]
     # products of nonzero members, checked per degree pair in one gather
     # against the target component; the first escape in row-major order over
     # ascending members is the witness

@@ -136,7 +136,7 @@ def enumerate_left_ideals(
     """Every left ideal, including the zero ideal and the whole ring,
     sorted by (size, mask)."""
     masks = _enumerate_closed(
-        ring.add,
+        ring.add_array,
         ring.zero,
         ring.left_multiple_masks,
         range(ring.size),
@@ -157,7 +157,7 @@ def enumerate_graded_left_ideals(
         x for x in mask_members(grading.homogeneous_mask()) if x != ring.zero
     ]
     masks = _enumerate_closed(
-        ring.add,
+        ring.add_array,
         ring.zero,
         ring.left_multiple_masks,
         candidates,
@@ -183,7 +183,7 @@ def enumerate_submodules(
             m |= 1 << module.act[r][x]
         orbit.append(m | (1 << x))
     return _enumerate_closed(
-        module.add, module.zero, orbit, range(module.size), max_count, "submodule"
+        module.add_array, module.zero, orbit, range(module.size), max_count, "submodule"
     )
 
 
@@ -265,7 +265,7 @@ def maximal_chain_term_counts(family: Sequence[IdealSet]) -> set[int]:
 
 def ideal_sum(ring: FiniteRing, a_mask: int, b_mask: int) -> int:
     """Smallest left ideal holding both: the additive span of the union."""
-    return span_extend(ring.add, a_mask, mask_members(a_mask), b_mask)
+    return span_extend(ring.add_array, a_mask, mask_members(a_mask), b_mask)
 
 
 def ideal_intersect(a_mask: int, b_mask: int) -> int:
@@ -427,6 +427,6 @@ def _search_label(ring: FiniteRing, mask: int) -> str:
             py = lm[y]
             if px_size * py.bit_count() != size * (px & py).bit_count():
                 continue
-            if span_extend(ring.add, px, mask_members(px), py) == mask:
+            if span_extend(ring.add_array, px, mask_members(px), py) == mask:
                 return f"<{ring.names[x]},{ring.names[y]}>"
     return "{" + ",".join(ring.names[x] for x in mask_members(mask)) + "}"

@@ -1,19 +1,24 @@
 """Finite rings, groups, and modules as explicit operation tables.
 
-Every carrier is the index range 0..size-1; operations are dense tables
-(tuples of tuples), so all algebra below is table lookups.  Constructors
-validate every axiom before returning, so downstream code never re-checks
-algebra laws.  Group tables, ring addition and module addition share one
-generator routine, `_generators`, which picks a generating set S of at most
-log2(n) elements and proves associativity by Light's test on each of them.
-The other cubic laws of rings and modules are checked with one argument in
-S, and associativity of `*` and of the action on S x S, which suffices
-because the associator is additive in each argument: O(n^2 log n) in all.
-A module is validated where it enters a ring, in `idealization`, after its
-size check.  Subrings skip validation altogether: a subset of a validated
-ring closed under `+`, `*` and negation is a ring already.  Subsets of a
-carrier travel as int bitmasks (bit i set = element i present), which
-keeps the lattice and graph code allocation-free.
+Every carrier is the index range 0..size-1; operations are dense tables,
+so all algebra below is table lookups.  Constructors validate every axiom
+before returning, so downstream code never re-checks algebra laws.  Group
+tables, ring addition and module addition share one generator routine,
+`_generators`, which picks a generating set S of at most log2(n) elements
+and proves associativity by Light's test on each of them: the only check
+that makes an n x n pass per generator, O(n^2 log n) in all.  A map out of
+(R,+) is additive exactly when it is additive on the n - 1 + |S| edges of
+`_additive_edges`, the normal-form spanning tree of (R,+) and one power
+relation per generator; distributivity and the module's additivity in
+either argument are checked on those edges, and associativity of `*` and
+of the action on S x S x S, which suffices because the associator is
+additive in each argument.  A module is validated where it enters a ring,
+in `idealization`, after its size check.  Subrings skip validation
+altogether: a subset of a validated ring closed under `+`, `*` and
+negation is a ring already.  Subsets of a carrier travel as int bitmasks
+(bit i set = element i present), which keeps the lattice and graph code
+allocation-free; spans grow them by coset stepping along one row of the
+addition array per generator.
 
 Tables are filled with numpy, never entry by entry.  Polynomial quotients,
 algebras over Z_n and group rings are all base^d with a bilinear product
@@ -39,6 +44,7 @@ import numpy as np
 from .errors import InvalidConstruction, NotASubring, SizeLimit
 
 MAX_RING_SIZE = 1024
+_BLOCK = 1 << 16  # entries per block of `_check_additive`
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +111,10 @@ def _generators(T: np.ndarray, start: int, what: str, sym: str) -> list[int]:
         bad = T[T[:, s]] != T[:, T[s]]
         _refuse(bad, f"{what} not associative (witness ({{}}{sym}{s}){sym}{{}})")
         gens.append(s)
+        G = np.array(gens)
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = T[frontier[:, None], gens].ravel()
+            step = T[frontier[:, None], G].ravel()
             frontier = step[~reached[step]]
             reached[frontier] = True
     return gens
@@ -144,16 +151,75 @@ def _validate_abelian_group(
     return A, _generators(A, zero, f"{what} addition", "+")
 
 
+def _additive_edges(
+    A: np.ndarray, zero: int, gens: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges (src, via, dst) with dst = src + via and via in S: a map f out
+    of the abelian group (A, zero) generated by S is additive exactly when
+    f(dst) = f(src) + f(via) on each of its n - 1 + |S| edges.
+
+    H_k = <s_1..s_k> is the union of the layers H_(k-1) + j s_k for j below
+    m_k, the first j with j s_k in H_(k-1).  The edges b -> b + s_k between
+    consecutive layers form a spanning tree along normal forms, n - 1 edges;
+    one more edge per generator, (m_k - 1) s_k -> m_k s_k, is the power
+    relation of s_k.  A map f with f(src + via) = f(src) + f(via) on every
+    edge has f(0) = 0 (edge 0 -> s_1), equals on every element the sum its
+    normal form gives, and that sum is a well-defined homomorphism because
+    it respects every relation of the presentation (von Dyck).
+    """
+    reached = np.zeros(len(A), dtype=bool)
+    reached[zero] = True
+    H = np.array([zero])
+    src, via, dst = [H[:0]], [H[:0]], [H[:0]]  # the trivial group has no edges
+    for s in gens:
+        # multiples j s for j < m by doubling: (L + i) s = i s + L s
+        mults = H[:1]
+        while True:
+            nxt = A[mults, A[mults[-1], s]]
+            hit = reached[nxt]
+            if hit.any():
+                mults = np.concatenate([mults, nxt[: np.argmax(hit)]])
+                break
+            mults = np.concatenate([mults, nxt])
+        layers = A[np.ix_(mults, H)]  # layers[j] = H + j s
+        src += [layers[:-1].ravel(), mults[-1:]]
+        dst += [layers[1:].ravel(), A[mults[-1:], s]]
+        via.append(np.full(layers.size - len(H) + 1, s))
+        H = layers.ravel()
+        reached[H] = True
+    return np.concatenate(src), np.concatenate(via), np.concatenate(dst)
+
+
+def _check_additive(F: np.ndarray, A: np.ndarray, edges, message: str) -> None:
+    """Each row of F, a map into the group with addition table A, must be
+    additive on `edges` (src, via, dst); otherwise raise InvalidConstruction
+    naming the first row and edge, as the row followed by the edge's src and
+    via.  A[x, y] is read from the flat table at x * len(A) + y, an index of
+    the compact dtype for len(A)^2; rows go in blocks of about _BLOCK
+    entries, so the index array stays small whatever the size."""
+    src, via, dst = edges
+    rows = _BLOCK // max(len(src), 1)
+    for lo in range(0, len(F), rows):
+        block = F[lo : lo + rows]
+        got = block[:, src].astype(_compact_dtype(len(A) ** 2))
+        got *= len(A)
+        got += block[:, via]
+        bad = A.ravel()[got] != block[:, dst]
+        if bad.any():
+            row, e = np.argwhere(bad)[0]
+            raise InvalidConstruction(message.format(lo + row, src[e], via[e]))
+
+
 def _validate_ring_tables(
     add, mul, zero: int, one: int, neg, n: int
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Full ring axiom check; returns the addition and multiplication as
     compact arrays and the additive generating set.
 
-    With `+` an abelian group generated by S, distributivity in the second
-    argument ranging over S extends to all of R, and the associator
-    (xy)z - x(yz) is then additive in each argument, so associativity of `*`
-    needs checking on S x S x S only.
+    Each row and each column of `*` must be additive, which is checked on
+    the n - 1 + |S| edges of `_additive_edges`, all rows by gathers.  The
+    associator (xy)z - x(yz) is then additive in each argument, so
+    associativity of `*` needs checking on S x S x S only.
     """
     if one == zero:
         raise InvalidConstruction("unity must differ from zero")
@@ -163,16 +229,10 @@ def _validate_ring_tables(
         raise InvalidConstruction(f"unity {one} is not left-neutral")
     if not np.array_equal(M[:, one], np.arange(n)):
         raise InvalidConstruction(f"unity {one} is not right-neutral")
-    for s in gens:
-        # a*(b+s) == a*b + a*s, rows a and columns b
-        _refuse(
-            M[:, A[s]] != A[M, M[:, s, None]],
-            f"left distributivity fails (witness {{}}*({{}}+{s}))",
-        )
-        # (b+s)*a == b*a + s*a, rows b and columns a
-        _refuse(
-            M[A[s]] != A[M, M[s]], f"right distributivity fails (witness ({{}}+{s})*{{}})"
-        )
+    edges = _additive_edges(A, zero, gens)
+    # row a of M is b -> a*b, column a is b -> b*a
+    _check_additive(M, A, edges, "left distributivity fails (witness {}*({}+{}))")
+    _check_additive(M.T, A, edges, "right distributivity fails (witness ({1}+{2})*{0})")
     G = np.asarray(gens)
     P = M[np.ix_(G, G)]
     bad = M[P][:, :, G] != M[G][:, P]
@@ -289,9 +349,6 @@ class FiniteRing:
     def zero_mask(self) -> int:
         return 1 << self.zero
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
-
     @cached_property
     def left_multiple_masks(self) -> tuple[int, ...]:
         """mask of R*x for every x; the building block of left ideals."""
@@ -302,21 +359,24 @@ class FiniteRing:
         return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def span_extend(add, base_mask: int, base_members: list[int], extra_mask: int) -> int:
+def span_extend(
+    add: np.ndarray, base_mask: int, base_members: list[int], extra_mask: int
+) -> int:
     """Additive span of a closed subgroup H (mask and member list) and extras.
 
     Coset stepping: for each extra g not yet reached, H + <g> is the union
     of the cosets H + kg, and the first k with kg in H ends the chain, so
     every coset added before it is new.  The next coset is the previous one
-    shifted by g.  Extras already reached are skipped as a mask, so a span
-    costs O(|result|) table lookups plus one bitmask step per generator used.
+    shifted by g, read from row g of the addition array.  Extras already
+    reached are skipped as a mask, so a span costs O(|result|) table lookups
+    plus one row read and one bitmask step per generator used.
     """
     mask = base_mask
     members = list(base_members)
     pending = extra_mask & ~mask
     while pending:
         g = (pending & -pending).bit_length() - 1
-        row = add[g]
+        row = add[g].tolist()
         coset = members
         while not mask >> row[coset[0]] & 1:
             coset = [row[y] for y in coset]
@@ -330,7 +390,7 @@ def span_extend(add, base_mask: int, base_members: list[int], extra_mask: int) -
 def additive_span(ring: FiniteRing, seed_mask: int) -> int:
     """Smallest additive subgroup containing the seed set: the coset-stepping
     extension of {0} by the seeds, O(|result|)."""
-    return span_extend(ring.add, ring.zero_mask, [ring.zero], seed_mask)
+    return span_extend(ring.add_array, ring.zero_mask, [ring.zero], seed_mask)
 
 
 def is_additive_subgroup(ring: FiniteRing, mask: int) -> bool:
@@ -646,26 +706,37 @@ class FiniteModule:
     names: tuple[str, ...]
     construction: dict
 
+    @cached_property
+    def add_array(self) -> np.ndarray:
+        """The addition as an array of the compact dtype, for spans."""
+        return _as_table(self.add, self.size, "module addition")
+
 
 def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
     """Module axioms on the ring's additive generators S: (r+s).x = r.x + s.x
     makes the action additive in r, so s.(x+y) = s.x + s.y extends to all of
     R, and so does (st).x = s.(t.x), whose two sides are additive in s and t.
-    Returns the module addition and the action as arrays.
+    Additivity in r is checked on the edges of R, additivity in x on the
+    edges of M (see `_additive_edges`).  Returns the module addition and the
+    action as arrays.
 
     A module whose addition, zero and negation are the ring's own, as in
     `module_self`, skips the abelian group check the ring passed already.
     """
     ring, m = mod.ring, mod.size
+    RA = ring.add_array
+    gens = ring.add_generators
+    ring_edges = _additive_edges(RA, ring.zero, gens)
     frozen = vars(ring)  # the tuple tables frozen so far; a lookup freezes none
     if (
         mod.add is frozen.get("add")
         and mod.neg is ring.neg
         and (m, mod.zero) == (ring.size, ring.zero)
     ):
-        MA = ring.add_array
+        MA, module_edges = RA, ring_edges
     else:
-        MA, _ = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
+        MA, module_gens = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
+        module_edges = _additive_edges(MA, mod.zero, module_gens)
     if mod.act is frozen.get("mul"):
         ACT = ring.mul_array
     else:
@@ -674,18 +745,19 @@ def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidConstruction("module action table malformed")
     if not np.array_equal(ACT[ring.one], np.arange(m)):
         raise InvalidConstruction("unity does not act as identity on the module")
-    RA = ring.add_array
-    gens = ring.add_generators
+    # column x of ACT is r -> r.x, row s is x -> s.x
+    _check_additive(
+        ACT.T,
+        MA,
+        ring_edges,
+        "module action not additive in the ring (witness ({1}+{2}).{0})",
+    )
     for s in gens:
-        # (r+s).x == r.x + s.x, rows r and columns x
-        _refuse(
-            ACT[RA[:, s]] != MA[ACT, ACT[s]],
-            f"module action not additive in the ring (witness ({{}}+{s}).{{}})",
-        )
-        # s.(x+y) == s.x + s.y, rows x and columns y
-        _refuse(
-            ACT[s][MA] != MA[np.ix_(ACT[s], ACT[s])],
-            f"module action not additive in the module (witness {s}.({{}}+{{}}))",
+        _check_additive(
+            ACT[s : s + 1],
+            MA,
+            module_edges,
+            f"module action not additive in the module (witness {s}.({{1}}+{{2}}))",
         )
     G = np.asarray(gens)
     bad = ACT[ring.mul_array[np.ix_(G, G)]] != ACT[G][:, ACT[G]]

@@ -26,9 +26,11 @@ from idealgraphs import (
     module_self,
     module_zn_quotient,
     nontrivial_proper,
+    poly_quotient_integer_grading,
     polynomial_quotient,
     ring_from_tables,
     subring_on,
+    trivial_grading,
     unital_ring_on,
 )
 
@@ -484,6 +486,179 @@ class TestValidatorAgainstOracle:
         assert library == oracle
 
 
+def _relabelled_tables(ring, at):
+    """The ring's tables with element x stored at index at[x]."""
+    n = ring.size
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            add[at[a]][at[b]] = at[ring.add[a][b]]
+            mul[at[a]][at[b]] = at[ring.mul[a][b]]
+    return add, mul, at[ring.zero], at[ring.one]
+
+
+def _walk_edges(A, zero, gens):
+    """The edges of `_additive_edges`, split in edge order into tree edges
+    (the first to reach their head, from a reached tail) and the rest."""
+    src, via, dst = ring_core._additive_edges(np.asarray(A), zero, gens)
+    assert np.array_equal(np.asarray(A)[src, via], dst)
+    reached, tree, relations = {zero}, [], []
+    for edge in zip(src.tolist(), via.tolist(), dst.tolist()):
+        assert edge[0] in reached and edge[1] in gens
+        if edge[2] in reached:
+            relations.append(edge)
+        else:
+            reached.add(edge[2])
+            tree.append(edge)
+    return tree, relations
+
+
+# rings whose additive group is neither cyclic nor elementary abelian, so
+# relabelled greedy generators can satisfy relations m s = h with h != 0
+NONCYCLIC_RINGS = {
+    "Z2xZ4": direct_product(make_cyclic_ring(2), make_cyclic_ring(4)),
+    "Z4[x]/(x^2)": ORACLE_RINGS["Z4[x]/(x^2)"],
+    "Z2xZ6": ORACLE_RINGS["Z2xZ6"],
+}
+
+
+# Z2 x Z4 stored so that the greedy generators are s1 = (0,2), s2 = (1,1)
+# and s3 = (0,1), with 2 s2 = 2 s3 = s1 != 0
+PAIRS = [(0, 0), (0, 2), (1, 1), (0, 1), (1, 3), (0, 3), (1, 0), (1, 2)]
+PAIR_INDEX = {p: i for i, p in enumerate(PAIRS)}
+
+
+def _pair_sum(p, q):
+    return ((p[0] + q[0]) % 2, (p[1] + q[1]) % 4)
+
+
+def _normal_form_map(values):
+    """x = j1 s1 + j2 s2 + j3 s3 (each j in {0, 1}) -> j1 v1 + j2 v2 + j3 v3."""
+    out = {}
+    for js in itertools.product(range(2), repeat=3):
+        x = fx = (0, 0)
+        for j, s, v in zip(js, PAIRS[1:4], values):
+            for _ in range(j):
+                x, fx = _pair_sum(x, s), _pair_sum(fx, v)
+        out[x] = fx
+    return out
+
+
+class TestAdditiveEdges:
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS) + ["Z1024"])
+    def test_spanning_tree_and_one_relation_per_generator(self, name):
+        ring = ORACLE_RINGS.get(name) or make_cyclic_ring(1024)
+        gens = list(ring.add_generators)
+        tree, relations = _walk_edges(ring.add_array, ring.zero, gens)
+        assert len(tree) == ring.size - 1
+        heads = sorted(dst for _, _, dst in tree)
+        assert heads == sorted(set(range(ring.size)) - {ring.zero})
+        assert sorted(via for _, via, _ in relations) == sorted(gens)
+
+    def test_rejects_row_broken_on_one_power_relation_only(self):
+        # row (1,0) becomes the normal-form map sending s1, s2, s3 to (0,2),
+        # (1,0), (0,1): additive on every tree edge, 1 = s2 still neutral,
+        # and 2 f(s2) = f(s1) the one relation it breaks
+        add = [[PAIR_INDEX[_pair_sum(p, q)] for q in PAIRS] for p in PAIRS]
+        mul = [[PAIR_INDEX[(p[0] * q[0] % 2, p[1] * q[1] % 4)] for q in PAIRS] for p in PAIRS]
+        assert ring_core._generators(np.array(add), 0, "ring addition", "+") == [1, 2, 3]
+        row = mul[PAIR_INDEX[(1, 0)]]
+        for x, fx in _normal_form_map([(0, 2), (1, 0), (0, 1)]).items():
+            row[PAIR_INDEX[x]] = PAIR_INDEX[fx]
+        tree, relations = _walk_edges(add, 0, [1, 2, 3])
+        assert all(row[c] == add[row[a]][row[s]] for a, s, c in tree)
+        holds = [row[c] == add[row[a]][row[s]] for a, s, c in relations]
+        assert holds == [True, False, True]
+        with pytest.raises(InvalidConstruction, match="left distributivity fails"):
+            ring_from_tables(add, mul, zero=0, one=2)
+        assert _oracle_verdict(add, mul, 0, 2) is None
+
+    def test_rejects_action_broken_on_one_power_relation_only(self):
+        # Z4[x]/(x^2), c0 + c1 x at index c0 + 4 c1, acting on Z2 x Z4 by
+        # (c0 + c1 x).m = c0 m + c1 f(m), where f is the normal-form map
+        # sending s1, s2, s3 to 0, (0,1), 0: additive in the ring, f(f(m)) = 0
+        # so x.(x.m) = (x x).m, additive on every tree edge of the module,
+        # and 2 f(s2) = f(s1) the one relation it breaks
+        ring = ORACLE_RINGS["Z4[x]/(x^2)"]
+        assert ring.add_generators == (1, 4)
+        f = _normal_form_map([(0, 0), (0, 1), (0, 0)])
+
+        def times(c, m):
+            return (c * m[0] % 2, c * m[1] % 4)
+
+        act = [
+            [PAIR_INDEX[_pair_sum(times(r % 4, m), times(r // 4, f[m]))] for m in PAIRS]
+            for r in range(ring.size)
+        ]
+        module = ring_core.FiniteModule(
+            ring=ring,
+            size=8,
+            add=[[PAIR_INDEX[_pair_sum(p, q)] for q in PAIRS] for p in PAIRS],
+            zero=0,
+            neg=[PAIR_INDEX[times(-1, p)] for p in PAIRS],
+            act=act,
+            names=[str(p) for p in PAIRS],
+            construction={"kind": "hand-built"},
+        )
+        tree, relations = _walk_edges(module.add, 0, [1, 2, 3])
+        row = act[4]  # x acting
+        assert all(row[c] == module.add[row[a]][row[s]] for a, s, c in tree)
+        holds = [row[c] == module.add[row[a]][row[s]] for a, s, c in relations]
+        assert holds == [True, False, True]
+        with pytest.raises(InvalidConstruction, match="not additive in the module"):
+            ring_core._validate_module(module)
+        assert not _module_accepted(exhaustive_validate_module, module)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_entry_corruption_of_relabelled_rings(self, data):
+        ring = NONCYCLIC_RINGS[data.draw(st.sampled_from(sorted(NONCYCLIC_RINGS)))]
+        n = ring.size
+        add, mul, zero, one = _relabelled_tables(ring, data.draw(st.permutations(range(n))))
+        which = data.draw(st.sampled_from(["add", "add_symmetric", "mul"]))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table = mul if which == "mul" else add
+        table[i][j] = (table[i][j] + data.draw(st.integers(1, n - 1))) % n
+        if which == "add_symmetric":
+            table[j][i] = table[i][j]
+        oracle = _oracle_verdict(add, mul, zero, one)
+        assert _library_verdict(add, mul, zero, one) == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_module_single_entry_corruption_over_relabelled_rings(self, data):
+        # a relabelled ring acting on a relabelled copy of itself
+        base = NONCYCLIC_RINGS[data.draw(st.sampled_from(sorted(NONCYCLIC_RINGS)))]
+        n = base.size
+        ring = ring_from_tables(*_relabelled_tables(base, data.draw(st.permutations(range(n)))))
+        at = data.draw(st.permutations(range(n)))
+        add, _, zero, _ = _relabelled_tables(ring, at)
+        neg, act = [0] * n, [[0] * n for _ in range(n)]
+        for x in range(n):
+            neg[at[x]] = at[ring.neg[x]]
+            for r in range(n):
+                act[r][at[x]] = at[ring.mul[r][x]]
+        which = data.draw(st.sampled_from(["add", "add_symmetric", "act"]))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table = act if which == "act" else add
+        table[i][j] = (table[i][j] + data.draw(st.integers(0, n - 1))) % n  # 0 keeps it
+        if which == "add_symmetric":
+            table[j][i] = table[i][j]
+        module = ring_core.FiniteModule(
+            ring=ring,
+            size=n,
+            add=add,
+            zero=zero,
+            neg=neg,
+            act=act,
+            names=[str(x) for x in range(n)],
+            construction={"kind": "hand-built"},
+        )
+        library = _module_accepted(ring_core._validate_module, module)
+        assert library == _module_accepted(exhaustive_validate_module, module)
+
+
 def _bit_loop_members(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -794,11 +969,18 @@ class TestArrayStorage:
         grading = group_ring_grading(ring)
         family = enumerate_graded_left_ideals(grading)
         build_intersection_graph(nontrivial_proper(family))
-        assert "mul" not in vars(ring)
+        assert "mul" not in vars(ring) and "add" not in vars(ring)
+
+    def test_gradings_of_512_elements_never_freeze_a_table(self):
+        ring = polynomial_quotient(make_cyclic_ring(8), [0, 0, 0, 1])
+        assert ring.size == 512
+        for build in (trivial_grading, poly_quotient_integer_grading):
+            build(ring)
+            assert "mul" not in vars(ring) and "add" not in vars(ring)
 
     def test_traced_peak_of_z2_c9_graded_graph(self):
         # Two frozen 512 x 512 tuple tables cost 4.2 MiB and an int64 copy of
-        # one table 2 MiB; this layout peaks at about 3.7 MiB
+        # one table 2 MiB; with neither, this layout peaks at about 2.8 MiB
         tracemalloc.start()
         try:
             ring = group_ring(make_cyclic_ring(2), cyclic_group(9))
@@ -808,7 +990,7 @@ class TestArrayStorage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+        assert peak <= 4 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 class TestLeftMultiples:
