@@ -17,12 +17,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import IdealCountLimit, UngradedIdeal
 from .grading import Grading
 from .ring_core import (
     FiniteModule,
     FiniteRing,
     additive_span,
+    column_masks,
     is_additive_subgroup,
     mask_members,
     span_extend,
@@ -106,6 +109,7 @@ def _enumerate_closed(
     members_of = {zero_mask: [zero]}
     frontier = [zero_mask]
     memo: dict[int, int] = {}
+    rows: dict[int, list[int]] = {}  # addition rows read so far, as lists
     while frontier:
         nxt = []
         for cur in frontier:
@@ -116,7 +120,7 @@ def _enumerate_closed(
                 seed = cur | orbit_masks[x]
                 closed = memo.get(seed)
                 if closed is None:
-                    closed = span_extend(add, cur, base_members, orbit_masks[x])
+                    closed = span_extend(add, cur, base_members, orbit_masks[x], rows)
                     memo[seed] = closed
                 if closed not in found:
                     found.add(closed)
@@ -176,12 +180,8 @@ def enumerate_submodules(
     module: FiniteModule, max_count: int = MAX_IDEALS
 ) -> list[int]:
     """All submodule masks of a finite module, sorted by (size, mask)."""
-    orbit = []
-    for x in range(module.size):
-        m = 0
-        for r in range(module.ring.size):
-            m |= 1 << module.act[r][x]
-        orbit.append(m | (1 << x))
+    # the orbit R.x + Zx of x: R.x holds x = 1.x already
+    orbit = [m | 1 << x for x, m in enumerate(column_masks(np.asarray(module.act)))]
     return _enumerate_closed(
         module.add_array, module.zero, orbit, range(module.size), max_count, "submodule"
     )

@@ -5,8 +5,10 @@ so all algebra below is table lookups.  Constructors validate every axiom
 before returning, so downstream code never re-checks algebra laws.  Group
 tables, ring addition and module addition share one generator routine,
 `_generators`, which picks a generating set S of at most log2(n) elements
-and proves associativity by Light's test on each of them: the only check
-that makes an n x n pass per generator, O(n^2 log n) in all.  A map out of
+and proves associativity by Light's test on each of them: two row gathers
+and an n x n comparison per generator, the only n x n pass per generator,
+O(n^2 log n) in all.  Its closure doubles a cyclic run each round, so it
+takes O(log n) numpy rounds per generator.  A map out of
 (R,+) is additive exactly when it is additive on the n - 1 + |S| edges of
 `_additive_edges`, the normal-form spanning tree of (R,+) and one power
 relation per generator; distributivity and the module's additivity in
@@ -22,15 +24,16 @@ addition array per generator.
 
 Tables are filled with numpy, never entry by entry.  Polynomial quotients,
 algebras over Z_n and group rings are all base^d with a bilinear product
-and share one constructor, `free_algebra`, which computes the product rows
-of the monomials c*e_i and fills the other rows by additive extension.
-A ring stores its validated addition and multiplication once, as read-only
-arrays of the smallest signed dtype holding n-1 (int16 at the cap), and
-every vectorized reader gathers from them.  The tuple-of-tuples tables
-`add` and `mul` are frozen from the arrays on first use, for the Python
-loops that read them entry by entry; they draw every entry from one list of
-n shared ints, so an n x n table costs n^2 pointers rather than n^2 int
-objects.
+and share one constructor, `free_algebra`, which builds the addition as a
+direct product of copies of the base and fills the product rows from the
+products of monomials by additive extension, one gather per digit.  A ring
+stores its validated addition and multiplication once, as read-only arrays
+of the smallest signed dtype holding n-1 (int16 at the cap), and every
+vectorized reader gathers from them.  The tuple-of-tuples tables `add` and
+`mul` are frozen from the arrays on first use, for the Python loops that
+read them entry by entry; they draw every entry from one object array of n
+shared ints, so an n x n table costs n^2 pointers rather than n^2 int
+objects, and they hand numpy a copy of their array, parsing no entry.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import InvalidConstruction, NotASubring, SizeLimit
 
 MAX_RING_SIZE = 1024
-_BLOCK = 1 << 16  # entries per block of `_check_additive`
+_BLOCK = 1 << 16  # entries per block of `_check_additive` and `_freeze`
 
 
 # ---------------------------------------------------------------------------
@@ -92,31 +95,43 @@ def _refuse(bad: np.ndarray, message: str) -> None:
         raise InvalidConstruction(message.format(*np.argwhere(bad)[0]))
 
 
-def _generators(T: np.ndarray, start: int, what: str, sym: str) -> list[int]:
+def _generators(
+    T: np.ndarray, start: int, what: str, sym: str, Tt: np.ndarray | None = None
+) -> list[int]:
     """Greedy generating set of a table's operation, proving it associative.
 
-    Each generator, the first element not reached from the neutral `start`
-    by right multiplication, passes Light's test, (x s) y == x (s y) for all
-    x, y, before use; the elements that pass are closed under the operation
-    and generate it, so all pass.  The reached set is closed under every
-    chosen generator, a subgroup H of a group table, and the next one adds
-    the coset H s, so there are at most log2(n) generators.
+    Each generator, the first element not reached from the neutral `start`,
+    passes Light's test, (x s) y == x (s y) for all x, y, before use; the
+    elements that pass are closed under the operation and generate it, so
+    all pass.  Both sides are row gathers, x (s y) from `Tt`, T transposed;
+    a commutative table, as every addition is, is its own transpose.  The
+    reached set, the submagma generated so far, takes the coset H s of a
+    new generator and then the products of what is new with the generators
+    and with itself, which stay in it; a cyclic run doubles each round.  It
+    is closed under every chosen generator, a subgroup H of a group table,
+    so there are at most log2(n) generators.
     """
+    Tt = T if Tt is None else Tt
     gens: list[int] = []
     reached = np.zeros(len(T), dtype=bool)
     reached[start] = True
     while not reached.all():
         s = int(np.argmin(reached))
         # row x of each side: (x s) y and x (s y) over all y
-        bad = T[T[:, s]] != T[:, T[s]]
+        bad = T[T[:, s]] != Tt[T[s]].T
         _refuse(bad, f"{what} not associative (witness ({{}}{sym}{s}){sym}{{}})")
         gens.append(s)
         G = np.array(gens)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            step = T[frontier[:, None], G].ravel()
-            frontier = step[~reached[step]]
-            reached[frontier] = True
+        step = T[np.flatnonzero(reached), s]
+        while True:
+            fresh = np.zeros_like(reached)
+            fresh[step] = True
+            fresh &= ~reached
+            if not fresh.any():
+                break
+            reached |= fresh
+            new = np.flatnonzero(fresh)
+            step = T[new[:, None], np.concatenate([G, new])]
     return gens
 
 
@@ -244,12 +259,30 @@ def _validate_ring_tables(
     return A, M, gens
 
 
+class _Table(tuple):
+    """Tuple rows for Python loops; numpy gets a writable copy of the array."""
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype=dtype)
+
+
 def _freeze(table) -> tuple[tuple[int, ...], ...]:
     """An n x n table over 0..n-1 as tuples of shared ints: each row points
-    into one list of n int objects instead of owning n of its own."""
+    into one object array of n ints instead of owning n of its own, gathered
+    in blocks of about _BLOCK entries.  The table keeps the array read-only,
+    copying a writable one, which its owner may still change."""
     arr = np.asarray(table)
-    ints = list(range(len(arr)))
-    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in arr)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    ints = np.array(range(len(arr)), dtype=object)
+    step = max(_BLOCK // len(arr), 1)
+    rows = []
+    for lo in range(0, len(arr), step):
+        rows += map(tuple, ints[arr[lo : lo + step]].tolist())
+    frozen = _Table(rows)
+    frozen.array = arr
+    return frozen
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +315,7 @@ def group_from_table(op, names: Sequence[str] | None = None) -> FiniteGroup:
     if identity is None:
         raise InvalidConstruction("group table has no two-sided identity")
     inv = _inverses(T, identity, "group element {} has no inverse")
-    _generators(T, identity, "group operation", "*")
+    _generators(T, identity, "group operation", "*", T.T)
     names = tuple(map(str, range(n))) if names is None else tuple(names)
     if len(names) != n:
         raise InvalidConstruction("group names length mismatch")
@@ -352,15 +385,26 @@ class FiniteRing:
     @cached_property
     def left_multiple_masks(self) -> tuple[int, ...]:
         """mask of R*x for every x; the building block of left ideals."""
-        n = self.size
-        hit = np.zeros((n, n), dtype=bool)
-        hit[np.arange(n), self.mul_array] = True  # hit[x, r*x]
-        packed = np.packbits(hit, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+        return column_masks(self.mul_array)
+
+
+def column_masks(table: np.ndarray) -> tuple[int, ...]:
+    """Mask of the entries of each column of a table over 0..m-1, m its
+    width: R*x for column x of a multiplication or an action table.  The
+    entries are scattered into an m x m bit matrix and packed row by row."""
+    m = table.shape[1]
+    hit = np.zeros((m, m), dtype=bool)
+    hit[np.arange(m), table] = True  # hit[x, table[r, x]]
+    packed = np.packbits(hit, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def span_extend(
-    add: np.ndarray, base_mask: int, base_members: list[int], extra_mask: int
+    add: np.ndarray,
+    base_mask: int,
+    base_members: list[int],
+    extra_mask: int,
+    rows: dict[int, list[int]] | None = None,
 ) -> int:
     """Additive span of a closed subgroup H (mask and member list) and extras.
 
@@ -369,14 +413,19 @@ def span_extend(
     every coset added before it is new.  The next coset is the previous one
     shifted by g, read from row g of the addition array.  Extras already
     reached are skipped as a mask, so a span costs O(|result|) table lookups
-    plus one row read and one bitmask step per generator used.
+    plus one row read and one bitmask step per generator used.  A row is
+    read as a list, kept in `rows`: a caller that spans many times over one
+    table, as an enumeration does, passes one dict and reads each row once.
     """
+    rows = {} if rows is None else rows
     mask = base_mask
     members = list(base_members)
     pending = extra_mask & ~mask
     while pending:
         g = (pending & -pending).bit_length() - 1
-        row = add[g].tolist()
+        row = rows.get(g)
+        if row is None:
+            row = rows[g] = add[g].tolist()
         coset = members
         while not mask >> row[coset[0]] & 1:
             coset = [row[y] for y in coset]
@@ -542,39 +591,40 @@ def free_algebra(
     structure[i][j][k] is coefficient k (a base index) of e_i*e_j, and
     (sum a_i e_i)(sum b_j e_j) = sum_k (sum_ij (a_i b_j) structure[i][j][k]) e_k;
     base.one*e_unit must be the unity.  An element is its coefficient vector
-    packed as base-|base| digits, low coordinate first.  Addition and
-    negation are digitwise gathers.  The product rows of the monomials c*e_i
-    are computed over all right operands at once; every other row follows by
-    additive extension, (low + c*e_k)*b = c*e_k*b + low*b, where `low` runs
-    over the elements whose digits from k up are zero, one gather per digit.
+    packed as base-|base| digits, low coordinate first.  Addition is the
+    direct product of d copies of the base, one broadcast outer sum per
+    digit.  The product rows follow from the products of monomials by
+    additive extension over the elements `low` whose digits from k up are
+    zero, one gather per digit: first the rows of the monomials,
+    (c*e_i)(low + b*e_k) = (c*e_i)low + (c*e_i)(b*e_k), then all others,
+    (low + c*e_k)y = (c*e_k)y + low*y.
     """
     S = np.asarray(structure, dtype=np.int64)
     d = len(S)
     r, z = base.size, base.zero
     n = r**d
-    digits = _digit_array(r, d)
     # sums are taken in the algebra's dtype, which holds every weighted digit
     # sum (at most n - 1); base sums are widened to it before they are scaled
     weights = (r ** np.arange(d)).astype(_compact_dtype(n))
     BA, BM = base.add_array.astype(weights.dtype), base.mul_array
-    add = sum(BA[digits[:, None, k], digits[None, :, k]] * weights[k] for k in range(d))
-    neg = np.asarray(base.neg)[digits] @ weights
-    cb = BM[:, digits]  # cb[c, b, j] = c * b_j
-    mono = []
-    for i in range(d):
-        terms = BM[cb[..., None], S[i]]  # (c * b_j) * structure[i][j][k]
-        coeff = terms[:, :, 0]
-        for j in range(1, d):
-            coeff = BA[coeff, terms[:, :, j]]
-        mono.append(coeff @ weights)  # mono[i][c] is the row of c*e_i
+    add = np.zeros((1, 1), dtype=weights.dtype)
+    for k in range(d):  # element (hi, lo) of base x base^k at hi r^k + lo
+        m = r ** (k + 1)
+        add = (BA[:, None, :, None] * weights[k] + add[None, :, None, :]).reshape(m, m)
+    neg = np.asarray(base.neg)[_digit_array(r, d)] @ weights
+    # pairs[i, c, b, k] = (c*e_i)(b*e_k), whose coefficient m is (c*b)*structure[i][k][m]
+    pairs = BM[BM[None, :, :, None, None], S[:, None, None]] @ weights
     zero = int(z * weights.sum())
+    # lows[k]: the elements whose digits from k up are zero, r^k indices in
+    # a row; low + b*e_k for b in order, each over lows[k], makes lows[k + 1]
+    lows = [np.arange(r**k) + z * int(weights[k:].sum()) for k in range(d + 1)]
+    mono = np.full((d, r, 1), zero, dtype=weights.dtype)  # mono[i, c] is the row of c*e_i
+    for k in range(d):
+        mono = add[mono[:, :, None, :], pairs[:, :, :, k, None]].reshape(d, r, -1)
     mul = np.empty((n, n), dtype=weights.dtype)
     mul[zero] = zero
-    low = np.array([zero])
     for k in range(d):
-        rows = low + ((np.arange(r) - z) * weights[k])[:, None]
-        mul[rows] = add[mono[k][:, None, :], mul[low]]
-        low = rows.ravel()
+        mul[lows[k + 1]] = add[mono[k][:, None, :], mul[lows[k]]].reshape(-1, n)
     one = zero + int((base.one - z) * weights[unit])
     return _finish_ring(n, add, mul, zero, one, neg, construction, names, parts)
 

@@ -80,6 +80,29 @@ def exhaustive_validate_ring_tables(add, mul, zero: int, one: int, neg, n: int) 
     return bool(np.array_equal(M, M.T))
 
 
+def frontier_bfs_generators(T, start: int, what: str, sym: str) -> list[int]:
+    """The greedy generator search before its closure doubled: Light's test
+    with a column gather for x (s y), then the reached set grown by one right
+    multiplication by the generators per round (n - 1 rounds on Z_n)."""
+    gens = []
+    reached = np.zeros(len(T), dtype=bool)
+    reached[start] = True
+    while not reached.all():
+        s = int(np.argmin(reached))
+        bad = T[T[:, s]] != T[:, T[s]]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise InvalidConstruction(f"{what} not associative (witness ({x}{sym}{s}){sym}{y})")
+        gens.append(s)
+        G = np.array(gens)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = T[frontier[:, None], G].ravel()
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return gens
+
+
 # --- groups, modules and unital subrings, by the element loops the library
 # used before its generator validator
 
@@ -323,6 +346,28 @@ def vmul(n: int, table, a, b) -> tuple[int, ...]:
             for k in range(dim):
                 acc[k] = (acc[k] + ai * bj * table[i][j][k]) % n
     return tuple(acc)
+
+
+def sheared_structure(n: int, table, shifts) -> list:
+    """Structure constants over Z_n in the basis b_0 = e_0, b_i = e_i +
+    shifts[i-1] e_0, by expanding b_i b_j bilinearly in the e basis and
+    writing the result back in the b basis (w_0 = v_0 - sum k_t v_t)."""
+    d = len(table)
+    k = [0] + list(shifts)
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            v = [
+                table[i][j][t] + k[j] * table[i][0][t] + k[i] * table[0][j][t]
+                + k[i] * k[j] * table[0][0][t]
+                for t in range(d)
+            ]
+            w = [x % n for x in v]
+            w[0] = (v[0] - sum(k[t] * v[t] for t in range(1, d))) % n
+            row.append(w)
+        out.append(row)
+    return out
 
 
 def _entrywise_tables(base_add, base_neg, radix: int, dim: int, product) -> dict:

@@ -1,3 +1,7 @@
+import dataclasses
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from idealgraphs import (
     enumerate_submodules,
     generated_left_ideal,
     group_ring,
+    group_ring_grading,
     ideal_intersect,
     ideal_label,
     ideal_power,
@@ -37,7 +42,9 @@ from idealgraphs import (
     min_generator_count,
     minimal_members,
     module_self,
+    module_zn_quotient,
     nontrivial_proper,
+    poly_quotient_integer_grading,
     trivial_grading,
 )
 from idealgraphs.ring_core import additive_span, is_additive_subgroup
@@ -49,6 +56,7 @@ from oracles import (
     relabelled_ring,
 )
 from oracles import ideal_label as oracle_label
+from test_ring_core import ORACLE_RINGS
 
 
 def ideal_masks(family):
@@ -72,6 +80,58 @@ class TestEnumerationAgainstBruteForce:
         z4 = make_cyclic_ring(4)
         mod = module_self(z4)
         assert set(enumerate_submodules(mod)) == brute_submodule_masks(mod)
+
+
+class _RowReads(np.ndarray):
+    """An addition array that counts the reads of each single row."""
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.counts[index] += 1
+        return np.asarray(super().__getitem__(index))
+
+
+def _counting(add):
+    add = add.view(_RowReads)
+    add.counts = Counter()
+    return add
+
+
+ORACLE_GRADINGS = {"Z2[C4]": group_ring_grading, "Z4[x]/(x^2)": poly_quotient_integer_grading}
+
+
+class TestEnumerationsReadEachRowOnce:
+    # each enumeration keeps the addition rows it has read, so a row is
+    # converted once however many spans step along it
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+    def test_left_ideals(self, name):
+        ring = ORACLE_RINGS[name]
+        counted = dataclasses.replace(ring, add_array=_counting(ring.add_array))
+        family = enumerate_left_ideals(counted)
+        assert ideal_masks(family) == brute_left_ideal_masks(ring)
+        assert max(counted.add_array.counts.values()) == 1
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+    def test_graded_left_ideals(self, name):
+        ring = ORACLE_RINGS[name]
+        grade = ORACLE_GRADINGS.get(name, trivial_grading)
+        counted = dataclasses.replace(ring, add_array=_counting(ring.add_array))
+        grading = grade(counted)
+        counted.add_array.counts.clear()
+        family = enumerate_graded_left_ideals(grading)
+        assert ideal_masks(family) == brute_graded_left_ideal_masks(ring, grade(ring))
+        assert max(counted.add_array.counts.values()) == 1
+
+    @pytest.mark.parametrize(
+        "name, quotient", [(name, None) for name in sorted(ORACLE_RINGS)] + [("Z12", 4), ("Z12", 6)]
+    )
+    def test_submodules(self, name, quotient):
+        ring = ORACLE_RINGS[name]
+        module = module_self(ring) if quotient is None else module_zn_quotient(ring, quotient)
+        vars(module)["add_array"] = add = _counting(module.add_array)
+        assert set(enumerate_submodules(module)) == brute_submodule_masks(module)
+        assert max(add.counts.values()) == 1
 
 
 class TestFrozenLattices:

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -48,8 +50,12 @@ from oracles import (
     exhaustive_unital_ring_on,
     exhaustive_validate_module,
     exhaustive_validate_ring_tables,
+    frontier_bfs_generators,
+    gmul,
     index_to_digits,
     pmul,
+    sheared_structure,
+    vmul,
 )
 
 # upper triangular 2x2 matrices over Z2 on the basis 1, E11, E12
@@ -1151,3 +1157,242 @@ class TestGroupsAndModulesAgainstOracle:
             else:
                 outcomes.append((sub.add, sub.mul, sub.zero, sub.one, sub.neg, embedding))
         assert outcomes[0] == outcomes[1]
+
+
+def _assert_sampled_entries(ring, base, dim, product, seed, count=1500):
+    """Sums, products and negations of `count` random pairs, digit by digit,
+    plus the rows of zero and one; `product` multiplies digit tuples."""
+    radix, n = base.size, ring.size
+    rng = random.Random(seed)
+    picks = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    picks += [(x, y) for x in (ring.zero, ring.one) for y in range(0, n, max(n // 64, 1))]
+    for a, b in picks:
+        da, db = index_to_digits(a, radix, dim), index_to_digits(b, radix, dim)
+        summed = [base.add[x][y] for x, y in zip(da, db)]
+        assert ring.add_array[a, b] == digits_to_index(summed, radix), (a, b)
+        assert ring.mul_array[a, b] == digits_to_index(product(da, db), radix), (a, b)
+        assert ring.neg[a] == digits_to_index([base.neg[x] for x in da], radix)
+    assert ring.zero == digits_to_index([base.zero] * dim, radix)
+
+
+def _shears(n, d):
+    return [(3 * i + 1) % n for i in range(1, d)]
+
+
+CYCLIC_ALGEBRA = {
+    k: [[[int(t == (i + j) % k) for t in range(k)] for j in range(k)] for i in range(k)]
+    for k in range(1, 10)
+}
+# 2x2 upper triangular matrices on the basis I, E12, E22
+T2_IDENTITY_FIRST = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
+    [[0, 0, 1], [0, 0, 0], [0, 0, 1]],
+]
+
+
+class TestFreeAlgebraUpToDimensionNine:
+    @pytest.mark.parametrize(
+        "base_name, dim",
+        [("Z2", d) for d in range(1, 10)]
+        + [("Z2 swapped", 8), ("Z2 swapped", 9), ("Z4 relabelled", 4), ("Z3", 5)],
+    )
+    def test_group_ring_of_cyclic_group(self, base_name, dim):
+        base, group = BASES[base_name], cyclic_group(dim)
+        ring = group_ring(base, group)
+        assert ring.size == base.size**dim
+        if ring.size <= 81:
+            _assert_fields_match(_fields_of(ring), entrywise_group_ring(base, group))
+        _assert_sampled_entries(ring, base, dim, lambda a, b: gmul(base, group, a, b), dim)
+
+    @pytest.mark.parametrize("base_name, group_name", [("Z4 relabelled", "V4"), ("Z2 swapped", "S3")])
+    def test_group_ring_of_table_group(self, base_name, group_name):
+        base, group = BASES[base_name], GROUPS[group_name]
+        ring = group_ring(base, group)
+        _assert_sampled_entries(ring, base, group.size, lambda a, b: gmul(base, group, a, b), 7)
+
+    @pytest.mark.parametrize(
+        "base_name, low",
+        [("Z2", [1] + [0] * (d - 1)) for d in range(1, 10)]
+        + [
+            ("Z2", [1, 1, 0, 0, 0, 0, 0, 0, 0]),
+            ("Z2 swapped", [1, 0, 0, 0, 1, 0, 0, 0, 0]),
+            ("Z4 relabelled", [3, 0, 2, 1]),
+            ("Z3", [2, 1, 0, 0, 1]),
+        ],
+    )
+    def test_polynomial_quotient(self, base_name, low):
+        base = BASES[base_name]
+        # coefficients given as residues, stored at the base's own indices
+        by_name = {name: i for i, name in enumerate(base.names)}
+        modulus = [by_name[str(c)] for c in low] + [base.one]
+        ring = polynomial_quotient(base, modulus)
+        dim = len(low)
+        if ring.size <= 81:
+            _assert_fields_match(_fields_of(ring), entrywise_polynomial_quotient(base, modulus))
+        _assert_sampled_entries(ring, base, dim, lambda a, b: pmul(base, modulus, a, b), dim)
+
+    @pytest.mark.parametrize(
+        "n, table",
+        [(2, CYCLIC_ALGEBRA[d]) for d in (1, 5, 9)]
+        + [(4, T2_IDENTITY_FIRST), (4, CYCLIC_ALGEBRA[4]), (8, CYCLIC_ALGEBRA[3]), (3, CYCLIC_ALGEBRA[4])],
+    )
+    @pytest.mark.parametrize("sheared", [False, True])
+    def test_algebra_over_zn(self, n, table, sheared):
+        # the sheared bases are the algebras the ring-ladder benchmark builds
+        dim = len(table)
+        if sheared:
+            table = sheared_structure(n, table, _shears(n, dim))
+        ring = algebra_over_zn(n, dim, table)
+        basis = [f"b{i}" for i in range(dim)]
+        if ring.size <= 81:
+            _assert_fields_match(_fields_of(ring), entrywise_algebra_over_zn(n, table, basis))
+        _assert_sampled_entries(ring, make_cyclic_ring(n), dim, lambda a, b: vmul(n, table, a, b), n)
+
+    def test_sheared_structure_is_a_change_of_basis(self):
+        # b_1 = x + 3 in Z4[x]/(x^3): the sheared algebra is the same ring
+        plain = algebra_over_zn(4, 3, CYCLIC_ALGEBRA[3])
+        sheared = algebra_over_zn(4, 3, sheared_structure(4, CYCLIC_ALGEBRA[3], [3, 1]))
+        at = [
+            digits_to_index([(c0 + 3 * c1 + c2) % 4, c1, c2], 4)
+            for c0, c1, c2 in (index_to_digits(x, 4, 3) for x in range(64))
+        ]
+        for x in range(64):
+            for y in range(64):
+                assert at[sheared.mul_array[x, y]] == plain.mul_array[at[x], at[y]]
+
+
+def _relabelled_table(op, at):
+    """The operation table with element x stored at index at[x]."""
+    op, at = np.asarray(op), np.asarray(at)
+    out = np.empty_like(op)
+    out[at[:, None], at] = at[op]
+    return out
+
+
+def _symmetric_group_table(k):
+    perms = list(itertools.permutations(range(k)))
+    return [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+
+
+def _xor_table(bits):
+    a = np.arange(1 << bits)
+    return a[:, None] ^ a
+
+
+def _cyclic_table(n):
+    a = np.arange(n)
+    return (a[:, None] + a) % n
+
+
+GENERATOR_TABLES = {
+    "S3": (_symmetric_group_table(3), False),
+    "S4": (_symmetric_group_table(4), False),
+    "Z12": (_cyclic_table(12), True),
+    "Z64": (_cyclic_table(64), True),
+    "Z2xZ8": (direct_product(make_cyclic_ring(2), make_cyclic_ring(8)).add_array, True),
+    "F2^4": (_xor_table(4), True),
+    "F2^6": (_xor_table(6), True),
+}
+
+
+class _CountedTable(np.ndarray):
+    """A table that counts how often it is indexed."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountedTable.reads += 1
+        return np.asarray(super().__getitem__(index))
+
+
+class TestGeneratorSearch:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_same_generators_as_the_frontier_bfs(self, data):
+        name = data.draw(st.sampled_from(sorted(GENERATOR_TABLES)))
+        op, commutative = GENERATOR_TABLES[name]
+        n = len(op)
+        T = _relabelled_table(op, data.draw(st.permutations(range(n))))
+        start = int(np.argmax((T == np.arange(n)).all(axis=1)))
+        what, sym = ("ring addition", "+") if commutative else ("group operation", "*")
+        want = frontier_bfs_generators(T, start, what, sym)
+        got = ring_core._generators(T, start, what, sym, None if commutative else T.T)
+        assert got == want
+        assert len(got) <= math.log2(n)
+        if not commutative:
+            assert group_from_table(T.tolist()).op == exhaustive_group_from_table(T.tolist()).op
+
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_far_corruption_of_z_n_refused_with_the_same_message(self, n):
+        add = _cyclic_table(n)
+        mul = np.arange(n)[:, None] * np.arange(n) % n
+        add[n - 1, 2] = add[2, n - 1] = 5  # was 1; every inverse stays
+        with pytest.raises(InvalidConstruction) as old:
+            frontier_bfs_generators(add, 0, "ring addition", "+")
+        with pytest.raises(InvalidConstruction) as new:
+            ring_core._generators(add, 0, "ring addition", "+")
+        assert str(new.value) == str(old.value)
+        with pytest.raises(InvalidConstruction, match=re.escape(str(old.value))):
+            ring_from_tables(add, mul, 0, 1)
+        add[2, n - 1] = 1  # one entry only: no longer commutative
+        with pytest.raises(InvalidConstruction, match="ring addition is not commutative"):
+            ring_from_tables(add, mul, 0, 1)
+
+    def test_far_corruption_of_an_elementary_abelian_table(self):
+        add = _xor_table(9)
+        add[511, 509] = add[509, 511] = 0  # was 2
+        with pytest.raises(InvalidConstruction) as old:
+            frontier_bfs_generators(add, 0, "ring addition", "+")
+        with pytest.raises(InvalidConstruction) as new:
+            ring_core._generators(add, 0, "ring addition", "+")
+        assert str(new.value) == str(old.value)
+
+    def test_z1024_closes_in_logarithmically_many_table_reads(self):
+        n = 1024
+        T = _cyclic_table(n).astype(np.int16).view(_CountedTable)
+        _CountedTable.reads = 0
+        assert ring_core._generators(T, 0, "ring addition", "+") == [1]
+        # four reads for Light's test, one for the coset H s, one per round
+        assert _CountedTable.reads <= 2 * math.log2(n)
+        _CountedTable.reads = 0
+        assert frontier_bfs_generators(T, 0, "ring addition", "+") == [1]
+        assert _CountedTable.reads >= n - 1
+
+
+class TestFrozenTableArrays:
+    @pytest.mark.parametrize("n", [200, 1024])
+    def test_tuples_are_the_array_rows_with_shared_ints(self, n):
+        ring = make_cyclic_ring(n)
+        for table, array in ((ring.add, ring.add_array), (ring.mul, ring.mul_array)):
+            assert table == tuple(map(tuple, array.tolist()))
+            assert len({id(x) for row in table for x in row}) == n
+            assert json.dumps(table) == json.dumps(array.tolist())
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_RINGS))
+    def test_numpy_gets_a_fresh_writable_copy(self, name):
+        ring = ARRAY_RINGS[name]
+        for table, array in ((ring.add, ring.add_array), (ring.mul, ring.mul_array)):
+            copy = np.asarray(table)
+            assert copy.dtype == array.dtype and np.array_equal(copy, array)
+            assert copy.flags.writeable and not np.shares_memory(copy, array)
+            copy[0, 0] = (copy[0, 0] + 1) % ring.size
+            assert table[0][0] == array[0, 0] != copy[0, 0]
+            assert np.asarray(table, dtype=np.int64).dtype == np.int64
+            assert not np.shares_memory(np.asarray(table), copy)
+
+    def test_groups_and_modules_keep_their_arrays(self):
+        op = _relabelled_table(_symmetric_group_table(3), [4, 2, 0, 5, 1, 3]).astype(np.int8)
+        group = group_from_table(op)
+        op[0, 0] = 5  # the caller's array changes after the build
+        assert np.asarray(group.op).tolist() == [list(row) for row in group.op] != op.tolist()
+        module = module_zn_quotient(make_cyclic_ring(12), 4)
+        assert np.asarray(module.act).tolist() == [list(row) for row in module.act]
+        assert np.array_equal(module.add_array, np.asarray(module.add))
+
+    def test_tables_round_trip_through_ring_from_tables(self):
+        ring = group_ring(make_cyclic_ring(2), cyclic_group(8))
+        again = ring_from_tables(ring.add, ring.mul, ring.zero, ring.one, ring.names)
+        assert np.array_equal(again.add_array, ring.add_array)
+        assert np.array_equal(again.mul_array, ring.mul_array)
+        assert again.neg == ring.neg and again.commutative == ring.commutative
