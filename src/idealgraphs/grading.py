@@ -27,6 +27,7 @@ from .ring_core import (
     FiniteRing,
     additive_span,
     cyclic_group,
+    index_mask,
     is_additive_subgroup,
     is_subgroup,
     mask_members,
@@ -295,15 +296,9 @@ def is_canonical(grading: Grading) -> bool:
 
 def _span_of_products(grading: Grading, ds: int, dt: int) -> int:
     ring = grading.ring
-    right = mask_members(grading.component(dt))
-    products = set()
-    for a in mask_members(grading.component(ds)):
-        row = ring.mul[a]
-        products.update([row[b] for b in right])
-    prod_mask = 0
-    for p in products:
-        prod_mask |= 1 << p
-    return additive_span(ring, prod_mask)
+    left, right = (mask_members(grading.component(d)) for d in (ds, dt))
+    products = ring.mul_array[np.ix_(left, right)]
+    return additive_span(ring, index_mask(products, ring.size))
 
 
 def is_sigma_faithful(grading: Grading, sigma: int) -> bool:
@@ -313,11 +308,10 @@ def is_sigma_faithful(grading: Grading, sigma: int) -> bool:
     g = grading.grades
     for tau in grading.support:
         left = mask_members(grading.component(g.op(sigma, g.inv(tau))))
-        for x in mask_members(grading.component(tau)):
-            if x == ring.zero:
-                continue
-            if all(ring.mul[a][x] == ring.zero for a in left):
-                return False
+        right = mask_members(grading.component(tau) & ~ring.zero_mask)
+        # column x holds a*x for every a on the left
+        if (ring.mul_array[np.ix_(left, right)] == ring.zero).all(axis=0).any():
+            return False
     return True
 
 

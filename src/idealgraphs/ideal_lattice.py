@@ -26,6 +26,7 @@ from .ring_core import (
     FiniteRing,
     additive_span,
     column_masks,
+    index_mask,
     is_additive_subgroup,
     mask_members,
     span_extend,
@@ -181,7 +182,7 @@ def enumerate_submodules(
 ) -> list[int]:
     """All submodule masks of a finite module, sorted by (size, mask)."""
     # the orbit R.x + Zx of x: R.x holds x = 1.x already
-    orbit = [m | 1 << x for x, m in enumerate(column_masks(np.asarray(module.act)))]
+    orbit = [m | 1 << x for x, m in enumerate(column_masks(module.act_array))]
     return _enumerate_closed(
         module.add_array, module.zero, orbit, range(module.size), max_count, "submodule"
     )
@@ -274,13 +275,8 @@ def ideal_intersect(a_mask: int, b_mask: int) -> int:
 
 def ideal_product(ring: FiniteRing, a_mask: int, b_mask: int) -> int:
     """Span of pairwise products; for left ideals this is again a left ideal."""
-    seed = 0
-    mul = ring.mul
-    for a in mask_members(a_mask):
-        row = mul[a]
-        for b in mask_members(b_mask):
-            seed |= 1 << row[b]
-    return additive_span(ring, seed)
+    products = ring.mul_array[np.ix_(mask_members(a_mask), mask_members(b_mask))]
+    return additive_span(ring, index_mask(products, ring.size))
 
 
 def ideal_power(ring: FiniteRing, mask: int, k: int) -> int:
@@ -313,22 +309,17 @@ def min_generator_count(
 
 def _is_unit(ring: FiniteRing, x: int) -> bool:
     # in a finite ring a one-sided inverse is two-sided; check both anyway
-    row = ring.mul[x]
-    for y in range(ring.size):
-        if row[y] == ring.one and ring.mul[y][x] == ring.one:
-            return True
-    return False
+    M = ring.mul_array
+    return bool(((M[x] == ring.one) & (M[:, x] == ring.one)).any())
 
 
 def _is_nilpotent(ring: FiniteRing, x: int) -> bool:
-    seen = set()
+    # x, x^2, .. up to the first zero power are distinct and nonzero, so a
+    # nilpotent x has x^n = 0 for n = |R|, and then x^(2^k) = 0 for 2^k > n
     p = x
-    while p not in seen:
-        if p == ring.zero:
-            return True
-        seen.add(p)
-        p = ring.mul[p][x]
-    return False
+    for _ in range(ring.size.bit_length()):
+        p = ring.mul_array[p, p]
+    return int(p) == ring.zero
 
 
 def _nonzero_homogeneous(grading: Grading) -> list[int]:
@@ -355,7 +346,7 @@ def is_graded_domain(grading: Grading) -> bool:
     if not ring.commutative:
         return False
     hom = _nonzero_homogeneous(grading)
-    return all(ring.mul[a][b] != ring.zero for a in hom for b in hom)
+    return not (ring.mul_array[np.ix_(hom, hom)] == ring.zero).any()
 
 
 def is_graded_reduced(grading: Grading) -> bool:

@@ -28,12 +28,12 @@ and share one constructor, `free_algebra`, which builds the addition as a
 direct product of copies of the base and fills the product rows from the
 products of monomials by additive extension, one gather per digit.  A ring
 stores its validated addition and multiplication once, as read-only arrays
-of the smallest signed dtype holding n-1 (int16 at the cap), and every
-vectorized reader gathers from them.  The tuple-of-tuples tables `add` and
-`mul` are frozen from the arrays on first use, for the Python loops that
-read them entry by entry; they draw every entry from one object array of n
-shared ints, so an n x n table costs n^2 pointers rather than n^2 int
-objects, and they hand numpy a copy of their array, parsing no entry.
+of the smallest signed dtype holding n-1 (int16 at the cap), and a module
+stores its addition and action as arrays too; every reader in the package
+gathers from them.  The tuple-of-tuples views `FiniteRing.add` and `.mul`
+exist only for callers outside the package: they are frozen from the arrays
+on first use, draw every entry from one object array of n shared ints, and
+hand numpy a copy of their array, parsing no entry.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _validate_ring_tables(
 
 
 class _Table(tuple):
-    """Tuple rows for Python loops; numpy gets a writable copy of the array."""
+    """Tuple rows; numpy gets a writable copy of the array."""
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.array, dtype=dtype)
@@ -360,12 +360,12 @@ class FiniteRing:
 
     @cached_property
     def add(self) -> tuple[tuple[int, ...], ...]:
-        """The addition as tuple rows, for Python loops; frozen on first use."""
+        """The addition as tuple rows, for callers outside the package."""
         return _freeze(self.add_array)
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
-        """The multiplication as tuple rows, for Python loops; frozen on first use."""
+        """The multiplication as tuple rows, for callers outside the package."""
         return _freeze(self.mul_array)
 
     @cached_property
@@ -397,6 +397,13 @@ def column_masks(table: np.ndarray) -> tuple[int, ...]:
     hit[np.arange(m), table] = True  # hit[x, table[r, x]]
     packed = np.packbits(hit, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def index_mask(indices: np.ndarray, size: int) -> int:
+    """Mask of the entries of an index array over 0..size-1."""
+    hit = np.zeros(size, dtype=bool)
+    hit[indices] = True
+    return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
 def span_extend(
@@ -482,17 +489,24 @@ def _check_size(size: int, max_size: int) -> None:
         raise InvalidConstruction("carrier must be nonempty")
 
 
+def _cyclic_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication of Z_n in the compact dtype.  Row a of
+    the addition is the window a..a+n-1 of 0..n-1 written twice; products
+    are taken in the compact dtype of n^2, which holds each of them."""
+    twice = np.tile(np.arange(n, dtype=_compact_dtype(n)), 2)
+    add = np.lib.stride_tricks.sliding_window_view(twice, n)[:n].copy()
+    a = np.arange(n, dtype=_compact_dtype(n * n))
+    return add, (a[:, None] * a % n).astype(_compact_dtype(n))
+
+
 def make_cyclic_ring(n: int, max_size: int = MAX_RING_SIZE) -> FiniteRing:
     """Integers mod n."""
     if n < 2:
         raise InvalidConstruction("modulus must be at least 2 so unity differs from zero")
     _check_size(n, max_size)
-    a = np.arange(n)
-    add = (a[:, None] + a) % n
-    mul = a[:, None] * a % n
-    neg = -a % n
+    add, mul = _cyclic_tables(n)
     names = [str(x) for x in range(n)]
-    return _finish_ring(n, add, mul, 0, 1 % n, neg, {"kind": "zn", "n": n}, names)
+    return _finish_ring(n, add, mul, 0, 1, -np.arange(n) % n, {"kind": "zn", "n": n}, names)
 
 
 def ring_from_tables(
@@ -650,16 +664,15 @@ def polynomial_quotient(
         if not 0 <= c < base.size:
             raise InvalidConstruction("modulus coefficient out of range")
     _check_size(base.size**d, max_size)
-    badd, bmul, bneg, bzero = base.add, base.mul, base.neg, base.zero
     # x^m reduced for m < 2d-1: x^(m+1) = x*x^m, and x^d = -(low part of modulus)
-    powers = [[base.one if k == m else bzero for k in range(d)] for m in range(d)]
-    for _ in range(d - 1):
-        top = powers[-1][-1]
-        shifted = [bzero] + powers[-1][:-1]
-        powers.append(
-            [badd[s][bneg[bmul[top][c]]] for s, c in zip(shifted, modulus[:d])]
-        )
-    structure = [[powers[i + j] for j in range(d)] for i in range(d)]
+    # low[c, k] = -(c * m_k), for the coefficients m_k of the modulus below x^d
+    low = np.asarray(base.neg)[base.mul_array[:, np.asarray(modulus[:d])]]
+    powers = np.full((2 * d - 1, d), base.zero)
+    powers[np.arange(d), np.arange(d)] = base.one
+    for m in range(d, 2 * d - 1):
+        powers[m, 1:] = powers[m - 1, :-1]
+        powers[m] = base.add_array[powers[m], low[powers[m - 1, -1]]]
+    structure = powers[np.arange(d)[:, None] + np.arange(d)]
     basis = ["1", "x"] + [f"x^{k}" for k in range(2, d)]
     return free_algebra(
         base,
@@ -727,10 +740,8 @@ def group_ring(
     """
     g = group.size
     _check_size(base.size**g, max_size)
-    structure = [
-        [[base.one if k == group.op[i][j] else base.zero for k in range(g)] for j in range(g)]
-        for i in range(g)
-    ]
+    # e_i e_j = e_(ij): coefficient k is the unity where k = ij, else zero
+    structure = np.where(np.asarray(group.op)[:, :, None] == np.arange(g), base.one, base.zero)
     return free_algebra(
         base,
         structure,
@@ -749,17 +760,12 @@ def group_ring(
 class FiniteModule:
     ring: FiniteRing
     size: int
-    add: tuple[tuple[int, ...], ...]
+    add_array: np.ndarray = field(repr=False)
     zero: int
     neg: tuple[int, ...]
-    act: tuple[tuple[int, ...], ...]  # act[r][m] = r.m
+    act_array: np.ndarray = field(repr=False)  # act_array[r, m] = r.m
     names: tuple[str, ...]
     construction: dict
-
-    @cached_property
-    def add_array(self) -> np.ndarray:
-        """The addition as an array of the compact dtype, for spans."""
-        return _as_table(self.add, self.size, "module addition")
 
 
 def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
@@ -770,27 +776,25 @@ def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
     edges of M (see `_additive_edges`).  Returns the module addition and the
     action as arrays.
 
-    A module whose addition, zero and negation are the ring's own, as in
-    `module_self`, skips the abelian group check the ring passed already.
+    A module whose addition array, zero and negation are the ring's own, as
+    in `module_self`, skips the abelian group check the ring passed already.
     """
     ring, m = mod.ring, mod.size
     RA = ring.add_array
     gens = ring.add_generators
     ring_edges = _additive_edges(RA, ring.zero, gens)
-    frozen = vars(ring)  # the tuple tables frozen so far; a lookup freezes none
     if (
-        mod.add is frozen.get("add")
+        mod.add_array is RA
         and mod.neg is ring.neg
         and (m, mod.zero) == (ring.size, ring.zero)
     ):
         MA, module_edges = RA, ring_edges
     else:
-        MA, module_gens = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
+        MA, module_gens = _validate_abelian_group(
+            mod.add_array, mod.zero, mod.neg, m, "module"
+        )
         module_edges = _additive_edges(MA, mod.zero, module_gens)
-    if mod.act is frozen.get("mul"):
-        ACT = ring.mul_array
-    else:
-        ACT = np.asarray(mod.act, dtype=np.int64)
+    ACT = np.asarray(mod.act_array, dtype=np.int64)
     if ACT.shape != (ring.size, m) or (ACT.size and (ACT.min() < 0 or ACT.max() >= m)):
         raise InvalidConstruction("module action table malformed")
     if not np.array_equal(ACT[ring.one], np.arange(m)):
@@ -824,10 +828,10 @@ def module_self(ring: FiniteRing) -> FiniteModule:
     return FiniteModule(
         ring=ring,
         size=ring.size,
-        add=ring.add,
+        add_array=ring.add_array,
         zero=ring.zero,
         neg=ring.neg,
-        act=ring.mul,
+        act_array=ring.mul_array,
         names=ring.names,
         construction={"kind": "self"},
     )
@@ -840,14 +844,14 @@ def module_zn_quotient(ring: FiniteRing, m: int) -> FiniteModule:
     n = ring.construction["n"]
     if m < 1 or n % m != 0:
         raise InvalidConstruction(f"modulus {m} must divide {n}")
-    a = np.arange(m)
+    add, mul = _cyclic_tables(m)
     return FiniteModule(
         ring=ring,
         size=m,
-        add=_freeze((a[:, None] + a) % m),
+        add_array=add,
         zero=0,
-        neg=tuple((-a % m).tolist()),
-        act=_freeze(np.arange(n)[:, None] * a % m),
+        neg=tuple((-np.arange(m) % m).tolist()),
+        act_array=mul[np.arange(n) % m],  # r.x = (r mod m) x
         names=tuple(map(str, range(m))),
         construction={"kind": "zn_quotient", "m": m},
     )

@@ -17,6 +17,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import (
     IsoViolation,
     UnknownTheorem,
@@ -37,6 +39,7 @@ from .graph_engine import (
     is_star,
 )
 from .ideal_lattice import (
+    IdealSet,
     generated_left_ideal,
     ideal_power,
     ideal_sum,
@@ -54,7 +57,7 @@ from .ideal_lattice import (
 )
 from .instance import Instance
 from .ordered_grading import lemma_ll_check
-from .ring_core import FiniteRing, mask_members
+from .ring_core import FiniteModule, FiniteRing, index_mask, mask_members
 
 # The checks reach structure_maps through Instance, which imports it on first
 # use; loading it with the registry keeps that import out of the running time
@@ -963,6 +966,19 @@ def _check_t56(inst: Instance) -> TheoremReport:
     )
 
 
+def _first_unembedded_pair(
+    base: FiniteRing, ring: FiniteRing, embed: Sequence[int]
+) -> tuple[int, int] | None:
+    """The first pair (a, b) of base elements, in row-major order, whose sum
+    or product the map `embed` into the ring does not carry over; None when
+    it carries every one."""
+    e = np.asarray(embed)
+    grid = np.ix_(e, e)
+    bad = e[base.add_array] != ring.add_array[grid]
+    bad |= e[base.mul_array] != ring.mul_array[grid]
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+
 @_register(
     "groupring_example",
     "group rings: the canonical grading is strong and the graded graph "
@@ -981,22 +997,16 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
     details: dict = {}
     # coefficient r on the group identity, the base's zero elsewhere
     shift = base.size**group.identity
-    embed = {r: ring.zero + (r - base.zero) * shift for r in range(base.size)}
+    embed = [ring.zero + (r - base.zero) * shift for r in range(base.size)]
     re_member_set = set(
         mask_members(inst.grading.component(inst.grading.grades.identity))
     )
-    iso_ok = set(embed.values()) == re_member_set
-    for a in range(base.size):
-        if not iso_ok:
-            break
-        for b in range(base.size):
-            if (
-                embed[base.add[a][b]] != ring.add[embed[a]][embed[b]]
-                or embed[base.mul[a][b]] != ring.mul[embed[a]][embed[b]]
-            ):
-                iso_ok = False
-                witness = f"coefficients {base.names[a]}, {base.names[b]}"
-                break
+    iso_ok = set(embed) == re_member_set
+    if iso_ok:
+        pair = _first_unembedded_pair(base, ring, embed)
+        if pair is not None:
+            iso_ok = False
+            witness = "coefficients {}, {}".format(*(base.names[x] for x in pair))
     directions.append(("coefficient_ring_is_identity_component", PASS if iso_ok else FAIL))
     if iso_ok:
         base_vertices = {frozenset(v.members) for v in inst.base_vertices}
@@ -1037,12 +1047,23 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
 # square-zero extensions
 
 
-def _pair_mask(base: FiniteRing, module, i_mask: int, n_mask: int) -> int:
-    out = 0
-    for r in mask_members(i_mask):
-        for m in mask_members(n_mask):
-            out |= 1 << (r * module.size + m)
-    return out
+def _pair_mask(module: FiniteModule, i_mask: int, n_mask: int) -> int:
+    """Mask of the pairs (r, m) at r*|M| + m with r in I and m in N."""
+    return sum(n_mask << r * module.size for r in mask_members(i_mask))
+
+
+def _compatible_pairs(
+    module: FiniteModule, base_family: Sequence[IdealSet], module_family: Sequence[int]
+) -> dict[int, tuple[int, int]]:
+    """Pair mask -> (ideal, submodule) for each ideal I of the base and
+    submodule N with I.M inside N, in the order of the two families."""
+    expected = {}
+    for bi in base_family:
+        moved = index_mask(module.act_array[bi.members], module.size)
+        for sm_mask in module_family:
+            if moved | sm_mask == sm_mask:
+                expected[_pair_mask(module, bi.mask, sm_mask)] = (bi.mask, sm_mask)
+    return expected
 
 
 @_register(
@@ -1052,24 +1073,13 @@ def _pair_mask(base: FiniteRing, module, i_mask: int, n_mask: int) -> int:
     kinds=("idealization",),
 )
 def _check_lemma17(inst: Instance) -> TheoremReport:
-    base, module = inst.ring.parts["base"], inst.ring.parts["module"]
+    module = inst.ring.parts["module"]
     hyp = module.size > 1
     directions = []
     witness = None
     details: dict = {}
     if hyp:
-        expected = {}
-        for bi in inst.base_family:
-            for sm_mask in inst.module_family:
-                if all(
-                    sm_mask >> module.act[r][m] & 1
-                    for r in bi.members
-                    for m in range(module.size)
-                ):
-                    expected[_pair_mask(base, module, bi.mask, sm_mask)] = (
-                        bi.mask,
-                        sm_mask,
-                    )
+        expected = _compatible_pairs(module, inst.base_family, inst.module_family)
         actual = {i.mask for i in inst.graded_family}
         missing = sorted(set(expected) - actual)
         extra = sorted(actual - set(expected))
@@ -1086,7 +1096,7 @@ def _check_lemma17(inst: Instance) -> TheoremReport:
             for j in range(i + 1, len(pairs)):
                 (ma, (ia, na)) = pairs[i]
                 (mb, (ib, nb)) = pairs[j]
-                if ma & mb != _pair_mask(base, module, ia & ib, na & nb):
+                if ma & mb != _pair_mask(module, ia & ib, na & nb):
                     inter_ok = False
                     witness = "componentwise intersection mismatch"
         directions.append(("componentwise_intersection", PASS if inter_ok else FAIL))
@@ -1126,7 +1136,7 @@ def _module_is_simple(inst: Instance) -> bool:
     kinds=("idealization",),
 )
 def _check_t777(inst: Instance) -> TheoremReport:
-    base, module = inst.ring.parts["base"], inst.ring.parts["module"]
+    module = inst.ring.parts["module"]
     hyp = module.size > 1
     directions = []
     witness = None
@@ -1148,10 +1158,7 @@ def _check_t777(inst: Instance) -> TheoremReport:
         details["girth"] = "inf" if gv == math.inf else gv
         trig_a = (not _base_is_simple(inst)) and not _module_is_simple(inst)
         trig_b = len(inst.base_vertices) >= 2
-        full_action = 0
-        for r in range(base.size):
-            for m in range(module.size):
-                full_action |= 1 << module.act[r][m]
+        full_action = index_mask(module.act_array, module.size)
         trig_c = full_action != (1 << module.size) - 1
         directions.append(_direction("both_nonsimple_girth_three", trig_a, gv == 3))
         directions.append(_direction("two_base_ideals_girth_three", trig_b, gv == 3))

@@ -13,6 +13,7 @@ from math import inf
 import numpy as np
 
 from idealgraphs.errors import InvalidConstruction, NotASubring
+from idealgraphs.grading import validate_grading
 from idealgraphs.ring_core import (
     FiniteGroup,
     _freeze,
@@ -139,8 +140,8 @@ def exhaustive_group_from_table(op, names=None) -> FiniteGroup:
 def exhaustive_validate_module(mod) -> None:
     """Every module law for every ring element: O(|R| |M|^2)."""
     n, m = mod.ring.size, mod.size
-    MA = _validate_abelian_group(mod.add, mod.zero, mod.neg, m, "module")
-    ACT = np.asarray(mod.act, dtype=np.int64)
+    MA = _validate_abelian_group(mod.add_array, mod.zero, mod.neg, m, "module")
+    ACT = np.asarray(mod.act_array, dtype=np.int64)
     if ACT.shape != (n, m) or (ACT.size and (ACT.min() < 0 or ACT.max() >= m)):
         raise InvalidConstruction("module action table malformed")
     if not np.array_equal(ACT[mod.ring.one], np.arange(m)):
@@ -273,6 +274,7 @@ def brute_graded_left_ideal_masks(ring, grading) -> set[int]:
 def brute_submodule_masks(module) -> set[int]:
     n = module.size
     zero = module.zero
+    add, act = module.add_array.tolist(), module.act_array.tolist()
     others = [x for x in range(n) if x != zero]
     found = set()
     for d in divisors(n):
@@ -282,16 +284,135 @@ def brute_submodule_masks(module) -> set[int]:
             for x in members:
                 mask |= 1 << x
             if not all(
-                mask >> module.add[x][y] & 1 for x in members for y in members
+                mask >> add[x][y] & 1 for x in members for y in members
             ):
                 continue
             if all(
-                mask >> module.act[r][x] & 1
+                mask >> act[r][x] & 1
                 for r in range(module.ring.size)
                 for x in members
             ):
                 found.add(mask)
     return found
+
+
+# --- the Python loops over tuple tables that the library's readers replaced
+# with array gathers, kept as they were
+
+
+def relabelled_grading(grading, at):
+    """The same grading on relabelled_ring(grading.ring, at)."""
+    ring = relabelled_ring(grading.ring, at)
+    components = {
+        deg: sum(1 << at[x] for x in mask_members(mask))
+        for deg, mask in grading.components.items()
+    }
+    return validate_grading(ring, grading.grades, components)
+
+
+def span_of_products(grading, ds: int, dt: int) -> int:
+    ring = grading.ring
+    right = mask_members(grading.component(dt))
+    products = set()
+    for a in mask_members(grading.component(ds)):
+        row = ring.mul[a]
+        products.update([row[b] for b in right])
+    prod_mask = 0
+    for p in products:
+        prod_mask |= 1 << p
+    return additive_span(ring, prod_mask)
+
+
+def is_sigma_faithful(grading, sigma: int) -> bool:
+    ring = grading.ring
+    g = grading.grades
+    for tau in grading.support:
+        left = mask_members(grading.component(g.op(sigma, g.inv(tau))))
+        for x in mask_members(grading.component(tau)):
+            if x == ring.zero:
+                continue
+            if all(ring.mul[a][x] == ring.zero for a in left):
+                return False
+    return True
+
+
+def ideal_product(ring, a_mask: int, b_mask: int) -> int:
+    seed = 0
+    mul = ring.mul
+    for a in mask_members(a_mask):
+        row = mul[a]
+        for b in mask_members(b_mask):
+            seed |= 1 << row[b]
+    return additive_span(ring, seed)
+
+
+def is_unit(ring, x: int) -> bool:
+    row = ring.mul[x]
+    for y in range(ring.size):
+        if row[y] == ring.one and ring.mul[y][x] == ring.one:
+            return True
+    return False
+
+
+def is_nilpotent(ring, x: int) -> bool:
+    seen = set()
+    p = x
+    while p not in seen:
+        if p == ring.zero:
+            return True
+        seen.add(p)
+        p = ring.mul[p][x]
+    return False
+
+
+def is_graded_domain(grading) -> bool:
+    ring = grading.ring
+    if not ring.commutative:
+        return False
+    hom = sorted(
+        {x for cm in grading.components.values() for x in mask_members(cm) if x != ring.zero}
+    )
+    return all(ring.mul[a][b] != ring.zero for a in hom for b in hom)
+
+
+def first_unembedded_pair(base, ring, embed):
+    """The groupring_example witness: the first pair of base elements whose
+    sum or product `embed` does not carry into the ring."""
+    for a in range(base.size):
+        for b in range(base.size):
+            if (
+                embed[base.add[a][b]] != ring.add[embed[a]][embed[b]]
+                or embed[base.mul[a][b]] != ring.mul[embed[a]][embed[b]]
+            ):
+                return a, b
+    return None
+
+
+def pair_mask(module, i_mask: int, n_mask: int) -> int:
+    out = 0
+    for r in mask_members(i_mask):
+        for m in mask_members(n_mask):
+            out |= 1 << (r * module.size + m)
+    return out
+
+
+def compatible_pairs(module, base_family, module_family) -> dict:
+    """The lemma17 expected set: pair mask -> (ideal, submodule) for each
+    ideal moving the whole module into the submodule."""
+    act = module.act_array.tolist()
+    expected = {}
+    for bi in base_family:
+        for sm_mask in module_family:
+            if all(
+                sm_mask >> act[r][m] & 1
+                for r in bi.members
+                for m in range(module.size)
+            ):
+                expected[pair_mask(module, bi.mask, sm_mask)] = (
+                    bi.mask,
+                    sm_mask,
+                )
+    return expected
 
 
 # --- entrywise constructor tables: every sum and product one entry at a time,
@@ -452,10 +573,11 @@ def entrywise_idealization(base, module) -> dict:
     """(r, m) at index r*|M| + m, with (r, m)(r', m') = (rr', r.m' + r'.m)."""
     pairs = [(r, m) for r in range(base.size) for m in range(module.size)]
     k = module.size
+    add, act = module.add_array.tolist(), module.act_array.tolist()
     return {
-        "add": [[base.add[r][s] * k + module.add[m][p] for s, p in pairs] for r, m in pairs],
+        "add": [[base.add[r][s] * k + add[m][p] for s, p in pairs] for r, m in pairs],
         "mul": [
-            [base.mul[r][s] * k + module.add[module.act[r][p]][module.act[s][m]] for s, p in pairs]
+            [base.mul[r][s] * k + add[act[r][p]][act[s][m]] for s, p in pairs]
             for r, m in pairs
         ],
         "neg": [base.neg[r] * k + module.neg[m] for r, m in pairs],

@@ -345,7 +345,7 @@ class TestIdealization:
         base = make_cyclic_ring(4)
         mod = module_zn_quotient(base, 2)
         assert mod.size == 2
-        assert mod.act[3][1] == 1 and mod.act[2][1] == 0
+        assert mod.act_array[3, 1] == 1 and mod.act_array[2, 1] == 0
         ring = idealization(base, mod)
         assert ring.size == 8
 
@@ -353,8 +353,11 @@ class TestIdealization:
         for n, m in [(4, 1), (4, 2), (12, 4), (12, 12), (64, 32)]:
             mod = module_zn_quotient(make_cyclic_ring(n), m)
             want = entrywise_zn_quotient_module(n, m)
-            assert (mod.add, mod.neg, mod.act, mod.names) == (
-                want["add"], want["neg"], want["act"], want["names"]
+            assert (mod.add_array.tolist(), mod.neg, mod.act_array.tolist(), mod.names) == (
+                [list(row) for row in want["add"]],
+                want["neg"],
+                [list(row) for row in want["act"]],
+                want["names"],
             )
 
     def test_module_is_validated_where_it_enters_a_ring(self):
@@ -364,7 +367,7 @@ class TestIdealization:
         z4 = make_cyclic_ring(4)
         shifted = dataclasses.replace(
             module_self(z4),
-            act=tuple(tuple((r * m + 2) % 4 for m in range(4)) for r in range(4)),
+            act_array=np.array([[(r * m + 2) % 4 for m in range(4)] for r in range(4)]),
         )
         genuine = idealization(z4, module_self(z4))
         assert entrywise_idealization(z4, shifted)["mul"] == [list(row) for row in genuine.mul]
@@ -597,20 +600,21 @@ class TestAdditiveEdges:
             [PAIR_INDEX[_pair_sum(times(r % 4, m), times(r // 4, f[m]))] for m in PAIRS]
             for r in range(ring.size)
         ]
+        add = [[PAIR_INDEX[_pair_sum(p, q)] for q in PAIRS] for p in PAIRS]
         module = ring_core.FiniteModule(
             ring=ring,
             size=8,
-            add=[[PAIR_INDEX[_pair_sum(p, q)] for q in PAIRS] for p in PAIRS],
+            add_array=np.array(add),
             zero=0,
             neg=[PAIR_INDEX[times(-1, p)] for p in PAIRS],
-            act=act,
+            act_array=np.array(act),
             names=[str(p) for p in PAIRS],
             construction={"kind": "hand-built"},
         )
-        tree, relations = _walk_edges(module.add, 0, [1, 2, 3])
+        tree, relations = _walk_edges(add, 0, [1, 2, 3])
         row = act[4]  # x acting
-        assert all(row[c] == module.add[row[a]][row[s]] for a, s, c in tree)
-        holds = [row[c] == module.add[row[a]][row[s]] for a, s, c in relations]
+        assert all(row[c] == add[row[a]][row[s]] for a, s, c in tree)
+        holds = [row[c] == add[row[a]][row[s]] for a, s, c in relations]
         assert holds == [True, False, True]
         with pytest.raises(InvalidConstruction, match="not additive in the module"):
             ring_core._validate_module(module)
@@ -654,10 +658,10 @@ class TestAdditiveEdges:
         module = ring_core.FiniteModule(
             ring=ring,
             size=n,
-            add=add,
+            add_array=np.array(add),
             zero=zero,
             neg=neg,
-            act=act,
+            act_array=np.array(act),
             names=[str(x) for x in range(n)],
             construction={"kind": "hand-built"},
         )
@@ -859,11 +863,30 @@ class TestLargestBuild:
         z1024 = make_cyclic_ring(1024)
         ring_core._validate_module(module_self(z1024))
         ring_core._validate_module(module_zn_quotient(z1024, 32))
-        act = np.asarray(z1024.mul)
+        act = z1024.mul_array.copy()
         act[700, 3] = (act[700, 3] + 512) % 1024
-        bent = dataclasses.replace(module_self(z1024), act=act)
+        bent = dataclasses.replace(module_self(z1024), act_array=act)
         with pytest.raises(InvalidConstruction, match="module action"):
             ring_core._validate_module(bent)
+
+    # the tables' dtype changes between 128 and 129 elements, and the
+    # dtype the products are taken in between 11 and 12 and 181 and 182
+    @pytest.mark.parametrize("n", [2, 3, 11, 12, 127, 128, 129, 181, 182, 1023, 1024])
+    def test_cyclic_tables_are_built_compact(self, n, monkeypatch):
+        passed = []
+        real = ring_core._as_table
+
+        def spy(table, size, what):
+            out = real(table, size, what)
+            passed.append(out is table)
+            return out
+
+        monkeypatch.setattr(ring_core, "_as_table", spy)
+        ring = make_cyclic_ring(n)
+        assert passed == [True, True]  # both tables arrive in the compact dtype
+        a = np.arange(n)
+        assert np.array_equal(ring.add_array, (a[:, None] + a) % n)
+        assert np.array_equal(ring.mul_array, a[:, None] * a % n)
 
     def test_z1024_at_the_cap(self):
         ring = make_cyclic_ring(1024)
@@ -1074,14 +1097,14 @@ class TestGroupsAndModulesAgainstOracle:
         module = MODULES[data.draw(st.sampled_from(sorted(MODULES)))]
         m = module.size
         which = data.draw(st.sampled_from(["add", "add_symmetric", "act"]))
-        add = [list(row) for row in module.add]
-        act = [list(row) for row in module.act]
+        add = module.add_array.tolist()
+        act = module.act_array.tolist()
         table = act if which == "act" else add
         i, j = data.draw(st.integers(0, len(table) - 1)), data.draw(st.integers(0, m - 1))
         table[i][j] = (table[i][j] + data.draw(st.integers(0, m - 1))) % m  # 0 keeps it
         if which == "add_symmetric":
             table[j][i] = table[i][j]
-        bent = dataclasses.replace(module, add=add, act=act)
+        bent = dataclasses.replace(module, add_array=np.array(add), act_array=np.array(act))
         library = _module_accepted(ring_core._validate_module, bent)
         assert library == _module_accepted(exhaustive_validate_module, bent)
 
@@ -1118,10 +1141,10 @@ class TestGroupsAndModulesAgainstOracle:
         module = ring_core.FiniteModule(
             ring=ring,
             size=size,
-            add=[[a ^ b for b in range(size)] for a in range(size)],
+            add_array=np.array([[a ^ b for b in range(size)] for a in range(size)]),
             zero=0,
             neg=list(range(size)),
-            act=act,
+            act_array=np.array(act),
             names=[str(x) for x in range(size)],
             construction={"kind": "hand-built"},
         )
@@ -1387,8 +1410,9 @@ class TestFrozenTableArrays:
         op[0, 0] = 5  # the caller's array changes after the build
         assert np.asarray(group.op).tolist() == [list(row) for row in group.op] != op.tolist()
         module = module_zn_quotient(make_cyclic_ring(12), 4)
-        assert np.asarray(module.act).tolist() == [list(row) for row in module.act]
-        assert np.array_equal(module.add_array, np.asarray(module.add))
+        assert module.add_array.dtype == module.act_array.dtype == np.int8
+        assert module.act_array.tolist() == [[r * x % 4 for x in range(4)] for r in range(12)]
+        assert module.add_array.tolist() == [[(a + b) % 4 for b in range(4)] for a in range(4)]
 
     def test_tables_round_trip_through_ring_from_tables(self):
         ring = group_ring(make_cyclic_ring(2), cyclic_group(8))

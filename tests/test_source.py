@@ -78,18 +78,20 @@ def test_ring_tables_are_not_converted_back_to_numpy():
     assert not found, f"tuple tables converted to numpy: {found}"
 
 
-def test_spans_read_the_addition_array():
-    # span_extend reads one row of the addition array per generator step;
-    # handing it a tuple table `add` would freeze all n^2 entries first
-    calls, found = 0, []
+def test_package_reads_no_tuple_table():
+    # rings and modules keep their tables as arrays (add_array, mul_array,
+    # act_array); a read of `add`, `mul` or `act` as a value would freeze or
+    # want a tuple table, while calls such as set.add(x) are method calls
+    found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            func = getattr(node, "func", None)
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name == "span_extend" and node.args:
-                calls += 1
-                first = node.args[0]
-                if isinstance(first, ast.Attribute) and first.attr == "add":
-                    found.append(f"{path.name}:{node.lineno}")
-    assert calls, "no span_extend call found"
-    assert not found, f"span_extend fed a tuple table: {found}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("add", "mul", "act")
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in called
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"tuple tables read in the package: {found}"

@@ -6,14 +6,18 @@ from idealgraphs import (
     Instance,
     UnknownTheorem,
     WrongInstanceKind,
+    enumerate_submodules,
     graph_from_edges,
+    idealization,
     make_cyclic_ring,
+    module_self,
     run_all,
     run_check,
     theorem_ids,
     theorem_summary,
     trivial_grading,
 )
+from idealgraphs import ring_core
 from idealgraphs.cli import load_instance, parse_instance
 
 ALL_IDS = [
@@ -124,6 +128,40 @@ class TestNoFailuresOnCorpus:
         for name, inst in corpus_instances.items():
             bad = [r for r in run_all(inst) if r.verdict == "FAIL"]
             assert not bad, f"{name}: {[(r.theorem_id, r.witness) for r in bad]}"
+
+
+class TestNoTupleTables:
+    @pytest.fixture
+    def built_rings(self, monkeypatch):
+        """Every ring constructed while the test runs."""
+        rings = []
+        real = ring_core.FiniteRing.__post_init__
+
+        def recording(ring):
+            rings.append(ring)
+            real(ring)
+
+        monkeypatch.setattr(ring_core.FiniteRing, "__post_init__", recording)
+        return rings
+
+    @staticmethod
+    def frozen(rings):
+        return [(r.construction["kind"], t) for r in rings for t in ("add", "mul") if t in vars(r)]
+
+    def test_run_all_on_the_corpus_freezes_no_ring_table(self, corpus_dir, built_rings):
+        # base rings, identity components and unital factors included
+        for file in sorted(corpus_dir.glob("*.json")):
+            run_all(load_instance(str(file)))
+        assert len(built_rings) >= 20
+        assert self.frozen(built_rings) == []
+
+    def test_self_idealization_and_its_submodules_freeze_no_ring_table(self, built_rings):
+        z32 = make_cyclic_ring(32)
+        module = module_self(z32)
+        idealization(z32, module)
+        enumerate_submodules(module)
+        assert len(built_rings) == 2
+        assert self.frozen(built_rings) == []
 
 
 class TestFrozenVerdicts:
