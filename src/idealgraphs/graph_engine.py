@@ -2,8 +2,10 @@
 intersection graphs this package produces.
 
 Adjacency is a tuple of int bitmasks (bit j of adj[i] = edge i-j).  All
-invariants are exact: BFS for distances, a triangle test and then BFS for
-girth, pivoting clique search for the clique number, increasing-cardinality
+invariants are exact: BFS for distances and components (the frontier is a
+vertex mask, and the next one is the union of its rows less the vertices
+seen, so a root costs one row union per vertex it reaches), a triangle test
+and then BFS for girth, pivoting clique search for the clique number, increasing-cardinality
 search for domination, and a Kuratowski-subdivision search for planarity on
 small orders (larger orders fall back to the edge-count bound or report
 unknown as None).  Each invariant is computed once per Graph and kept on it,
@@ -109,38 +111,29 @@ def _per_graph(fn):
 # distances and connectivity
 
 
-def _bfs_dist(g: Graph, root: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[root] = 0
-    frontier = [root]
+def _reach(adj: Sequence[int], root_mask: int) -> tuple[int, int]:
+    """Mask of the vertices reachable from root_mask, and their greatest
+    distance from it.  The BFS keeps its frontier as a mask: the next one is
+    the union of the frontier's rows, less the vertices already seen."""
+    seen = frontier = root_mask
+    depth = -1
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in mask_members(g.adj[u]):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+        depth += 1
+        nxt = 0
+        for u in mask_members(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen, depth
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in mask_members(g.adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
+    rest = (1 << g.n) - 1
+    while rest:
+        comp, _ = _reach(g.adj, rest & -rest)
+        comps.append(mask_members(comp))
+        rest &= ~comp
     return comps
 
 
@@ -156,12 +149,13 @@ def diameter(g: Graph) -> float:
     vertex."""
     if g.n <= 1:
         return 0
+    everyone = (1 << g.n) - 1
     best = 0
     for root in range(g.n):
-        dist = _bfs_dist(g, root)
-        if min(dist) < 0:
+        seen, eccentricity = _reach(g.adj, 1 << root)
+        if seen != everyone:
             return math.inf
-        best = max(best, max(dist))
+        best = max(best, eccentricity)
     return best
 
 

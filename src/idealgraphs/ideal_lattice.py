@@ -1,8 +1,11 @@
 """Left-ideal and submodule families of a finite carrier, as bitmasks.
 
 Enumeration works on the closure system directly: starting from {0}, every
-known closed set is extended by every candidate element, and the closure of
-the union is taken.  For left ideals the closure of (ideal + R*x) is just the
+known closed set is extended by the orbit R*x of each candidate element, and
+the closure of the union is taken.  That closure depends on x only through
+its orbit, and many candidates share one, so each distinct orbit mask is
+tried once per closed set, and one that already lies inside it is skipped as
+a mask test.  For left ideals the closure of (ideal + R*x) is just the
 additive span, because the union of two sets closed under left multiplication
 is still closed under it; that observation keeps the inner loop purely
 additive.  Every span here, from enumeration to sums, products and labels, is
@@ -106,6 +109,8 @@ def _enumerate_closed(
     what: str,
 ) -> list[int]:
     zero_mask = 1 << zero
+    # the closure of cur and x depends on x only through its orbit
+    orbits = list(dict.fromkeys(orbit_masks[x] for x in candidates))
     found = {zero_mask}
     members_of = {zero_mask: [zero]}
     frontier = [zero_mask]
@@ -115,13 +120,13 @@ def _enumerate_closed(
         nxt = []
         for cur in frontier:
             base_members = members_of[cur]
-            for x in candidates:
-                if cur & (1 << x):
+            for orbit in orbits:
+                seed = cur | orbit
+                if seed == cur:
                     continue
-                seed = cur | orbit_masks[x]
                 closed = memo.get(seed)
                 if closed is None:
-                    closed = span_extend(add, cur, base_members, orbit_masks[x], rows)
+                    closed = span_extend(add, cur, base_members, orbit, rows)
                     memo[seed] = closed
                 if closed not in found:
                     found.add(closed)
@@ -265,7 +270,15 @@ def maximal_chain_term_counts(family: Sequence[IdealSet]) -> set[int]:
 
 
 def ideal_sum(ring: FiniteRing, a_mask: int, b_mask: int) -> int:
-    """Smallest left ideal holding both: the additive span of the union."""
+    """Smallest left ideal holding both: the additive span of the union.
+
+    Both arguments must be left ideals (closed subgroups suffice).  When one
+    holds the other it is the sum, and no span is taken; otherwise the
+    span grows from the larger one, which leaves fewer cosets to add."""
+    if a_mask.bit_count() < b_mask.bit_count():
+        a_mask, b_mask = b_mask, a_mask
+    if a_mask | b_mask == a_mask:
+        return a_mask
     return span_extend(ring.add_array, a_mask, mask_members(a_mask), b_mask)
 
 

@@ -5,7 +5,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealgraphs import (
@@ -161,11 +161,15 @@ class TestInvariants:
         assert len(connected_components(g)) == 2
 
 
-def nx_girth(g):
+def to_nx(g):
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)
-    return nx.girth(G)
+    return G
+
+
+def nx_girth(g):
+    return nx.girth(to_nx(g))
 
 
 @st.composite
@@ -215,6 +219,25 @@ class TestGirthAgainstNetworkx:
     def test_complete_bipartite(self, a, b):
         g = graph_from_edges(a + b, [(u, a + w) for u in range(a) for w in range(b)])
         assert girth(g) == nx_girth(g) == (4 if min(a, b) >= 2 else math.inf)
+
+
+class TestDistancesAgainstNetworkx:
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs())
+    @example(g=graph_from_edges(0, []))
+    @example(g=graph_from_edges(1, []))
+    @example(g=graph_from_edges(2, []))
+    def test_random_graphs(self, g):
+        G = to_nx(g)
+        components = sorted(sorted(c) for c in nx.connected_components(G))
+        assert connected_components(g) == components
+        # networkx leaves the connectivity of the empty graph undefined
+        connected = g.n == 0 or nx.is_connected(G)
+        assert is_connected(g) == connected
+        if g.n <= 1:
+            assert diameter(g) == 0
+        else:
+            assert diameter(g) == (nx.diameter(G) if connected else math.inf)
 
 
 class TestInvariantMemo:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 from collections import Counter
 
@@ -53,6 +54,7 @@ from oracles import (
     brute_graded_left_ideal_masks,
     brute_left_ideal_masks,
     brute_submodule_masks,
+    relabelled_grading,
     relabelled_ring,
 )
 from oracles import ideal_label as oracle_label
@@ -132,6 +134,116 @@ class TestEnumerationsReadEachRowOnce:
         vars(module)["add_array"] = add = _counting(module.add_array)
         assert set(enumerate_submodules(module)) == brute_submodule_masks(module)
         assert max(add.counts.values()) == 1
+
+
+class _CountedReads(tuple):
+    """An orbit table that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@contextlib.contextmanager
+def counted_work():
+    """Count, inside the block, the spans taken (their base and extra masks)
+    and, for the last enumeration, its orbit reads, candidates, distinct
+    orbits and family size."""
+    work = {"spans": []}
+    enumerate_closed, span_extend = ideal_lattice._enumerate_closed, ideal_lattice.span_extend
+
+    def counted_enumerate(add, zero, orbit_masks, candidates, max_count, what):
+        candidates = list(candidates)
+        work["orbits"] = orbits = _CountedReads(orbit_masks)
+        work["candidates"] = len(candidates)
+        work["distinct"] = len({orbit_masks[x] for x in candidates})
+        found = enumerate_closed(add, zero, orbits, candidates, max_count, what)
+        work["found"] = len(found)
+        return found
+
+    def counted_span(add, base_mask, base_members, extra_mask, rows=None):
+        work["spans"].append((base_mask, extra_mask))
+        return span_extend(add, base_mask, base_members, extra_mask, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideal_lattice, "_enumerate_closed", counted_enumerate)
+        mp.setattr(ideal_lattice, "span_extend", counted_span)
+        yield work
+
+
+def assert_orbit_work(work):
+    # each candidate's orbit is read once, and each closed set is spanned
+    # with each distinct orbit at most once
+    assert work["orbits"].reads == work["candidates"]
+    assert len(work["spans"]) <= work["found"] * work["distinct"]
+
+
+class TestEnumerationWork:
+    # cur + R*x depends on x only through its orbit R*x, so an enumeration
+    # tries distinct orbits, not candidates; the families stay the brute ones
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_left_ideals(self, data):
+        base = ORACLE_RINGS[data.draw(st.sampled_from(sorted(ORACLE_RINGS)))]
+        ring = relabelled_ring(base, data.draw(st.permutations(range(base.size))))
+        with counted_work() as work:
+            family = enumerate_left_ideals(ring)
+        assert ideal_masks(family) == brute_left_ideal_masks(ring)
+        assert_orbit_work(work)
+        assert work["distinct"] < work["candidates"] == ring.size
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_graded_left_ideals(self, data):
+        name = data.draw(st.sampled_from(sorted(ORACLE_RINGS)))
+        base = ORACLE_GRADINGS.get(name, trivial_grading)(ORACLE_RINGS[name])
+        at = data.draw(st.permutations(range(base.ring.size)))
+        grading = relabelled_grading(base, at)
+        with counted_work() as work:
+            family = enumerate_graded_left_ideals(grading)
+        assert ideal_masks(family) == brute_graded_left_ideal_masks(grading.ring, grading)
+        assert_orbit_work(work)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_submodules(self, data):
+        base = ORACLE_RINGS[data.draw(st.sampled_from(sorted(ORACLE_RINGS)))]
+        at = data.draw(st.permutations(range(base.size)))
+        module = module_self(relabelled_ring(base, at))
+        with counted_work() as work:
+            family = enumerate_submodules(module)
+        assert set(family) == brute_submodule_masks(module)
+        assert_orbit_work(work)
+
+    @pytest.mark.parametrize("quotient", [4, 6])
+    def test_quotient_submodules(self, quotient):
+        module = module_zn_quotient(ORACLE_RINGS["Z12"], quotient)
+        with counted_work() as work:
+            family = enumerate_submodules(module)
+        assert set(family) == brute_submodule_masks(module)
+        assert_orbit_work(work)
+
+
+class TestSumWork:
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+    def test_comparable_ideals_take_no_span(self, name):
+        ring = ORACLE_RINGS[name]
+        family = [i.mask for i in enumerate_left_ideals(ring)]
+        incomparable = 0
+        with counted_work() as work:
+            for a in family:
+                for b in family:
+                    expected = brute_additive_span(ring.add, ring.zero, a | b)
+                    assert ideal_sum(ring, a, b) == expected
+                    if a | b not in (a, b):
+                        incomparable += 1
+                        larger = b if b.bit_count() > a.bit_count() else a
+                        assert work["spans"][-1] == (larger, a ^ b ^ larger)
+        # one span for each incomparable ordered pair, none for the rest
+        assert len(work["spans"]) == incomparable
 
 
 class TestFrozenLattices:

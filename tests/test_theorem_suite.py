@@ -164,6 +164,15 @@ class TestNoTupleTables:
         assert self.frozen(built_rings) == []
 
 
+class TestLemmaBPairs:
+    def test_each_unordered_pair_is_counted_once(self, corpus_instances):
+        for name, inst in corpus_instances.items():
+            n = len(inst.graded_family)
+            report = run_check(inst, "lemma_b")
+            assert report.verdict == "PASS", name
+            assert report.details["pairs"] == n * (n + 1) // 2, name
+
+
 class TestFrozenVerdicts:
     def test_z12(self, corpus_instances):
         v = verdict_map(corpus_instances["z12"])
