@@ -118,7 +118,6 @@ _EXPORTS = {
         "is_planar",
         "is_regular",
         "is_star",
-        "maximal_cliques",
         "star_center",
     ),
     "structure_maps": (

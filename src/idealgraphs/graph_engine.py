@@ -5,7 +5,8 @@ Adjacency is a tuple of int bitmasks (bit j of adj[i] = edge i-j).  All
 invariants are exact: BFS for distances and components (the frontier is a
 vertex mask, and the next one is the union of its rows less the vertices
 seen, so a root costs one row union per vertex it reaches), a triangle test
-and then BFS for girth, pivoting clique search for the clique number, increasing-cardinality
+and then BFS for girth, one pivoting branch and bound for the clique number
+and the heaviest clique under positive vertex weights, increasing-cardinality
 search for domination, and a Kuratowski-subdivision search for planarity on
 small orders (larger orders fall back to the edge-count bound or report
 unknown as None).  Each invariant is computed once per Graph and kept on it,
@@ -206,52 +207,40 @@ def _check_order(g: Graph) -> None:
         )
 
 
-def maximal_cliques(g: Graph) -> list[list[int]]:
-    """All maximal cliques (pivoting Bron-Kerbosch on bitmasks)."""
+def clique_number(g: Graph, weight: Sequence[int] | None = None) -> int:
+    """Exact maximum clique size; 0 for the empty graph.  Given positive
+    vertex weights, the greatest total weight of a clique instead.
+
+    One branch and bound serves both: a branch stops when its weight plus
+    that of every candidate left cannot beat the best clique found, and it
+    extends only by the non-neighbors of the candidate with the most
+    candidate neighbors (a pivot), since every maximal clique, and so the
+    heaviest one, holds the pivot or one of those.  The unweighted answer is
+    kept on the Graph.
+    """
+    if weight is None and "clique_number" in g.memo:
+        return g.memo["clique_number"]
     _check_order(g)
-    out: list[list[int]] = []
-    if g.n == 0:
-        return out
     adj = g.adj
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(mask_members(r))
-            return
-        pivot_pool = p | x
-        pivot = max(mask_members(pivot_pool), key=lambda v: (adj[v] & p).bit_count())
-        for v in mask_members(p & ~adj[pivot]):
-            expand(r | (1 << v), p & adj[v], x & adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    expand(0, (1 << g.n) - 1, 0)
-    return out
-
-
-@_per_graph
-def clique_number(g: Graph) -> int:
-    """Exact maximum clique size; 0 for the empty graph."""
-    _check_order(g)
-    if g.n == 0:
-        return 0
-    adj = g.adj
+    w = (1,) * g.n if weight is None else weight
     best = 0
 
-    def expand(rsize: int, p: int) -> None:
+    def expand(total: int, p: int) -> None:
         nonlocal best
         if p == 0:
-            best = max(best, rsize)
+            best = max(best, total)
             return
-        if rsize + p.bit_count() <= best:
+        candidates = mask_members(p)
+        if total + sum(w[v] for v in candidates) <= best:
             return
-        pivot = max(mask_members(p), key=lambda v: (adj[v] & p).bit_count())
+        pivot = max(candidates, key=lambda v: (adj[v] & p).bit_count())
         for v in mask_members(p & ~adj[pivot]):
-            expand(rsize + 1, p & adj[v])
+            expand(total + w[v], p & adj[v])
             p &= ~(1 << v)
-        # remaining p is covered by the pivot branch
 
     expand(0, (1 << g.n) - 1)
+    if weight is None:
+        g.memo["clique_number"] = best
     return best
 
 

@@ -17,7 +17,7 @@ the O(|result|^2) of closing under pairwise sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ class IdealSet:
 
     ring: FiniteRing
     mask: int
-    graded: bool | None = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -179,7 +178,7 @@ def enumerate_graded_left_ideals(
             raise UngradedIdeal(
                 f"ideal {m:#x} generated by homogeneous elements is not graded"
             )
-    return [IdealSet(ring, m, graded=True) for m in masks]
+    return [IdealSet(ring, m) for m in masks]
 
 
 def enumerate_submodules(

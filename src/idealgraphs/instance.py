@@ -6,7 +6,8 @@ An Instance builds each derived object at most once, on first use:
 - the identity component as a subring with its embedding, and that
   subring's family and graph (under a trivial grading the component is the
   whole ring, and these are the full family and graph);
-- the trace partition, its quotient graph and the extension map;
+- the trace partition, its quotient graph, the extension map, and the
+  isomorphism reports onto that quotient and onto the graded graph;
 - the identity-faithful and first-strong flags;
 - the base family and the submodule family of a composite carrier;
 - the induced grading, and its graded graph, of each direct-sum factor.
@@ -165,36 +166,40 @@ class Instance:
 
         return extension_map(self.grading, self.re_embedding, self.re_vertices)
 
-    def phi_iso(self, variant: str) -> dict:
-        """structure_maps.phi_iso_check on the owned objects.  Variant
-        "quotient" needs an identity-faithful grading (else NotEFaithful),
-        "first_strong" a first-strong one (else WrongConstruction)."""
+    @cached_property
+    def quotient_iso(self) -> dict:
+        """structure_maps.phi_iso_check onto the trace-class quotient; needs
+        an identity-faithful grading (else NotEFaithful)."""
         from .structure_maps import phi_iso_check
 
-        if variant == "quotient":
-            # a violation in the partition is reported before one in the
-            # extension, so build the partition first
-            partition = self.partition
-            return phi_iso_check(
-                self.grading, self.re_ring, self.re_vertices, self.extension,
-                partition=partition, quotient=self.quotient,
+        # a violation in the partition is reported before one in the
+        # extension, so build the partition first
+        partition = self.partition
+        return phi_iso_check(
+            self.grading, self.re_ring, self.re_vertices, self.extension,
+            partition=partition, quotient=self.quotient,
+        )
+
+    @cached_property
+    def first_strong_iso(self) -> dict:
+        """structure_maps.phi_iso_check onto the graded graph itself; needs
+        a first-strong grading (else WrongConstruction)."""
+        from .structure_maps import phi_iso_check
+
+        if not self.first_strong:
+            raise WrongConstruction(
+                "first-strong comparison needs a first-strong grading"
             )
-        if variant == "first_strong":
-            if not self.first_strong:
-                raise WrongConstruction(
-                    "first-strong comparison needs a first-strong grading"
-                )
-            return phi_iso_check(
-                self.grading, self.re_ring, self.re_vertices, self.extension,
-                graded_vertices=self.graded_vertices,
-            )
-        raise ValueError(f"unknown variant: {variant!r}")
+        return phi_iso_check(
+            self.grading, self.re_ring, self.re_vertices, self.extension,
+            graded_vertices=self.graded_vertices,
+        )
 
     @cached_property
     def transfer_report(self) -> dict:
         from .structure_maps import gamma_omega_transfer
 
-        partition = self.partition  # before the extension, as in phi_iso
+        partition = self.partition  # before the extension, as in quotient_iso
         return gamma_omega_transfer(
             partition, self.re_vertices, self.re_graph, self.graded_graph, self.extension
         )

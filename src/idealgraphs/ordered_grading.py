@@ -60,7 +60,7 @@ def leading_ideal(grading: Grading, source: IdealSet) -> LeadingIdealResult:
         (x, leading_part(grading, x)) for x in source.members if x != ring.zero
     )
     mask = generated_left_ideal(ring, [lead for _, lead in trace])
-    leading = IdealSet(ring=ring, mask=mask, graded=True)
+    leading = IdealSet(ring=ring, mask=mask)
     return LeadingIdealResult(source=source, leading=leading, generator_trace=trace)
 
 

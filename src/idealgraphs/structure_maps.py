@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import IsoViolation, WellDefinednessViolation
 from .grading import Grading, validate_grading
-from .graph_engine import Graph, clique_number, domination_number, maximal_cliques
+from .graph_engine import Graph, clique_number, domination_number
 from .ideal_lattice import (
     IdealSet,
     generated_left_ideal,
@@ -262,23 +262,19 @@ def gamma_omega_transfer(
     """Compare domination and clique numbers across the transfer.
 
     Reports both domination numbers, both clique numbers, and the clique
-    number predicted for the graded graph by summing class sizes over the
-    cliques of the identity component's graph.
+    number predicted for the graded graph: the heaviest clique of the
+    identity component's graph, each vertex weighted by its class size.
     """
-    size_of = {
-        ie.mask: len(partition.classes[partition.class_key_of[extension[ie.mask]]])
+    class_size = [
+        len(partition.classes[partition.class_key_of[extension[ie.mask]]])
         for ie in re_vertices
-    }
-    best = 0
-    for clique in maximal_cliques(re_graph):
-        total = sum(size_of[re_vertices[v].mask] for v in clique)
-        best = max(best, total)
+    ]
     return {
         "gamma_identity": domination_number(re_graph),
         "gamma_graded": domination_number(graded_graph),
         "omega_identity": clique_number(re_graph),
         "omega_graded": clique_number(graded_graph),
-        "omega_from_classes": best,
+        "omega_from_classes": clique_number(re_graph, class_size),
         "class_sizes": [len(partition.classes[k]) for k in partition.keys],
     }
 

@@ -8,14 +8,23 @@ not met, nothing claimed), SKIPPED (only from run_all: the check wants a
 construction kind this instance does not have).  Biconditional statements
 additionally record per-direction verdicts, where a direction with a false
 antecedent is VACUOUS on that instance.
+
+A check is registered once, by `_register`, with its id, summary, hypothesis
+and conclusion text and the construction kinds it needs.  Its body returns
+only a Finding: whether the hypothesis held, and the directions, witness,
+annotations and details found.  A single dispatcher behind run_check and
+run_all writes every TheoremReport from the registered text and the Finding:
+an unmet hypothesis gives VACUOUS, a FAIL direction gives FAIL, and anything
+else PASS; the witness is kept only on a FAIL.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,25 +92,51 @@ class TheoremReport:
     details: dict = field(default_factory=dict)
 
 
+class Finding(NamedTuple):
+    """What one check found on one instance; the dispatcher adds the rest."""
+
+    hypothesis_met: bool
+    directions: Sequence[tuple[str, str]] = ()
+    witness: str | None = None
+    annotations: Sequence[str] = ()
+    details: dict | None = None
+
+
 @dataclass(frozen=True)
 class TheoremCheck:
     theorem_id: str
     kinds: tuple
     summary: str
-    run: Callable
+    hypothesis: str
+    conclusion: str
+    run: Callable[[Instance], Finding]
 
 
 _REGISTRY: "OrderedDict[str, TheoremCheck]" = OrderedDict()
 
 
-def _register(theorem_id: str, summary: str, kinds: tuple = ()):
+def _register(
+    theorem_id: str, summary: str, hypothesis: str, conclusion: str, kinds: tuple = ()
+):
     def wrap(fn):
         _REGISTRY[theorem_id] = TheoremCheck(
-            theorem_id=theorem_id, kinds=kinds, summary=summary, run=fn
+            theorem_id=theorem_id,
+            kinds=kinds,
+            summary=summary,
+            hypothesis=hypothesis,
+            conclusion=conclusion,
+            run=fn,
         )
         return fn
 
     return wrap
+
+
+def _lookup(theorem_id: str) -> TheoremCheck:
+    check = _REGISTRY.get(theorem_id)
+    if check is None:
+        raise UnknownTheorem(f"no check registered under id {theorem_id!r}")
+    return check
 
 
 def theorem_ids() -> list[str]:
@@ -109,50 +144,13 @@ def theorem_ids() -> list[str]:
 
 
 def theorem_summary(theorem_id: str) -> str:
-    if theorem_id not in _REGISTRY:
-        raise UnknownTheorem(f"no check registered under id {theorem_id!r}")
-    return _REGISTRY[theorem_id].summary
+    return _lookup(theorem_id).summary
 
 
 def _direction(name: str, antecedent: bool, consequent: bool) -> tuple[str, str]:
     if not antecedent:
         return (name, VACUOUS)
     return (name, PASS if consequent else FAIL)
-
-
-def _overall(hypothesis_met: bool, directions: Sequence[tuple[str, str]]) -> str:
-    if not hypothesis_met:
-        return VACUOUS
-    if any(v == FAIL for _, v in directions):
-        return FAIL
-    return PASS
-
-
-def _report(
-    theorem_id: str,
-    inst: Instance,
-    hypothesis_met: bool,
-    hypothesis: str,
-    conclusion: str,
-    directions: Sequence[tuple[str, str]] = (),
-    witness: str | None = None,
-    annotations: Sequence[str] = (),
-    details: dict | None = None,
-) -> TheoremReport:
-    verdict = _overall(hypothesis_met, directions)
-    if verdict != FAIL:
-        witness = None
-    return TheoremReport(
-        theorem_id=theorem_id,
-        instance=inst.name,
-        verdict=verdict,
-        hypothesis=hypothesis,
-        conclusion=conclusion,
-        directions=tuple(directions),
-        witness=witness,
-        annotations=tuple(annotations),
-        details=details or {},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +160,10 @@ def _report(
 @_register(
     "lemma_b",
     "sums and intersections of graded left ideals are graded",
+    "a pair of graded left ideals exists (the trivial ones always do)",
+    "every pairwise sum and intersection is again graded",
 )
-def _check_lemma_b(inst: Instance) -> TheoremReport:
+def _check_lemma_b(inst: Instance) -> Finding:
     ring = inst.ring
     family = inst.graded_family
     graded: dict[int, bool] = {}
@@ -176,29 +176,23 @@ def _check_lemma_b(inst: Instance) -> TheoremReport:
         return flag
 
     witness = None
-    ok = True
     pairs = 0
     # sums and intersections are symmetric, so each unordered pair is tested
     # once, at its first position in row-major order
     for i, a in enumerate(family):
         for b in family[i:]:
             pairs += 1
-            s = ideal_sum(ring, a.mask, b.mask)
-            if not graded_mask(s):
-                ok, witness = False, f"sum of {a.label()} and {b.label()}"
+            if not graded_mask(ideal_sum(ring, a.mask, b.mask)):
+                witness = f"sum of {a.label()} and {b.label()}"
+            elif not graded_mask(a.mask & b.mask):
+                witness = f"intersection of {a.label()} and {b.label()}"
+            if witness:
                 break
-            if not graded_mask(a.mask & b.mask):
-                ok, witness = False, f"intersection of {a.label()} and {b.label()}"
-                break
-        if not ok:
+        if witness:
             break
-    return _report(
-        "lemma_b",
-        inst,
+    return Finding(
         True,
-        "a pair of graded left ideals exists (the trivial ones always do)",
-        "every pairwise sum and intersection is again graded",
-        [("closure", PASS if ok else FAIL)],
+        [("closure", FAIL if witness else PASS)],
         witness,
         details={"pairs": pairs},
     )
@@ -207,8 +201,11 @@ def _check_lemma_b(inst: Instance) -> TheoremReport:
 @_register(
     "lemma_r1",
     "neighborhoods detect minimal, isolated, and essential vertices",
+    "the graded graph has at least one vertex",
+    "minimal vertices see exactly their proper supersets; isolated means "
+    "minimal and maximal; essential means adjacent to everything else",
 )
-def _check_lemma_r1(inst: Instance) -> TheoremReport:
+def _check_lemma_r1(inst: Instance) -> Finding:
     vertices = inst.graded_vertices
     family = inst.graded_family
     g = inst.graded_graph
@@ -228,14 +225,8 @@ def _check_lemma_r1(inst: Instance) -> TheoremReport:
             ok_iso, witness = False, f"{v.label()} (isolation vs min+max)"
         if is_essential(v, family) != (neighbors == others):
             ok_ess, witness = False, f"{v.label()} (essential vs neighborhood)"
-    has_vertices = bool(vertices)
-    return _report(
-        "lemma_r1",
-        inst,
-        has_vertices,
-        "the graded graph has at least one vertex",
-        "minimal vertices see exactly their proper supersets; isolated means "
-        "minimal and maximal; essential means adjacent to everything else",
+    return Finding(
+        bool(vertices),
         [
             ("minimal_neighborhood", PASS if ok_min else FAIL),
             ("isolated_iff_min_and_max", PASS if ok_iso else FAIL),
@@ -253,23 +244,21 @@ def _check_lemma_r1(inst: Instance) -> TheoremReport:
 @_register(
     "t1",
     "a disconnected graded graph is edgeless on at least two vertices",
+    "always applicable",
+    "disconnected exactly when edgeless with at least two vertices",
 )
-def _check_t1(inst: Instance) -> TheoremReport:
+def _check_t1(inst: Instance) -> Finding:
     g = inst.graded_graph
     disconnected = not is_connected(g)
     shape = is_null(g) and g.n >= 2
-    return _report(
-        "t1",
-        inst,
+    return Finding(
         True,
-        "always applicable",
-        "disconnected exactly when edgeless with at least two vertices",
         [
             _direction("disconnected_implies_edgeless", disconnected, shape),
             _direction("edgeless_implies_disconnected", shape, disconnected),
             ("equivalence", PASS if disconnected == shape else FAIL),
         ],
-        witness=None if disconnected == shape else f"order {g.n}, size {g.edge_count}",
+        f"order {g.n}, size {g.edge_count}",
         details={"order": g.n, "size": g.edge_count},
     )
 
@@ -277,121 +266,112 @@ def _check_t1(inst: Instance) -> TheoremReport:
 @_register(
     "c1",
     "with a disconnected graded graph, every vertex is principal, minimal, and maximal",
+    "the graded graph is disconnected",
+    "at least two graded minimal ideals exist and every vertex is a "
+    "principal, minimal, and maximal graded ideal",
 )
-def _check_c1(inst: Instance) -> TheoremReport:
-    g = inst.graded_graph
-    hyp = not is_connected(g)
-    directions = []
-    witness = None
-    if hyp:
-        minima = minimal_members(inst.graded_family)
-        directions.append(("two_minimal_ideals", PASS if len(minima) >= 2 else FAIL))
-        ok = True
-        for v in inst.graded_vertices:
-            principal = min_generator_count(inst.ring, v.mask, limit=1) == 1
+def _check_c1(inst: Instance) -> Finding:
+    if is_connected(inst.graded_graph):
+        return Finding(False)
+    family = inst.graded_family
+    minima = minimal_members(family)
+    bad = next(
+        (
+            v
+            for v in inst.graded_vertices
             if not (
-                principal
-                and is_minimal(v, inst.graded_family)
-                and is_maximal(v, inst.graded_family)
-            ):
-                ok, witness = False, v.label()
-                break
-        directions.append(("each_vertex_principal_min_max", PASS if ok else FAIL))
-    return _report(
-        "c1",
-        inst,
-        hyp,
-        "the graded graph is disconnected",
-        "at least two graded minimal ideals exist and every vertex is a "
-        "principal, minimal, and maximal graded ideal",
-        directions,
-        witness,
+                min_generator_count(inst.ring, v.mask, limit=1) == 1
+                and is_minimal(v, family)
+                and is_maximal(v, family)
+            )
+        ),
+        None,
+    )
+    return Finding(
+        True,
+        [
+            ("two_minimal_ideals", PASS if len(minima) >= 2 else FAIL),
+            ("each_vertex_principal_min_max", PASS if bad is None else FAIL),
+        ],
+        f"{len(minima)} graded minimal ideals" if bad is None else bad.label(),
     )
 
 
 @_register(
     "c11",
     "commutative: disconnected graded graph means a product of two graded fields",
-    kinds=(),
+    "the ring is commutative",
+    "the graded graph is disconnected exactly when the ring splits "
+    "internally into two graded ideals that are graded fields",
 )
-def _check_c11(inst: Instance) -> TheoremReport:
-    hyp = inst.ring.commutative
-    directions = []
-    details: dict = {}
-    if hyp:
-        disconnected = not is_connected(inst.graded_graph)
-        split = None
-        for a, b in inst.graded_decompositions:
-            if is_graded_field(inst.factor_grading(a.mask)) and is_graded_field(
-                inst.factor_grading(b.mask)
-            ):
-                split = (a.label(), b.label())
-                break
-        details = {"field_split": split, "disconnected": disconnected}
-        directions = [
-            _direction("disconnected_implies_split", disconnected, split is not None),
-            _direction("split_implies_disconnected", split is not None, disconnected),
-            ("equivalence", PASS if disconnected == (split is not None) else FAIL),
-        ]
-    return _report(
-        "c11",
-        inst,
-        hyp,
-        "the ring is commutative",
-        "the graded graph is disconnected exactly when the ring splits "
-        "internally into two graded ideals that are graded fields",
-        directions,
-        witness=None if not hyp else str(details),
-        details=details,
-    )
+def _check_c11(inst: Instance) -> Finding:
+    if not inst.ring.commutative:
+        return Finding(False)
+    disconnected = not is_connected(inst.graded_graph)
+    split = None
+    for a, b in inst.graded_decompositions:
+        if is_graded_field(inst.factor_grading(a.mask)) and is_graded_field(
+            inst.factor_grading(b.mask)
+        ):
+            split = (a.label(), b.label())
+            break
+    details = {"field_split": split, "disconnected": disconnected}
+    directions = [
+        _direction("disconnected_implies_split", disconnected, split is not None),
+        _direction("split_implies_disconnected", split is not None, disconnected),
+        ("equivalence", PASS if disconnected == (split is not None) else FAIL),
+    ]
+    return Finding(True, directions, str(details), details=details)
+
+
+def _maxima_apart(inst: Instance) -> tuple[list[IdealSet], str | None]:
+    """The graded maximal ideals, and the last pair of them (in row-major
+    order) that meets only in zero; None when every pair meets."""
+    maxima = maximal_members(inst.graded_family)
+    zero = inst.ring.zero_mask
+    apart = [
+        f"{a.label()} and {b.label()}"
+        for a, b in itertools.combinations(maxima, 2)
+        if a.mask & b.mask == zero
+    ]
+    return maxima, apart[-1] if apart else None
 
 
 @_register(
     "c101",
     "commutative and connected: graded maximal ideals pairwise intersect",
+    "the ring is commutative and the graded graph is connected",
+    "every two graded maximal left ideals intersect beyond zero",
 )
-def _check_c101(inst: Instance) -> TheoremReport:
-    hyp = inst.ring.commutative and is_connected(inst.graded_graph)
-    directions = []
-    witness = None
+def _check_c101(inst: Instance) -> Finding:
+    if not (inst.ring.commutative and is_connected(inst.graded_graph)):
+        return Finding(False)
+    maxima, apart = _maxima_apart(inst)
     annotations = []
-    if hyp:
-        maxima = maximal_members(inst.graded_family)
-        ok = True
-        zero = inst.ring.zero_mask
-        for i in range(len(maxima)):
-            for j in range(i + 1, len(maxima)):
-                if maxima[i].mask & maxima[j].mask == zero:
-                    ok = False
-                    witness = f"{maxima[i].label()} and {maxima[j].label()}"
-        if len(maxima) < 2:
-            annotations.append("fewer than two graded maximal ideals; no pairs")
-        directions = [("pairwise_intersection", PASS if ok else FAIL)]
-    return _report(
-        "c101",
-        inst,
-        hyp,
-        "the ring is commutative and the graded graph is connected",
-        "every two graded maximal left ideals intersect beyond zero",
-        directions,
-        witness,
+    if len(maxima) < 2:
+        annotations.append("fewer than two graded maximal ideals; no pairs")
+    return Finding(
+        True,
+        [("pairwise_intersection", PASS if apart is None else FAIL)],
+        apart,
         annotations,
     )
 
 
-@_register("t2", "a connected graded graph has diameter at most two")
-def _check_t2(inst: Instance) -> TheoremReport:
+@_register(
+    "t2",
+    "a connected graded graph has diameter at most two",
+    "the graded graph is connected",
+    "its diameter is at most two",
+)
+def _check_t2(inst: Instance) -> Finding:
     g = inst.graded_graph
     hyp = is_connected(g)
     d = diameter(g)
-    return _report(
-        "t2",
-        inst,
+    return Finding(
         hyp,
-        "the graded graph is connected",
-        "its diameter is at most two",
         [("diameter_bound", PASS if d <= 2 else FAIL)] if hyp else [],
-        witness=None if d <= 2 else f"diameter {d}",
+        f"diameter {d}",
         details={"diameter": d if d != math.inf else "inf"},
     )
 
@@ -403,157 +383,130 @@ def _check_t2(inst: Instance) -> TheoremReport:
 @_register(
     "t51",
     "commutative: graded domain exactly when graded reduced with a complete graph",
+    "the ring is commutative",
+    "no homogeneous zero divisors exactly when no homogeneous nilpotents "
+    "and the graded graph is complete",
 )
-def _check_t51(inst: Instance) -> TheoremReport:
-    hyp = inst.ring.commutative
-    directions = []
-    details: dict = {}
-    if hyp:
-        domain = is_graded_domain(inst.grading)
-        reduced = is_graded_reduced(inst.grading)
-        complete = is_complete(inst.graded_graph)
-        rhs = reduced and complete
-        details = {"domain": domain, "reduced": reduced, "complete": complete}
-        directions = [
-            _direction("domain_implies_reduced_complete", domain, rhs),
-            _direction("reduced_complete_implies_domain", rhs, domain),
-            ("equivalence", PASS if domain == rhs else FAIL),
-        ]
-    return _report(
-        "t51",
-        inst,
-        hyp,
-        "the ring is commutative",
-        "no homogeneous zero divisors exactly when no homogeneous nilpotents "
-        "and the graded graph is complete",
-        directions,
-        witness=None if not hyp else str(details),
-        details=details,
-    )
+def _check_t51(inst: Instance) -> Finding:
+    if not inst.ring.commutative:
+        return Finding(False)
+    domain = is_graded_domain(inst.grading)
+    reduced = is_graded_reduced(inst.grading)
+    complete = is_complete(inst.graded_graph)
+    rhs = reduced and complete
+    details = {"domain": domain, "reduced": reduced, "complete": complete}
+    directions = [
+        _direction("domain_implies_reduced_complete", domain, rhs),
+        _direction("reduced_complete_implies_domain", rhs, domain),
+        ("equivalence", PASS if domain == rhs else FAIL),
+    ]
+    return Finding(True, directions, str(details), details=details)
 
 
 @_register(
     "t52",
     "with edges present: regular, unique-minimal, and complete coincide",
+    "the graded graph has at least one edge",
+    "regularity, a unique graded minimal ideal, and completeness are "
+    "equivalent",
 )
-def _check_t52(inst: Instance) -> TheoremReport:
+def _check_t52(inst: Instance) -> Finding:
     g = inst.graded_graph
-    hyp = not is_null(g)
-    directions = []
-    details: dict = {}
     annotations = ("chain conditions hold outright on a finite carrier",)
-    if hyp:
-        regular = is_regular(g)
-        unique_min = len(minimal_members(inst.graded_family)) == 1
-        complete = is_complete(g)
-        details = {"regular": regular, "unique_minimal": unique_min, "complete": complete}
-        agree = regular == unique_min == complete
-        directions = [("three_way_equivalence", PASS if agree else FAIL)]
-    return _report(
-        "t52",
-        inst,
-        hyp,
-        "the graded graph has at least one edge",
-        "regularity, a unique graded minimal ideal, and completeness are "
-        "equivalent",
-        directions,
-        witness=None if not hyp else str(details),
-        annotations=annotations,
-        details=details,
-    )
-
-
-@_register(
-    "t6",
-    "commutative: domination number at most two, one when indecomposable",
-)
-def _check_t6(inst: Instance) -> TheoremReport:
-    hyp = inst.ring.commutative
-    directions = []
-    witness = None
-    annotations = []
-    details: dict = {}
-    if hyp:
-        gamma = domination_number(inst.graded_graph)
-        details["gamma"] = gamma
-        directions.append(("gamma_at_most_two", PASS if gamma <= 2 else FAIL))
-        if gamma > 2:
-            witness = f"domination number {gamma}"
-        decomps = inst.graded_decompositions
-        indecomposable = not decomps
-        if indecomposable and not inst.graded_vertices:
-            annotations.append(
-                "indecomposable with no vertices: the dominating singleton "
-                "needs a graded maximal ideal, so the empty graph is excluded"
-            )
-        directions.append(
-            _direction(
-                "indecomposable_gamma_one",
-                indecomposable and bool(inst.graded_vertices),
-                gamma == 1,
-            )
-        )
-        evaluable_pairs = 0
-        split_ok = True
-        for a, b in decomps:
-            graph_a = inst.factor_graph(a.mask)
-            graph_b = inst.factor_graph(b.mask)
-            if graph_a.n == 0 or graph_b.n == 0:
-                annotations.append(
-                    f"split {a.label()} + {b.label()} skipped: a factor has no "
-                    "vertices, so its domination number degenerates to zero"
-                )
-                continue
-            evaluable_pairs += 1
-            lhs = gamma == 2
-            rhs = (
-                domination_number(graph_a) == 2 and domination_number(graph_b) == 2
-            )
-            if lhs != rhs:
-                split_ok = False
-                witness = f"split {a.label()} + {b.label()}"
-        directions.append(
-            _direction("split_gamma_two", evaluable_pairs > 0, split_ok)
-        )
-        details["splits"] = len(decomps)
-        details["evaluable_splits"] = evaluable_pairs
-    return _report(
-        "t6",
-        inst,
-        hyp,
-        "the ring is commutative",
-        "domination number at most two; exactly one when the ring has no "
-        "internal split; for a split into two factors with vertices, the "
-        "domination number is two exactly when both factors have domination "
-        "number two",
-        directions,
-        witness,
+    if is_null(g):
+        return Finding(False, annotations=annotations)
+    regular = is_regular(g)
+    unique_min = len(minimal_members(inst.graded_family)) == 1
+    complete = is_complete(g)
+    details = {"regular": regular, "unique_minimal": unique_min, "complete": complete}
+    agree = regular == unique_min == complete
+    return Finding(
+        True,
+        [("three_way_equivalence", PASS if agree else FAIL)],
+        str(details),
         annotations,
         details,
     )
 
 
 @_register(
+    "t6",
+    "commutative: domination number at most two, one when indecomposable",
+    "the ring is commutative",
+    "domination number at most two; exactly one when the ring has no "
+    "internal split; for a split into two factors with vertices, the "
+    "domination number is two exactly when both factors have domination "
+    "number two",
+)
+def _check_t6(inst: Instance) -> Finding:
+    if not inst.ring.commutative:
+        return Finding(False)
+    witness = None
+    annotations = []
+    gamma = domination_number(inst.graded_graph)
+    directions = [("gamma_at_most_two", PASS if gamma <= 2 else FAIL)]
+    decomps = inst.graded_decompositions
+    indecomposable = not decomps
+    if gamma > 2:
+        witness = f"domination number {gamma}"
+    elif indecomposable and inst.graded_vertices and gamma != 1:
+        witness = f"domination number {gamma} with no internal split"
+    if indecomposable and not inst.graded_vertices:
+        annotations.append(
+            "indecomposable with no vertices: the dominating singleton "
+            "needs a graded maximal ideal, so the empty graph is excluded"
+        )
+    directions.append(
+        _direction(
+            "indecomposable_gamma_one",
+            indecomposable and bool(inst.graded_vertices),
+            gamma == 1,
+        )
+    )
+    evaluable_pairs = 0
+    split_ok = True
+    for a, b in decomps:
+        graph_a = inst.factor_graph(a.mask)
+        graph_b = inst.factor_graph(b.mask)
+        if graph_a.n == 0 or graph_b.n == 0:
+            annotations.append(
+                f"split {a.label()} + {b.label()} skipped: a factor has no "
+                "vertices, so its domination number degenerates to zero"
+            )
+            continue
+        evaluable_pairs += 1
+        lhs = gamma == 2
+        rhs = domination_number(graph_a) == 2 and domination_number(graph_b) == 2
+        if lhs != rhs:
+            split_ok = False
+            witness = f"split {a.label()} + {b.label()}"
+    directions.append(_direction("split_gamma_two", evaluable_pairs > 0, split_ok))
+    details = {
+        "gamma": gamma,
+        "splits": len(decomps),
+        "evaluable_splits": evaluable_pairs,
+    }
+    return Finding(True, directions, witness, annotations, details)
+
+
+@_register(
     "l18",
     "a finite clique number forces the descending chain condition on graded ideals",
+    "the graded graph has a finite clique number (automatic on a finite "
+    "carrier)",
+    "descending chains of graded left ideals terminate (a finite family "
+    "cannot descend forever)",
 )
-def _check_l18(inst: Instance) -> TheoremReport:
+def _check_l18(inst: Instance) -> Finding:
     omega = clique_number(inst.graded_graph)
-    finite_family = len(inst.graded_family)
-    return _report(
-        "l18",
-        inst,
+    return Finding(
         True,
-        "the graded graph has a finite clique number (automatic on a finite "
-        "carrier)",
-        "descending chains of graded left ideals terminate (a finite family "
-        "cannot descend forever)",
         [("chain_condition", PASS)],
         annotations=(
             "both sides hold outright on finite carriers; recorded for "
             "coverage accounting",
         ),
-        details={"omega": omega, "graded_ideals": finite_family},
+        details={"omega": omega, "graded_ideals": len(inst.graded_family)},
     )
 
 
@@ -561,42 +514,29 @@ def _check_l18(inst: Instance) -> TheoremReport:
     "l187",
     "commutative: clique number one means a tiny edgeless graph; finite "
     "clique number makes the graded maximal ideals a clique",
+    "the ring is commutative",
+    "clique number one exactly for an edgeless graph on one or two "
+    "vertices; beyond that the graded maximal ideals pairwise intersect",
 )
-def _check_l187(inst: Instance) -> TheoremReport:
-    hyp = inst.ring.commutative
-    directions = []
-    witness = None
-    details: dict = {}
-    if hyp:
-        g = inst.graded_graph
-        omega = clique_number(g)
-        small_null = is_null(g) and g.n in (1, 2)
-        details = {"omega": omega, "order": g.n, "null": is_null(g)}
-        directions.append(
-            ("omega_one_iff_small_null", PASS if (omega == 1) == small_null else FAIL)
-        )
-        if (omega == 1) != small_null:
-            witness = f"omega {omega}, order {g.n}"
-        maxima = maximal_members(inst.graded_family)
-        clique_ok = True
-        zero = inst.ring.zero_mask
-        for i in range(len(maxima)):
-            for j in range(i + 1, len(maxima)):
-                if maxima[i].mask & maxima[j].mask == zero:
-                    clique_ok = False
-                    witness = f"{maxima[i].label()} and {maxima[j].label()}"
-        directions.append(_direction("maximal_ideals_clique", omega > 1, clique_ok))
-        details["maximal_count"] = len(maxima)
-    return _report(
-        "l187",
-        inst,
-        hyp,
-        "the ring is commutative",
-        "clique number one exactly for an edgeless graph on one or two "
-        "vertices; beyond that the graded maximal ideals pairwise intersect",
-        directions,
-        witness,
-        details=details,
+def _check_l187(inst: Instance) -> Finding:
+    if not inst.ring.commutative:
+        return Finding(False)
+    g = inst.graded_graph
+    omega = clique_number(g)
+    small_null = is_null(g) and g.n in (1, 2)
+    maxima, apart = _maxima_apart(inst)
+    directions = [
+        ("omega_one_iff_small_null", PASS if (omega == 1) == small_null else FAIL),
+        _direction("maximal_ideals_clique", omega > 1, apart is None),
+    ]
+    details = {
+        "omega": omega,
+        "order": g.n,
+        "null": is_null(g),
+        "maximal_count": len(maxima),
+    }
+    return Finding(
+        True, directions, apart or f"omega {omega}, order {g.n}", details=details
     )
 
 
@@ -604,18 +544,19 @@ def _check_l187(inst: Instance) -> TheoremReport:
 # girth
 
 
-@_register("t3", "the graded graph has girth three or no cycles at all")
-def _check_t3(inst: Instance) -> TheoremReport:
+@_register(
+    "t3",
+    "the graded graph has girth three or no cycles at all",
+    "always applicable",
+    "girth is three or infinite",
+)
+def _check_t3(inst: Instance) -> Finding:
     gv = girth(inst.graded_graph)
     ok = gv == 3 or gv == math.inf
-    return _report(
-        "t3",
-        inst,
+    return Finding(
         True,
-        "always applicable",
-        "girth is three or infinite",
         [("girth_value", PASS if ok else FAIL)],
-        witness=None if ok else f"girth {gv}",
+        f"girth {gv}",
         details={"girth": "inf" if gv == math.inf else gv},
     )
 
@@ -623,67 +564,52 @@ def _check_t3(inst: Instance) -> TheoremReport:
 @_register(
     "t4",
     "edges but no cycles force a star around the unique graded maximal ideal",
+    "the graded graph has an edge and no cycle",
+    "the ring is graded local, the graph is a star centered at the "
+    "unique graded maximal ideal, and that ideal either is principal "
+    "(graph is a single vertex or edge) or needs two homogeneous "
+    "generators and squares to zero",
 )
-def _check_t4(inst: Instance) -> TheoremReport:
+def _check_t4(inst: Instance) -> Finding:
     g = inst.graded_graph
-    hyp = (not is_null(g)) and girth(g) == math.inf
-    directions = []
+    if is_null(g) or girth(g) != math.inf:
+        return Finding(False)
+    if not is_graded_local(inst.grading, inst.graded_family):
+        return Finding(
+            True, [("graded_local", FAIL)], "no unique graded maximal ideal"
+        )
+    directions = [("graded_local", PASS)]
     witness = None
-    details: dict = {}
-    if hyp:
-        local = is_graded_local(inst.grading, inst.graded_family)
-        directions.append(("graded_local", PASS if local else FAIL))
-        if not local:
-            witness = "no unique graded maximal ideal"
-        else:
-            m = maximal_members(inst.graded_family)[0]
-            idx = next(
-                i for i, v in enumerate(inst.graded_vertices) if v.mask == m.mask
-            )
-            star = is_star(g) and g.degree(idx) == g.n - 1
-            directions.append(("star_centered_at_maximal", PASS if star else FAIL))
-            if not star:
-                witness = f"vertex {m.label()} does not center a star"
-            zero = inst.ring.zero
-            homog = [
-                x
-                for x in m.members
-                if x != zero and inst.grading.degree_of(x) is not None
-            ]
-            k = min_generator_count(inst.ring, m.mask, candidates=homog, limit=2)
-            details = {"homogeneous_generators": k, "order": g.n}
-            if k is None:
-                directions.append(("generator_count", FAIL))
-                witness = "maximal ideal needs more than two homogeneous generators"
-            elif k == 1:
-                small_complete = g.n <= 2 and is_complete(g)
-                directions.append(
-                    ("principal_case_small_complete", PASS if small_complete else FAIL)
-                )
-                if not small_complete:
-                    witness = f"order {g.n} with a principal maximal ideal"
-            else:
-                square_zero = (
-                    ideal_power(inst.ring, m.mask, 2) == inst.ring.zero_mask
-                )
-                directions.append(
-                    ("two_generator_case_square_zero", PASS if square_zero else FAIL)
-                )
-                if not square_zero:
-                    witness = f"{m.label()} squared is not zero"
-    return _report(
-        "t4",
-        inst,
-        hyp,
-        "the graded graph has an edge and no cycle",
-        "the ring is graded local, the graph is a star centered at the "
-        "unique graded maximal ideal, and that ideal either is principal "
-        "(graph is a single vertex or edge) or needs two homogeneous "
-        "generators and squares to zero",
-        directions,
-        witness,
-        details=details,
-    )
+    m = maximal_members(inst.graded_family)[0]
+    idx = next(i for i, v in enumerate(inst.graded_vertices) if v.mask == m.mask)
+    star = is_star(g) and g.degree(idx) == g.n - 1
+    directions.append(("star_centered_at_maximal", PASS if star else FAIL))
+    if not star:
+        witness = f"vertex {m.label()} does not center a star"
+    zero = inst.ring.zero
+    homog = [
+        x for x in m.members if x != zero and inst.grading.degree_of(x) is not None
+    ]
+    k = min_generator_count(inst.ring, m.mask, candidates=homog, limit=2)
+    details = {"homogeneous_generators": k, "order": g.n}
+    if k is None:
+        directions.append(("generator_count", FAIL))
+        witness = "maximal ideal needs more than two homogeneous generators"
+    elif k == 1:
+        small_complete = g.n <= 2 and is_complete(g)
+        directions.append(
+            ("principal_case_small_complete", PASS if small_complete else FAIL)
+        )
+        if not small_complete:
+            witness = f"order {g.n} with a principal maximal ideal"
+    else:
+        square_zero = ideal_power(inst.ring, m.mask, 2) == inst.ring.zero_mask
+        directions.append(
+            ("two_generator_case_square_zero", PASS if square_zero else FAIL)
+        )
+        if not square_zero:
+            witness = f"{m.label()} squared is not zero"
+    return Finding(True, directions, witness, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -694,28 +620,29 @@ def _check_t4(inst: Instance) -> TheoremReport:
     "t100",
     "a connected identity-component graph with two vertices forces both "
     "bigger graphs connected",
+    "the identity component has at least two nontrivial proper left "
+    "ideals and their intersection graph is connected",
+    "the graded graph and the full-lattice graph are both connected",
 )
-def _check_t100(inst: Instance) -> TheoremReport:
+def _check_t100(inst: Instance) -> Finding:
     hyp = len(inst.re_vertices) >= 2 and is_connected(inst.re_graph)
     directions = []
-    annotations = (
-        "the premise needs an edge, so two nontrivial proper left ideals of "
-        "the identity component are required",
-    )
+    witness = None
     if hyp:
+        graded, full = is_connected(inst.graded_graph), is_connected(inst.all_graph)
         directions = [
-            ("graded_graph_connected", PASS if is_connected(inst.graded_graph) else FAIL),
-            ("full_graph_connected", PASS if is_connected(inst.all_graph) else FAIL),
+            ("graded_graph_connected", PASS if graded else FAIL),
+            ("full_graph_connected", PASS if full else FAIL),
         ]
-    return _report(
-        "t100",
-        inst,
+        witness = f"graded connected {graded}, full connected {full}"
+    return Finding(
         hyp,
-        "the identity component has at least two nontrivial proper left "
-        "ideals and their intersection graph is connected",
-        "the graded graph and the full-lattice graph are both connected",
         directions,
-        annotations=annotations,
+        witness,
+        annotations=(
+            "the premise needs an edge, so two nontrivial proper left ideals of "
+            "the identity component are required",
+        ),
         details={"identity_vertices": len(inst.re_vertices)},
     )
 
@@ -723,8 +650,12 @@ def _check_t100(inst: Instance) -> TheoremReport:
 @_register(
     "lemma51",
     "degree faithfulness equals nonzero traces on that degree's component",
+    "always applicable; degrees probed over the support, the identity, "
+    "and one degree beyond",
+    "a degree is faithful exactly when every graded vertex meets that "
+    "degree's component beyond zero",
 )
-def _check_lemma51(inst: Instance) -> TheoremReport:
+def _check_lemma51(inst: Instance) -> Finding:
     grading = inst.grading
     grades = grading.grades
     if grades.kind == "integers":
@@ -763,109 +694,78 @@ def _check_lemma51(inst: Instance) -> TheoremReport:
             "no graded vertices: the trace condition holds for every degree "
             "by emptiness, so it cannot witness faithfulness"
         )
-    return _report(
-        "lemma51",
-        inst,
-        True,
-        "always applicable; degrees probed over the support, the identity, "
-        "and one degree beyond",
-        "a degree is faithful exactly when every graded vertex meets that "
-        "degree's component beyond zero",
-        directions,
-        witness,
-        annotations,
-        details={"probes": per_probe},
-    )
+    return Finding(True, directions, witness, annotations, {"probes": per_probe})
+
+
+def _isomorphism(
+    name: str, iso: Callable[[], dict]
+) -> tuple[tuple[str, str], str | None, dict]:
+    """Direction `name` for the isomorphism report `iso` computes, the
+    violation it raised (None when it held), and a copy of the report ({}
+    on a violation); the instance keeps the report for other checks."""
+    try:
+        return (name, PASS), None, dict(iso())
+    except (IsoViolation, WellDefinednessViolation) as exc:
+        return (name, FAIL), str(exc), {}
 
 
 @_register(
     "t1001",
     "identity-faithful: collapsing trace classes reproduces the identity "
     "component's graph",
+    "the grading is faithful at the identity degree",
+    "ideal extension followed by trace-class collapse is a graph "
+    "isomorphism onto the quotient of the graded graph",
 )
-def _check_t1001(inst: Instance) -> TheoremReport:
-    hyp = inst.e_faithful
-    directions = []
-    witness = None
-    details: dict = {}
-    if hyp:
-        try:
-            details = inst.phi_iso("quotient")
-            directions = [("isomorphism", PASS)]
-        except (IsoViolation, WellDefinednessViolation) as exc:
-            directions = [("isomorphism", FAIL)]
-            witness = str(exc)
-    return _report(
-        "t1001",
-        inst,
-        hyp,
-        "the grading is faithful at the identity degree",
-        "ideal extension followed by trace-class collapse is a graph "
-        "isomorphism onto the quotient of the graded graph",
-        directions,
-        witness,
-        details=details,
+def _check_t1001(inst: Instance) -> Finding:
+    if not inst.e_faithful:
+        return Finding(False)
+    direction, witness, details = _isomorphism(
+        "isomorphism", lambda: inst.quotient_iso
     )
+    return Finding(True, [direction], witness, details=details)
 
 
 @_register(
     "conn_equiv",
     "identity-faithful: connectivity transfers both ways",
+    "the grading is faithful at the identity degree",
+    "the identity-component graph is connected exactly when the graded "
+    "graph is",
 )
-def _check_conn_equiv(inst: Instance) -> TheoremReport:
-    hyp = inst.e_faithful
-    directions = []
-    details: dict = {}
-    if hyp:
-        left = is_connected(inst.re_graph)
-        right = is_connected(inst.graded_graph)
-        details = {"identity_connected": left, "graded_connected": right}
-        directions = [
-            _direction("identity_to_graded", left, right),
-            _direction("graded_to_identity", right, left),
-            ("equivalence", PASS if left == right else FAIL),
-        ]
-    return _report(
-        "conn_equiv",
-        inst,
-        hyp,
-        "the grading is faithful at the identity degree",
-        "the identity-component graph is connected exactly when the graded "
-        "graph is",
-        directions,
-        witness=None if not hyp else str(details),
-        details=details,
-    )
+def _check_conn_equiv(inst: Instance) -> Finding:
+    if not inst.e_faithful:
+        return Finding(False)
+    left = is_connected(inst.re_graph)
+    right = is_connected(inst.graded_graph)
+    details = {"identity_connected": left, "graded_connected": right}
+    directions = [
+        _direction("identity_to_graded", left, right),
+        _direction("graded_to_identity", right, left),
+        ("equivalence", PASS if left == right else FAIL),
+    ]
+    return Finding(True, directions, str(details), details=details)
 
 
 @_register(
     "gamma_eq",
     "identity-faithful: domination numbers agree across the transfer",
+    "the grading is faithful at the identity degree",
+    "both graphs have the same domination number",
 )
-def _check_gamma_eq(inst: Instance) -> TheoremReport:
-    hyp = inst.e_faithful
-    directions = []
-    details: dict = {}
-    if hyp:
-        rep = inst.transfer_report
-        details = {
-            "gamma_identity": rep["gamma_identity"],
-            "gamma_graded": rep["gamma_graded"],
-        }
-        directions = [
-            (
-                "domination_equal",
-                PASS if rep["gamma_identity"] == rep["gamma_graded"] else FAIL,
-            )
-        ]
-    return _report(
-        "gamma_eq",
-        inst,
-        hyp,
-        "the grading is faithful at the identity degree",
-        "both graphs have the same domination number",
-        directions,
-        witness=None if not hyp else str(details),
+def _check_gamma_eq(inst: Instance) -> Finding:
+    if not inst.e_faithful:
+        return Finding(False)
+    rep = inst.transfer_report
+    details = {
+        "gamma_identity": rep["gamma_identity"],
+        "gamma_graded": rep["gamma_graded"],
+    }
+    equal = rep["gamma_identity"] == rep["gamma_graded"]
+    return Finding(
+        True,
+        [("domination_equal", PASS if equal else FAIL)],
+        str(details),
         details=details,
     )
 
@@ -874,98 +774,75 @@ def _check_gamma_eq(inst: Instance) -> TheoremReport:
     "omega_formula",
     "identity-faithful: the graded clique number is the best clique-wise sum "
     "of class sizes",
+    "the grading is faithful at the identity degree",
+    "clique numbers are finite together, and the graded clique number "
+    "equals the best sum of class sizes over cliques of the identity "
+    "component's graph",
 )
-def _check_omega_formula(inst: Instance) -> TheoremReport:
-    hyp = inst.e_faithful
-    directions = []
-    details: dict = {}
-    if hyp:
-        rep = inst.transfer_report
-        details = {
-            "omega_graded": rep["omega_graded"],
-            "omega_identity": rep["omega_identity"],
-            "omega_from_classes": rep["omega_from_classes"],
-            "class_sizes": rep["class_sizes"],
-        }
-        directions = [
-            ("finiteness_equivalence", PASS),
-            (
-                "clique_sum_formula",
-                PASS if rep["omega_graded"] == rep["omega_from_classes"] else FAIL,
-            ),
-        ]
-    return _report(
-        "omega_formula",
-        inst,
-        hyp,
-        "the grading is faithful at the identity degree",
-        "clique numbers are finite together, and the graded clique number "
-        "equals the best sum of class sizes over cliques of the identity "
-        "component's graph",
-        directions,
-        witness=None if not hyp else str(details),
-        annotations=("finiteness holds outright on finite carriers",),
-        details=details,
-    )
+def _check_omega_formula(inst: Instance) -> Finding:
+    annotations = ("finiteness holds outright on finite carriers",)
+    if not inst.e_faithful:
+        return Finding(False, annotations=annotations)
+    rep = inst.transfer_report
+    details = {
+        "omega_graded": rep["omega_graded"],
+        "omega_identity": rep["omega_identity"],
+        "omega_from_classes": rep["omega_from_classes"],
+        "class_sizes": rep["class_sizes"],
+    }
+    directions = [
+        ("finiteness_equivalence", PASS),
+        (
+            "clique_sum_formula",
+            PASS if rep["omega_graded"] == rep["omega_from_classes"] else FAIL,
+        ),
+    ]
+    return Finding(True, directions, str(details), annotations, details)
 
 
 @_register(
     "lemma_l0",
     "first strong: every graded ideal is generated by its identity trace",
+    "the grading is first strong",
+    "each nontrivial proper graded ideal is generated as a left ideal by "
+    "its identity-component part",
 )
-def _check_lemma_l0(inst: Instance) -> TheoremReport:
+def _check_lemma_l0(inst: Instance) -> Finding:
     hyp = inst.first_strong
-    directions = []
-    witness = None
-    if hyp:
-        comp_e = inst.grading.component(inst.grading.grades.identity)
-        ok = True
-        for v in inst.graded_vertices:
-            trace_members = mask_members(v.mask & comp_e)
-            if generated_left_ideal(inst.ring, trace_members) != v.mask:
-                ok, witness = False, v.label()
-                break
-        directions = [("trace_generates", PASS if ok else FAIL)]
-    return _report(
-        "lemma_l0",
-        inst,
-        hyp,
-        "the grading is first strong",
-        "each nontrivial proper graded ideal is generated as a left ideal by "
-        "its identity-component part",
-        directions,
-        witness,
-        details={"vertices": len(inst.graded_vertices)},
+    details = {"vertices": len(inst.graded_vertices)}
+    if not hyp:
+        return Finding(False, details=details)
+    comp_e = inst.grading.component(inst.grading.grades.identity)
+    bad = next(
+        (
+            v
+            for v in inst.graded_vertices
+            if generated_left_ideal(inst.ring, mask_members(v.mask & comp_e)) != v.mask
+        ),
+        None,
+    )
+    return Finding(
+        True,
+        [("trace_generates", PASS if bad is None else FAIL)],
+        None if bad is None else bad.label(),
+        details=details,
     )
 
 
 @_register(
     "t56",
     "first strong: ideal extension is itself a graph isomorphism",
+    "the grading is first strong",
+    "extending ideals from the identity component is a graph isomorphism "
+    "onto the graded graph",
 )
-def _check_t56(inst: Instance) -> TheoremReport:
-    hyp = inst.first_strong
-    directions = []
-    witness = None
-    details: dict = {}
-    if hyp:
-        try:
-            details = inst.phi_iso("first_strong")
-            directions = [("isomorphism", PASS)]
-        except (IsoViolation, WellDefinednessViolation) as exc:
-            directions = [("isomorphism", FAIL)]
-            witness = str(exc)
-    return _report(
-        "t56",
-        inst,
-        hyp,
-        "the grading is first strong",
-        "extending ideals from the identity component is a graph isomorphism "
-        "onto the graded graph",
-        directions,
-        witness,
-        details=details,
+def _check_t56(inst: Instance) -> Finding:
+    if not inst.first_strong:
+        return Finding(False)
+    direction, witness, details = _isomorphism(
+        "isomorphism", lambda: inst.first_strong_iso
     )
+    return Finding(True, [direction], witness, details=details)
 
 
 def _first_unembedded_pair(
@@ -985,9 +862,13 @@ def _first_unembedded_pair(
     "groupring_example",
     "group rings: the canonical grading is strong and the graded graph "
     "copies the coefficient ring's graph",
+    "the carrier is a group ring with its canonical grading",
+    "the grading is strong (hence first strong), the identity component "
+    "is a copy of the coefficient ring, and the graded graph is a copy "
+    "of the coefficient ring's ideal graph",
     kinds=("group_ring",),
 )
-def _check_groupring_example(inst: Instance) -> TheoremReport:
+def _check_groupring_example(inst: Instance) -> Finding:
     ring = inst.ring
     base: FiniteRing = ring.parts["base"]
     group = ring.parts["group"]
@@ -996,7 +877,6 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
         ("grading_first_strong", PASS if inst.first_strong else FAIL),
     ]
     witness = None
-    details: dict = {}
     # coefficient r on the group identity, the base's zero elsewhere
     shift = base.size**group.identity
     embed = [ring.zero + (r - base.zero) * shift for r in range(base.size)]
@@ -1010,39 +890,20 @@ def _check_groupring_example(inst: Instance) -> TheoremReport:
             iso_ok = False
             witness = "coefficients {}, {}".format(*(base.names[x] for x in pair))
     directions.append(("coefficient_ring_is_identity_component", PASS if iso_ok else FAIL))
-    if iso_ok:
-        base_vertices = {frozenset(v.members) for v in inst.base_vertices}
-        lifted = {
-            frozenset(embed[x] for x in vs) for vs in base_vertices
-        }
-        # identity-component vertices traced back to parent coordinates
-        emb = inst.identity_data[1]
-        re_lifted = {
-            frozenset(emb[x] for x in v.members) for v in inst.re_vertices
-        }
-        directions.append(
-            ("ideal_families_match", PASS if lifted == re_lifted else FAIL)
-        )
-        if lifted != re_lifted:
-            witness = "coefficient-ring ideals do not match the identity component"
-        try:
-            details = inst.phi_iso("first_strong")
-            directions.append(("graded_graph_isomorphism", PASS))
-        except (IsoViolation, WellDefinednessViolation) as exc:
-            directions.append(("graded_graph_isomorphism", FAIL))
-            witness = str(exc)
-    return _report(
-        "groupring_example",
-        inst,
-        True,
-        "the carrier is a group ring with its canonical grading",
-        "the grading is strong (hence first strong), the identity component "
-        "is a copy of the coefficient ring, and the graded graph is a copy "
-        "of the coefficient ring's ideal graph",
-        directions,
-        witness,
-        details=details,
+    if not iso_ok:
+        return Finding(True, directions, witness)
+    lifted = {frozenset(embed[x] for x in v.members) for v in inst.base_vertices}
+    # identity-component vertices traced back to parent coordinates
+    emb = inst.re_embedding
+    re_lifted = {frozenset(emb[x] for x in v.members) for v in inst.re_vertices}
+    directions.append(("ideal_families_match", PASS if lifted == re_lifted else FAIL))
+    if lifted != re_lifted:
+        witness = "coefficient-ring ideals do not match the identity component"
+    direction, violation, details = _isomorphism(
+        "graded_graph_isomorphism", lambda: inst.first_strong_iso
     )
+    directions.append(direction)
+    return Finding(True, directions, violation or witness, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,52 +933,34 @@ def _compatible_pairs(
     "lemma17",
     "graded ideals of a square-zero extension are exactly the compatible "
     "component pairs",
+    "the carrier is a square-zero extension with a nonzero module",
+    "graded ideals are exactly the pairs (ideal, submodule) where the "
+    "ideal moves the module into the submodule; intersections work "
+    "componentwise",
     kinds=("idealization",),
 )
-def _check_lemma17(inst: Instance) -> TheoremReport:
+def _check_lemma17(inst: Instance) -> Finding:
     module = inst.ring.parts["module"]
-    hyp = module.size > 1
-    directions = []
+    if module.size <= 1:
+        return Finding(False)
     witness = None
-    details: dict = {}
-    if hyp:
-        expected = _compatible_pairs(module, inst.base_family, inst.module_family)
-        actual = {i.mask for i in inst.graded_family}
-        missing = sorted(set(expected) - actual)
-        extra = sorted(actual - set(expected))
-        directions.append(
-            ("family_equals_pairs", PASS if not missing and not extra else FAIL)
-        )
-        if missing:
-            witness = "a compatible pair is not a graded ideal"
-        if extra:
-            witness = "a graded ideal is not a compatible pair"
-        inter_ok = True
-        pairs = list(expected.items())
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                (ma, (ia, na)) = pairs[i]
-                (mb, (ib, nb)) = pairs[j]
-                if ma & mb != _pair_mask(module, ia & ib, na & nb):
-                    inter_ok = False
-                    witness = "componentwise intersection mismatch"
-        directions.append(("componentwise_intersection", PASS if inter_ok else FAIL))
-        details = {
-            "graded_ideals": len(actual),
-            "compatible_pairs": len(expected),
-        }
-    return _report(
-        "lemma17",
-        inst,
-        hyp,
-        "the carrier is a square-zero extension with a nonzero module",
-        "graded ideals are exactly the pairs (ideal, submodule) where the "
-        "ideal moves the module into the submodule; intersections work "
-        "componentwise",
-        directions,
-        witness,
-        details=details,
-    )
+    expected = _compatible_pairs(module, inst.base_family, inst.module_family)
+    actual = {i.mask for i in inst.graded_family}
+    missing = sorted(set(expected) - actual)
+    extra = sorted(actual - set(expected))
+    directions = [("family_equals_pairs", PASS if not missing and not extra else FAIL)]
+    if missing:
+        witness = "a compatible pair is not a graded ideal"
+    if extra:
+        witness = "a graded ideal is not a compatible pair"
+    inter_ok = True
+    for (ma, (ia, na)), (mb, (ib, nb)) in itertools.combinations(expected.items(), 2):
+        if ma & mb != _pair_mask(module, ia & ib, na & nb):
+            inter_ok = False
+            witness = "componentwise intersection mismatch"
+    directions.append(("componentwise_intersection", PASS if inter_ok else FAIL))
+    details = {"graded_ideals": len(actual), "compatible_pairs": len(expected)}
+    return Finding(True, directions, witness, details=details)
 
 
 def _base_is_simple(inst: Instance) -> bool:
@@ -1135,91 +978,71 @@ def _module_is_simple(inst: Instance) -> bool:
 @_register(
     "t777",
     "square-zero extensions: edgeless graph detection and triggers for girth three",
+    "the carrier is a square-zero extension with a nonzero module",
+    "the graded graph is edgeless exactly when the base is simple and "
+    "the module is simple; each stated trigger forces girth three",
     kinds=("idealization",),
 )
-def _check_t777(inst: Instance) -> TheoremReport:
+def _check_t777(inst: Instance) -> Finding:
     module = inst.ring.parts["module"]
-    hyp = module.size > 1
-    directions = []
+    if module.size <= 1:
+        return Finding(False)
     witness = None
-    annotations = []
-    details: dict = {}
-    if hyp:
-        g = inst.graded_graph
-        edgeless = is_null(g)
-        tiny = _base_is_simple(inst) and _module_is_simple(inst)
-        details["edgeless"] = edgeless
-        details["base_simple"] = _base_is_simple(inst)
-        details["module_simple"] = _module_is_simple(inst)
-        directions.append(
-            ("edgeless_iff_simple_pair", PASS if edgeless == tiny else FAIL)
-        )
-        if edgeless != tiny:
-            witness = f"edgeless {edgeless}, simple pair {tiny}"
-        gv = girth(g)
-        details["girth"] = "inf" if gv == math.inf else gv
-        trig_a = (not _base_is_simple(inst)) and not _module_is_simple(inst)
-        trig_b = len(inst.base_vertices) >= 2
-        full_action = index_mask(module.act_array, module.size)
-        trig_c = full_action != (1 << module.size) - 1
-        directions.append(_direction("both_nonsimple_girth_three", trig_a, gv == 3))
-        directions.append(_direction("two_base_ideals_girth_three", trig_b, gv == 3))
-        directions.append(_direction("partial_action_girth_three", trig_c, gv == 3))
-        if (trig_a or trig_b or trig_c) and gv != 3:
-            witness = f"girth {gv}"
-        annotations.append(
-            "the third trigger compares the module with its ring multiples; "
-            "a unital action always reaches the whole module, so that "
-            "trigger cannot fire here"
-        )
-    return _report(
-        "t777",
-        inst,
-        hyp,
-        "the carrier is a square-zero extension with a nonzero module",
-        "the graded graph is edgeless exactly when the base is simple and "
-        "the module is simple; each stated trigger forces girth three",
-        directions,
-        witness,
-        annotations,
-        details,
-    )
+    g = inst.graded_graph
+    edgeless = is_null(g)
+    tiny = _base_is_simple(inst) and _module_is_simple(inst)
+    details = {
+        "edgeless": edgeless,
+        "base_simple": _base_is_simple(inst),
+        "module_simple": _module_is_simple(inst),
+    }
+    directions = [("edgeless_iff_simple_pair", PASS if edgeless == tiny else FAIL)]
+    if edgeless != tiny:
+        witness = f"edgeless {edgeless}, simple pair {tiny}"
+    gv = girth(g)
+    details["girth"] = "inf" if gv == math.inf else gv
+    trig_a = (not _base_is_simple(inst)) and not _module_is_simple(inst)
+    trig_b = len(inst.base_vertices) >= 2
+    full_action = index_mask(module.act_array, module.size)
+    trig_c = full_action != (1 << module.size) - 1
+    directions.append(_direction("both_nonsimple_girth_three", trig_a, gv == 3))
+    directions.append(_direction("two_base_ideals_girth_three", trig_b, gv == 3))
+    directions.append(_direction("partial_action_girth_three", trig_c, gv == 3))
+    if (trig_a or trig_b or trig_c) and gv != 3:
+        witness = f"girth {gv}"
+    annotations = [
+        "the third trigger compares the module with its ring multiples; "
+        "a unital action always reaches the whole module, so that "
+        "trigger cannot fire here"
+    ]
+    return Finding(True, directions, witness, annotations, details)
 
 
 @_register(
     "t777_cor",
     "doubling a ring by itself: edges, a nonsimple base, and girth three coincide",
+    "the carrier is a ring doubled by itself as a module",
+    "the graded graph has an edge exactly when the base ring has a "
+    "nontrivial ideal, exactly when the girth is three",
     kinds=("self_idealization",),
 )
-def _check_t777_cor(inst: Instance) -> TheoremReport:
-    module = inst.ring.parts["module"]
-    hyp = module.size > 1
-    directions = []
-    witness = None
-    details: dict = {}
-    if hyp:
-        g = inst.graded_graph
-        has_edges = not is_null(g)
-        nonsimple = not _base_is_simple(inst)
-        three = girth(g) == 3
-        details = {
-            "has_edges": has_edges,
-            "base_nonsimple": nonsimple,
-            "girth_three": three,
-        }
-        agree = has_edges == nonsimple == three
-        directions = [("three_way_equivalence", PASS if agree else FAIL)]
-        if not agree:
-            witness = str(details)
-    return _report(
-        "t777_cor",
-        inst,
-        hyp,
-        "the carrier is a ring doubled by itself as a module",
-        "the graded graph has an edge exactly when the base ring has a "
-        "nontrivial ideal, exactly when the girth is three",
-        directions,
-        witness,
+def _check_t777_cor(inst: Instance) -> Finding:
+    if inst.ring.parts["module"].size <= 1:
+        return Finding(False)
+    g = inst.graded_graph
+    has_edges = not is_null(g)
+    nonsimple = not _base_is_simple(inst)
+    three = girth(g) == 3
+    details = {
+        "has_edges": has_edges,
+        "base_nonsimple": nonsimple,
+        "girth_three": three,
+    }
+    agree = has_edges == nonsimple == three
+    return Finding(
+        True,
+        [("three_way_equivalence", PASS if agree else FAIL)],
+        str(details),
         details=details,
     )
 
@@ -1227,82 +1050,56 @@ def _check_t777_cor(inst: Instance) -> TheoremReport:
 @_register(
     "t231",
     "doubling a ring: the graded clique number against the base lattice count",
+    "the carrier is a ring doubled by itself as a module",
+    "the graded clique number is at least one plus twice the base clique "
+    "number plus the base ideal count, with equality exactly when the "
+    "base graph has no edges",
     kinds=("self_idealization",),
 )
-def _check_t231(inst: Instance) -> TheoremReport:
-    module = inst.ring.parts["module"]
-    hyp = module.size > 1
-    directions = []
-    witness = None
-    details: dict = {}
-    if hyp:
-        base_vertices = inst.base_vertices
-        base_graph = inst.base_graph
-        omega_base = clique_number(base_graph)
-        bound = 1 + 2 * omega_base + len(base_vertices)
-        omega = clique_number(inst.graded_graph)
-        details = {
-            "omega_graded": omega,
-            "bound": bound,
-            "omega_base": omega_base,
-            "base_ideals": len(base_vertices),
-        }
-        directions.append(("lower_bound", PASS if omega >= bound else FAIL))
-        equality = omega == bound
-        base_null = is_null(base_graph)
-        directions.append(
-            ("equality_iff_base_edgeless", PASS if equality == base_null else FAIL)
-        )
-        if omega < bound or equality != base_null:
-            witness = str(details)
-    return _report(
-        "t231",
-        inst,
-        hyp,
-        "the carrier is a ring doubled by itself as a module",
-        "the graded clique number is at least one plus twice the base clique "
-        "number plus the base ideal count, with equality exactly when the "
-        "base graph has no edges",
-        directions,
-        witness,
-        details=details,
-    )
+def _check_t231(inst: Instance) -> Finding:
+    if inst.ring.parts["module"].size <= 1:
+        return Finding(False)
+    base_vertices = inst.base_vertices
+    base_graph = inst.base_graph
+    omega_base = clique_number(base_graph)
+    bound = 1 + 2 * omega_base + len(base_vertices)
+    omega = clique_number(inst.graded_graph)
+    details = {
+        "omega_graded": omega,
+        "bound": bound,
+        "omega_base": omega_base,
+        "base_ideals": len(base_vertices),
+    }
+    equality = omega == bound
+    directions = [
+        ("lower_bound", PASS if omega >= bound else FAIL),
+        ("equality_iff_base_edgeless", PASS if equality == is_null(base_graph) else FAIL),
+    ]
+    return Finding(True, directions, str(details), details=details)
 
 
 @_register(
     "planarity_cor",
     "doubling a ring: the graded graph is planar only for tiny base lattices",
+    "the carrier is a ring doubled by itself as a module",
+    "the graded graph is planar exactly when the base ring has at most "
+    "one nontrivial proper ideal",
     kinds=("self_idealization",),
 )
-def _check_planarity_cor(inst: Instance) -> TheoremReport:
-    module = inst.ring.parts["module"]
-    hyp = module.size > 1
-    directions = []
-    witness = None
-    details: dict = {}
-    if hyp:
-        base_count = len(inst.base_vertices)
-        planar = is_planar(inst.graded_graph)
-        details = {"planar": planar, "base_ideals": base_count}
-        if planar is None:
-            directions = [("planar_iff_small_base", FAIL)]
-            witness = "planarity undecided at this graph size"
-        else:
-            ok = planar == (base_count <= 1)
-            directions = [("planar_iff_small_base", PASS if ok else FAIL)]
-            if not ok:
-                witness = str(details)
-    return _report(
-        "planarity_cor",
-        inst,
-        hyp,
-        "the carrier is a ring doubled by itself as a module",
-        "the graded graph is planar exactly when the base ring has at most "
-        "one nontrivial proper ideal",
-        directions,
-        witness,
-        details=details,
-    )
+def _check_planarity_cor(inst: Instance) -> Finding:
+    if inst.ring.parts["module"].size <= 1:
+        return Finding(False)
+    base_count = len(inst.base_vertices)
+    planar = is_planar(inst.graded_graph)
+    details = {"planar": planar, "base_ideals": base_count}
+    if planar is None:
+        direction = ("planar_iff_small_base", FAIL)
+        witness = "planarity undecided at this graph size"
+    else:
+        ok = planar == (base_count <= 1)
+        direction = ("planar_iff_small_base", PASS if ok else FAIL)
+        witness = str(details)
+    return Finding(True, [direction], witness, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -1312,20 +1109,17 @@ def _check_planarity_cor(inst: Instance) -> TheoremReport:
 @_register(
     "lemma_ll",
     "integer gradings: the leading-part operator is a closure onto graded ideals",
+    "the grading group is the integers",
+    "taking leading parts fixes exactly the graded ideals, preserves "
+    "zero and inclusions, separates nested ideals, and is idempotent",
     kinds=("integer",),
 )
-def _check_lemma_ll(inst: Instance) -> TheoremReport:
+def _check_lemma_ll(inst: Instance) -> Finding:
     rep = lemma_ll_check(inst.grading, inst.all_family)
-    directions = [(name, PASS if ok else FAIL) for name, ok in rep["parts"].items()]
-    return _report(
-        "lemma_ll",
-        inst,
+    return Finding(
         True,
-        "the grading group is the integers",
-        "taking leading parts fixes exactly the graded ideals, preserves "
-        "zero and inclusions, separates nested ideals, and is idempotent",
-        directions,
-        witness="; ".join(rep["violations"]) or None,
+        [(name, PASS if ok else FAIL) for name, ok in rep["parts"].items()],
+        "; ".join(rep["violations"]) or None,
         details={"checked": rep["checked"], "nested_pairs": rep["nested_pairs"]},
     )
 
@@ -1333,25 +1127,16 @@ def _check_lemma_ll(inst: Instance) -> TheoremReport:
 @_register(
     "t543",
     "integer gradings: connectivity agrees between the graded and full graphs",
+    "the grading group is the integers",
+    "the graded graph is connected exactly when the full-lattice graph is",
     kinds=("integer",),
 )
-def _check_t543(inst: Instance) -> TheoremReport:
+def _check_t543(inst: Instance) -> Finding:
     rep = inst.ordered_report
-    return _report(
-        "t543",
-        inst,
+    return Finding(
         True,
-        "the grading group is the integers",
-        "the graded graph is connected exactly when the full-lattice graph is",
-        [
-            (
-                "connectivity_agrees",
-                PASS if rep["connectivity_agrees"] else FAIL,
-            )
-        ],
-        witness=None
-        if rep["connectivity_agrees"]
-        else f"graded {rep['graded_connected']}, full {rep['all_connected']}",
+        [("connectivity_agrees", PASS if rep["connectivity_agrees"] else FAIL)],
+        f"graded {rep['graded_connected']}, full {rep['all_connected']}",
         details={
             "graded_connected": rep["graded_connected"],
             "all_connected": rep["all_connected"],
@@ -1362,25 +1147,18 @@ def _check_t543(inst: Instance) -> TheoremReport:
 @_register(
     "t544",
     "integer gradings over local rings: girths agree",
+    "the grading group is the integers and the ring has a unique maximal "
+    "left ideal",
+    "the graded graph and the full-lattice graph have the same girth",
     kinds=("integer",),
 )
-def _check_t544(inst: Instance) -> TheoremReport:
+def _check_t544(inst: Instance) -> Finding:
     rep = inst.ordered_report
     hyp = rep["local"]
-    directions = []
-    if hyp:
-        directions = [("girth_agrees", PASS if rep["girth_agrees"] else FAIL)]
-    return _report(
-        "t544",
-        inst,
+    return Finding(
         hyp,
-        "the grading group is the integers and the ring has a unique maximal "
-        "left ideal",
-        "the graded graph and the full-lattice graph have the same girth",
-        directions,
-        witness=None
-        if not hyp or rep["girth_agrees"]
-        else f"graded girth {rep['graded_girth']}, full girth {rep['all_girth']}",
+        [("girth_agrees", PASS if rep["girth_agrees"] else FAIL)] if hyp else [],
+        f"graded girth {rep['graded_girth']}, full girth {rep['all_girth']}",
         details={
             "graded_girth": str(rep["graded_girth"]),
             "all_girth": str(rep["all_girth"]),
@@ -1393,51 +1171,41 @@ def _check_t544(inst: Instance) -> TheoremReport:
     "r545",
     "integer gradings: when only the full graph has a cycle, the lattice is "
     "a short chain structure",
+    "the grading group is the integers",
+    "if the graded graph is acyclic while the full graph has a triangle, "
+    "the ring is local with maximal-chain length four and the maximal "
+    "ideals line up through leading parts",
     kinds=("integer",),
 )
-def _check_r545(inst: Instance) -> TheoremReport:
+def _check_r545(inst: Instance) -> Finding:
     rep = inst.ordered_report
     triggered = rep["branch_triggered"]
-    directions = []
-    annotations = []
-    witness = None
-    if triggered:
-        directions = [("branch_structure", PASS if rep["branch_ok"] else FAIL)]
-        if not rep["branch_ok"]:
-            witness = str(
-                {
-                    k: rep[k]
-                    for k in (
-                        "graded_local",
-                        "graded_maximal_is_maximal",
-                        "maxima_share_leading",
-                        "four_term_chains",
-                    )
-                    if k in rep
-                }
-            )
-    else:
-        directions = [("branch_structure", VACUOUS)]
-        annotations.append(
-            "the premise (graded graph acyclic while the full graph has a "
-            "triangle) does not occur on this instance; the conditional "
-            "holds by emptiness"
+    details = {
+        "branch_triggered": triggered,
+        "chain_term_counts": rep["chain_term_counts"],
+    }
+    if not triggered:
+        return Finding(
+            True,
+            [("branch_structure", VACUOUS)],
+            annotations=[
+                "the premise (graded graph acyclic while the full graph has a "
+                "triangle) does not occur on this instance; the conditional "
+                "holds by emptiness"
+            ],
+            details=details,
         )
-    return _report(
-        "r545",
-        inst,
+    keys = (
+        "graded_local",
+        "graded_maximal_is_maximal",
+        "maxima_share_leading",
+        "four_term_chains",
+    )
+    return Finding(
         True,
-        "the grading group is the integers",
-        "if the graded graph is acyclic while the full graph has a triangle, "
-        "the ring is local with maximal-chain length four and the maximal "
-        "ideals line up through leading parts",
-        directions,
-        witness,
-        annotations,
-        details={
-            "branch_triggered": triggered,
-            "chain_term_counts": rep["chain_term_counts"],
-        },
+        [("branch_structure", PASS if rep["branch_ok"] else FAIL)],
+        str({k: rep[k] for k in keys if k in rep}),
+        details=details,
     )
 
 
@@ -1445,37 +1213,52 @@ def _check_r545(inst: Instance) -> TheoremReport:
 # dispatch
 
 
+def _dispatch(inst: Instance, check: TheoremCheck, strict: bool) -> TheoremReport:
+    """Write one check's report; the only place a TheoremReport is built.
+
+    When the instance lacks a construction kind the check needs, raise
+    WrongInstanceKind if strict, and report SKIPPED otherwise."""
+    unmet = next((k for k in check.kinds if not inst.matches(k)), None)
+    if unmet is not None:
+        if strict:
+            raise WrongInstanceKind(
+                f"{check.theorem_id} needs a {unmet} instance; {inst.name} is not one"
+            )
+        return TheoremReport(
+            theorem_id=check.theorem_id,
+            instance=inst.name,
+            verdict=SKIPPED,
+            hypothesis="construction kind does not match",
+            conclusion=check.summary,
+        )
+    found = check.run(inst)
+    if not found.hypothesis_met:
+        verdict = VACUOUS
+    elif any(v == FAIL for _, v in found.directions):
+        verdict = FAIL
+    else:
+        verdict = PASS
+    return TheoremReport(
+        theorem_id=check.theorem_id,
+        instance=inst.name,
+        verdict=verdict,
+        hypothesis=check.hypothesis,
+        conclusion=check.conclusion,
+        directions=tuple(found.directions),
+        witness=found.witness if verdict == FAIL else None,
+        annotations=tuple(found.annotations),
+        details=found.details or {},
+    )
+
+
 def run_check(inst: Instance, theorem_id: str) -> TheoremReport:
     """Run one registered check; raise if the instance has the wrong shape."""
-    if theorem_id not in _REGISTRY:
-        raise UnknownTheorem(f"no check registered under id {theorem_id!r}")
-    check = _REGISTRY[theorem_id]
-    for requirement in check.kinds:
-        if not inst.matches(requirement):
-            raise WrongInstanceKind(
-                f"{theorem_id} needs a {requirement} instance; "
-                f"{inst.name} is not one"
-            )
-    return check.run(inst)
+    return _dispatch(inst, _lookup(theorem_id), strict=True)
 
 
 def run_all(inst: Instance, ids: Sequence[str] | None = None) -> list[TheoremReport]:
     """Run every requested check, marking kind mismatches as SKIPPED."""
-    reports = []
-    for theorem_id in ids if ids is not None else theorem_ids():
-        if theorem_id not in _REGISTRY:
-            raise UnknownTheorem(f"no check registered under id {theorem_id!r}")
-        check = _REGISTRY[theorem_id]
-        if any(not inst.matches(req) for req in check.kinds):
-            reports.append(
-                TheoremReport(
-                    theorem_id=theorem_id,
-                    instance=inst.name,
-                    verdict=SKIPPED,
-                    hypothesis="construction kind does not match",
-                    conclusion=check.summary,
-                )
-            )
-            continue
-        reports.append(check.run(inst))
-    return reports
+    return [
+        _dispatch(inst, _lookup(theorem_id), strict=False)
+        for theorem_id in (ids if ids is not None else theorem_ids())
+    ]

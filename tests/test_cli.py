@@ -243,17 +243,15 @@ class TestExitCodes:
         path = write(tmp_path, "z12.json", Z12_DOC)
 
         def always_fail(inst):
-            return suite.TheoremReport(
-                theorem_id="doomed",
-                instance=inst.name,
-                verdict="FAIL",
-                hypothesis="h",
-                conclusion="c",
-                witness="by construction",
-            )
+            return suite.Finding(True, [("refuted", "FAIL")], "by construction")
 
         doomed = suite.TheoremCheck(
-            theorem_id="doomed", kinds=(), summary="always fails", run=always_fail
+            theorem_id="doomed",
+            kinds=(),
+            summary="always fails",
+            hypothesis="h",
+            conclusion="c",
+            run=always_fail,
         )
         monkeypatch.setitem(suite._REGISTRY, "doomed", doomed)
         assert main(["verify", path, "--theorems", "doomed"]) == 1

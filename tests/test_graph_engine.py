@@ -29,7 +29,6 @@ from idealgraphs import (
     is_regular,
     is_star,
     make_cyclic_ring,
-    maximal_cliques,
     nontrivial_proper,
     star_center,
 )
@@ -142,18 +141,29 @@ class TestInvariants:
         assert diameter(g) == brute_diameter(g)
         assert len(connected_components(g)) == brute_components(g)
 
-    def test_maximal_cliques_cover_and_maximality(self):
-        g = random_graph(n=9, p=0.5, seed=99)
-        cliques = maximal_cliques(g)
-        seen = set()
-        for c in cliques:
-            seen.update(c)
-            for a, b in itertools.combinations(c, 2):
-                assert g.has_edge(a, b)
-            for v in range(g.n):
-                if v not in c:
-                    assert not all(g.has_edge(v, w) for w in c)
-        assert seen == set(range(g.n))
+    @pytest.mark.parametrize("seed", range(40))
+    def test_heaviest_clique_matches_networkx(self, seed):
+        g = random_graph(n=3 + seed % 11, p=0.2 + seed % 5 * 0.15, seed=seed)
+        rng = random.Random(seed)
+        weight = [rng.randint(1, 9) for _ in range(g.n)]
+        reference = nx.Graph()
+        reference.add_nodes_from((v, {"w": weight[v]}) for v in range(g.n))
+        reference.add_edges_from(g.edges)
+        assert clique_number(g, weight) == nx.max_weight_clique(reference, "w")[1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unit_weights_give_the_clique_number(self, seed):
+        g = random_graph(n=6 + seed, p=0.5, seed=100 + seed)
+        assert clique_number(g, [1] * g.n) == brute_clique_number(g)
+        assert clique_number(g) == brute_clique_number(g)
+
+    def test_only_the_unweighted_answer_is_kept(self):
+        g = complete_graph(3)
+        assert clique_number(g, [2, 3, 4]) == 9
+        assert "clique_number" not in g.memo
+        assert clique_number(g) == 3
+        assert g.memo["clique_number"] == 3
+        assert clique_number(graph_from_edges(0, []), []) == 0
 
     def test_disconnected_diameter(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)])

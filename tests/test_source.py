@@ -95,3 +95,35 @@ def test_package_reads_no_tuple_table():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"tuple tables read in the package: {found}"
+
+
+def test_one_dispatcher_writes_every_check_report():
+    # checks return findings; only the dispatcher behind run_check and
+    # run_all turns them into reports
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "TheoremReport"
+                    and (path.name, function.name) != ("theorem_suite.py", "_dispatch")
+                ):
+                    found.append(f"{path.name}:{node.lineno} ({function.name})")
+    assert not found, f"reports built outside the dispatcher: {found}"
+
+
+def test_each_check_id_is_stated_once():
+    # the id, like the hypothesis and conclusion text, lives in _register
+    source = (PACKAGE_DIR / "theorem_suite.py").read_text()
+    ids = [
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_register"
+    ]
+    assert len(ids) == 32
+    repeated = [tid for tid in ids if len(re.findall(rf"[\"']{tid}[\"']", source)) != 1]
+    assert not repeated, f"check ids stated more than once: {repeated}"

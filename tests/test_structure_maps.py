@@ -91,7 +91,7 @@ class TestPhiIsomorphism:
     def test_first_strong_variant_guards(self, corpus_instances):
         inst = corpus_instances["m2f2"]  # identity faithful but not first strong
         with pytest.raises(WrongConstruction):
-            inst.phi_iso("first_strong")
+            inst.first_strong_iso
 
 
 class TestTransferNumbers:

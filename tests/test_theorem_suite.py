@@ -2,6 +2,8 @@ import pytest
 
 import idealgraphs.cli as cli
 import idealgraphs.grading as grading
+import idealgraphs.structure_maps as structure_maps
+import idealgraphs.theorem_suite as suite
 from idealgraphs import (
     Instance,
     UnknownTheorem,
@@ -330,3 +332,67 @@ class TestReportShape:
         for rep in run_all(corpus_instances["z8_self"]):
             if rep.verdict != "FAIL":
                 assert rep.witness is None
+
+
+PLANTED_GRAPHS = {
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "P4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "2K2": (4, [(0, 1), (2, 3)]),
+    "K1,3": (4, [(0, 1), (0, 2), (0, 3)]),
+    "2K1": (2, []),
+}
+
+
+class TestPlantedGraphReports:
+    """The corpus never FAILs; planting other graded graphs through the
+    cached slot, as TestFailurePlumbing does, drives most checks to FAIL and
+    shows how each report is written."""
+
+    def test_reports_follow_their_findings(self, corpus_instances):
+        failing = set()
+        for name, clean in corpus_instances.items():
+            for shape, (n, edges) in PLANTED_GRAPHS.items():
+                inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
+                inst.__dict__["graded_graph"] = graph_from_edges(n, edges)
+                for tid in ALL_IDS:
+                    where = f"{name}/{shape}/{tid}"
+                    try:
+                        (rep,) = run_all(inst, [tid])
+                    except (IndexError, StopIteration):
+                        # lemma_r1 and t4 look vertices up by position, and
+                        # a planted graph of another order lacks some
+                        assert tid in ("lemma_r1", "t4"), where
+                        assert n != len(inst.graded_vertices), where
+                        continue
+                    check = suite._REGISTRY[tid]
+                    if rep.verdict == "SKIPPED":
+                        assert rep.conclusion == check.summary, where
+                        assert rep.witness is None and not rep.directions, where
+                        continue
+                    assert rep.hypothesis == check.hypothesis, where
+                    assert rep.conclusion == check.conclusion, where
+                    refuted = any(v == "FAIL" for _, v in rep.directions)
+                    assert (rep.verdict == "FAIL") == refuted, where
+                    assert rep.verdict in ("PASS", "FAIL", "VACUOUS"), where
+                    assert (rep.witness is not None) == (rep.verdict == "FAIL"), where
+                    if rep.verdict == "FAIL":
+                        failing.add(tid)
+        assert len(failing) >= 23, sorted(failing)
+
+
+class TestIsomorphismReports:
+    def test_one_comparison_per_variant_in_run_all(self, corpus_dir, monkeypatch):
+        # t56 and groupring_example share the instance's first-strong report
+        variants = []
+        real = structure_maps.phi_iso_check
+
+        def counting(*args, **kwargs):
+            report = real(*args, **kwargs)
+            variants.append(report["variant"])
+            return report
+
+        monkeypatch.setattr(structure_maps, "phi_iso_check", counting)
+        verdicts = verdict_map(load_instance(str(corpus_dir / "z2c3.json")))
+        assert verdicts["t1001"] == verdicts["t56"] == "PASS"
+        assert verdicts["groupring_example"] == "PASS"
+        assert sorted(variants) == ["first_strong", "quotient"]
