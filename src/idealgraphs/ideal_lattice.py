@@ -8,10 +8,18 @@ tried once per closed set, and one that already lies inside it is skipped as
 a mask test.  For left ideals the closure of (ideal + R*x) is just the
 additive span, because the union of two sets closed under left multiplication
 is still closed under it; that observation keeps the inner loop purely
-additive.  Every span here, from enumeration to sums, products and labels, is
-one call to `ring_core.span_extend`, which grows a closed subgroup H by a
-generator g one coset H + kg at a time and so costs O(|result|) rather than
-the O(|result|^2) of closing under pairwise sums.
+additive.
+
+A sum is read from the lattice by its order before it is spanned.  For
+additive subgroups A and B, |A + B| = |A| |B| / |A & B| (second isomorphism
+theorem), so a known subgroup of that order holding A and B is A + B
+(`known_sum`).  An enumeration keeps its closed sets in buckets by order and
+spans only a sum it has not seen: |family| - 1 spans in all, plus one bucket
+scan per (closed set, distinct orbit) pair.  Every span, from enumeration to
+sums, products and labels, is one call to `ring_core.span_extend`, which
+grows a closed subgroup H by a generator g one coset H + kg at a time and so
+costs O(|result|) rather than the O(|result|^2) of closing under pairwise
+sums.  Gradedness and direct-sum decompositions are counted, not spanned.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IdealCountLimit, UngradedIdeal
+from .errors import IdealCountLimit, NotSubgroup, UngradedIdeal
 from .grading import Grading
 from .ring_core import (
     FiniteModule,
@@ -79,13 +87,14 @@ def is_left_ideal(ring: FiniteRing, mask: int) -> bool:
 
 
 def is_graded(grading: Grading, mask: int) -> bool:
-    """A subset is graded when it holds every homogeneous part of each of
-    its members."""
-    for x in mask_members(mask):
-        for _, part in grading.decomposition[x]:
-            if not mask & (1 << part):
-                return False
-    return True
+    """An additive subgroup I is graded when it is the sum of its parts
+    I & R_d.  Those parts always sum directly inside I, so I is graded
+    exactly when |I| is the product of their orders.  The count is only
+    meaningful for a subgroup; every caller passes an ideal."""
+    order = 1
+    for component in grading.components.values():
+        order *= (mask & component).bit_count()
+    return order == mask.bit_count()
 
 
 def generated_left_ideal(ring: FiniteRing, generators: Iterable[int]) -> int:
@@ -99,6 +108,23 @@ def generated_left_ideal(ring: FiniteRing, generators: Iterable[int]) -> int:
     return additive_span(ring, seed)
 
 
+def sum_order(a_mask: int, b_mask: int) -> int:
+    """|A + B| = |A| |B| / |A & B| for additive subgroups A and B."""
+    return a_mask.bit_count() * b_mask.bit_count() // (a_mask & b_mask).bit_count()
+
+
+def known_sum(by_order: dict[int, list[int]], a_mask: int, b_mask: int) -> int | None:
+    """A + B read from known subgroups bucketed by order, or None if none
+    of them is it.  A subgroup holding A and B holds A + B, so one whose
+    order is |A + B| is A + B.  A, B and every bucketed mask must be
+    additive subgroups."""
+    seed = a_mask | b_mask
+    for mask in by_order.get(sum_order(a_mask, b_mask), ()):
+        if mask | seed == mask:
+            return mask
+    return None
+
+
 def _enumerate_closed(
     add,
     zero: int,
@@ -107,36 +133,40 @@ def _enumerate_closed(
     max_count: int,
     what: str,
 ) -> list[int]:
+    """Closed sets reached from {0} by adding orbits, sorted by (size, mask).
+
+    Every orbit must be an additive subgroup, so that cur + orbit is one
+    closed set and `known_sum` can find it.  A left ideal orbit R*x is one,
+    since rx + sx = (r+s)x; a submodule orbit R*x | {x} equals R*x, since
+    module validation requires 1*x = x.  A span whose order differs from
+    the predicted one raises NotSubgroup."""
     zero_mask = 1 << zero
     # the closure of cur and x depends on x only through its orbit
     orbits = list(dict.fromkeys(orbit_masks[x] for x in candidates))
-    found = {zero_mask}
-    members_of = {zero_mask: [zero]}
+    by_order = {1: [zero_mask]}
+    count = 1
     frontier = [zero_mask]
-    memo: dict[int, int] = {}
     rows: dict[int, list[int]] = {}  # addition rows read so far, as lists
     while frontier:
         nxt = []
         for cur in frontier:
-            base_members = members_of[cur]
+            members = mask_members(cur)
             for orbit in orbits:
-                seed = cur | orbit
-                if seed == cur:
+                if cur | orbit == cur or known_sum(by_order, cur, orbit) is not None:
                     continue
-                closed = memo.get(seed)
-                if closed is None:
-                    closed = span_extend(add, cur, base_members, orbit, rows)
-                    memo[seed] = closed
-                if closed not in found:
-                    found.add(closed)
-                    if len(found) > max_count:
-                        raise IdealCountLimit(
-                            f"{what} family exceeds the cap {max_count}"
-                        )
-                    members_of[closed] = mask_members(closed)
-                    nxt.append(closed)
+                closed = span_extend(add, cur, members, orbit, rows)
+                order = sum_order(cur, orbit)
+                if closed.bit_count() != order:
+                    raise NotSubgroup(
+                        f"{what} orbit {orbit:#x} is not an additive subgroup"
+                    )
+                count += 1
+                if count > max_count:
+                    raise IdealCountLimit(f"{what} family exceeds the cap {max_count}")
+                by_order.setdefault(order, []).append(closed)
+                nxt.append(closed)
         frontier = nxt
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    return [m for order in sorted(by_order) for m in sorted(by_order[order])]
 
 
 def enumerate_left_ideals(
@@ -376,15 +406,15 @@ def internal_decompositions(
     ring: FiniteRing, family: Sequence[IdealSet]
 ) -> list[tuple[IdealSet, IdealSet]]:
     """Unordered pairs of nonzero proper members whose sum is the whole ring
-    and whose intersection is zero: the internal direct sum decompositions."""
+    and whose intersection is zero: the internal direct sum decompositions.
+    For members meeting in zero, |a + b| = |a| |b|, so the sum is the whole
+    ring exactly when that product is |R|."""
     inner = nontrivial_proper(family)
-    out = []
-    for a, b in itertools.combinations(inner, 2):
-        if a.mask & b.mask != ring.zero_mask:
-            continue
-        if ideal_sum(ring, a.mask, b.mask) == ring.full_mask:
-            out.append((a, b))
-    return out
+    return [
+        (a, b)
+        for a, b in itertools.combinations(inner, 2)
+        if a.mask & b.mask == ring.zero_mask and a.size * b.size == ring.size
+    ]
 
 
 def is_graded_indecomposable(

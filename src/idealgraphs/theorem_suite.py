@@ -60,6 +60,7 @@ from .ideal_lattice import (
     is_graded_reduced,
     is_maximal,
     is_minimal,
+    known_sum,
     maximal_members,
     min_generator_count,
     minimal_members,
@@ -166,25 +167,23 @@ def _direction(name: str, antecedent: bool, consequent: bool) -> tuple[str, str]
 def _check_lemma_b(inst: Instance) -> Finding:
     ring = inst.ring
     family = inst.graded_family
-    graded: dict[int, bool] = {}
-
-    def graded_mask(mask: int) -> bool:
-        # many pairs share a sum or an intersection; test each set once
-        flag = graded.get(mask)
-        if flag is None:
-            flag = graded[mask] = is_graded(inst.grading, mask)
-        return flag
-
+    by_order: dict[int, list[int]] = {}
+    for ideal in family:
+        by_order.setdefault(ideal.size, []).append(ideal.mask)
     witness = None
     pairs = 0
     # sums and intersections are symmetric, so each unordered pair is tested
-    # once, at its first position in row-major order
+    # once, at its first position in row-major order; a sum is read from the
+    # family by its order and spanned only when the family lacks it
     for i, a in enumerate(family):
         for b in family[i:]:
             pairs += 1
-            if not graded_mask(ideal_sum(ring, a.mask, b.mask)):
+            total = known_sum(by_order, a.mask, b.mask)
+            if total is None:
+                total = ideal_sum(ring, a.mask, b.mask)
+            if not is_graded(inst.grading, total):
                 witness = f"sum of {a.label()} and {b.label()}"
-            elif not graded_mask(a.mask & b.mask):
+            elif not is_graded(inst.grading, a.mask & b.mask):
                 witness = f"intersection of {a.label()} and {b.label()}"
             if witness:
                 break

@@ -258,17 +258,19 @@ def brute_left_ideal_masks(ring) -> set[int]:
     return found
 
 
+def is_graded(grading, mask: int) -> bool:
+    """A subset is graded when it holds every homogeneous part of each of
+    its members: the member walk the library's count test replaced."""
+    return all(
+        mask >> part & 1
+        for x in mask_members(mask)
+        for _, part in grading.decomposition[x]
+    )
+
+
 def brute_graded_left_ideal_masks(ring, grading) -> set[int]:
     """Left ideals all of whose members decompose inside the ideal."""
-    out = set()
-    for mask in brute_left_ideal_masks(ring):
-        if all(
-            all(mask >> part & 1 for _, part in grading.decomposition[x])
-            for x in range(ring.size)
-            if mask >> x & 1
-        ):
-            out.add(mask)
-    return out
+    return {mask for mask in brute_left_ideal_masks(ring) if is_graded(grading, mask)}
 
 
 def brute_submodule_masks(module) -> set[int]:

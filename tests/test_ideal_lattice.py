@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
+import itertools
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from idealgraphs import ideal_lattice
 from idealgraphs import (
+    IdealCountLimit,
     IdealSet,
+    NotSubgroup,
     UngradedIdeal,
     algebra_over_zn,
     cyclic_group,
@@ -48,6 +52,7 @@ from idealgraphs import (
     poly_quotient_integer_grading,
     trivial_grading,
 )
+from idealgraphs.ideal_lattice import known_sum
 from idealgraphs.ring_core import additive_span, is_additive_subgroup
 from oracles import (
     brute_additive_span,
@@ -57,6 +62,7 @@ from oracles import (
     relabelled_grading,
     relabelled_ring,
 )
+from oracles import is_graded as oracle_is_graded
 from oracles import ideal_label as oracle_label
 from test_ring_core import ORACLE_RINGS
 
@@ -174,10 +180,10 @@ def counted_work():
 
 
 def assert_orbit_work(work):
-    # each candidate's orbit is read once, and each closed set is spanned
-    # with each distinct orbit at most once
+    # each candidate's orbit is read once, and a sum already found is read
+    # from the lattice by its order, so each closed set but {0} costs one span
     assert work["orbits"].reads == work["candidates"]
-    assert len(work["spans"]) <= work["found"] * work["distinct"]
+    assert len(work["spans"]) == work["found"] - 1
 
 
 class TestEnumerationWork:
@@ -225,6 +231,45 @@ class TestEnumerationWork:
             family = enumerate_submodules(module)
         assert set(family) == brute_submodule_masks(module)
         assert_orbit_work(work)
+
+    def test_f2_to_the_7_takes_one_span_per_ideal(self):
+        # 2^7 ideals, each a sum of cur and an orbit that 128 other pairs
+        # also reach; probing every pair spans thousands of times
+        ring = reduce(direct_product, [make_cyclic_ring(2)] * 7)
+        with counted_work() as work:
+            family = enumerate_left_ideals(ring)
+        assert len(family) == work["found"] == 128
+        assert len(work["spans"]) == 127
+
+    def test_an_orbit_that_is_no_subgroup_is_refused(self):
+        # {0, 1} in Z4 spans all of Z4, not the predicted two elements
+        z4 = make_cyclic_ring(4)
+        orbits = [1 << z4.zero | 1 << x for x in range(4)]
+        with pytest.raises(NotSubgroup, match="orbit 0x3 is not an additive subgroup"):
+            ideal_lattice._enumerate_closed(z4.add_array, z4.zero, orbits, [1], 16, "test")
+
+    def test_the_cap_still_stops_an_enumeration(self):
+        ring = reduce(direct_product, [make_cyclic_ring(2)] * 4)
+        with pytest.raises(IdealCountLimit, match="left ideal family exceeds the cap 15"):
+            enumerate_left_ideals(ring, max_ideals=15)
+        assert len(enumerate_left_ideals(ring, max_ideals=16)) == 16
+
+
+class TestSumsByOrder:
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+    def test_known_sum_is_the_span(self, name):
+        ring = ORACLE_RINGS[name]
+        family = [i.mask for i in enumerate_left_ideals(ring)]
+        by_order = {}
+        for mask in family:
+            by_order.setdefault(mask.bit_count(), []).append(mask)
+        top = {ring.size: [ring.full_mask]}
+        for a in family:
+            for b in family:
+                span = brute_additive_span(ring.add, ring.zero, a | b)
+                assert known_sum(by_order, a, b) == span
+                # a bucket without the sum answers None, never a wrong set
+                assert known_sum(top, a, b) == (span if span == ring.full_mask else None)
 
 
 class TestSumWork:
@@ -454,6 +499,73 @@ class TestGradedStructureFlags:
         pairs = internal_decompositions(z12.ring, z12.graded_family)
         labels = {frozenset((a.label(), b.label())) for a, b in pairs}
         assert labels == {frozenset(("<4>", "<3>"))}
+
+
+def _ideals_sums_and_intersections(ring):
+    family = [i.mask for i in enumerate_left_ideals(ring)]
+    out = set(family)
+    for a, b in itertools.combinations(family, 2):
+        out |= {brute_additive_span(ring.add, ring.zero, a | b), a & b}
+    return out
+
+
+class TestGradedByCounting:
+    # |I| = prod |I & R_d| for a subgroup I against the walk over every
+    # member's homogeneous parts
+
+    @staticmethod
+    def verdicts(grading):
+        masks = _ideals_sums_and_intersections(grading.ring)
+        got = {m: is_graded(grading, m) for m in masks}
+        assert got == {m: oracle_is_graded(grading, m) for m in masks}
+        return set(got.values())
+
+    def test_oracle_rings_and_gradings(self):
+        seen = set()
+        for name, ring in sorted(ORACLE_RINGS.items()):
+            seen |= self.verdicts(ORACLE_GRADINGS.get(name, trivial_grading)(ring))
+        assert seen == {True, False}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_under_relabelling(self, data):
+        name = data.draw(st.sampled_from(sorted(ORACLE_RINGS)))
+        base = ORACLE_GRADINGS.get(name, trivial_grading)(ORACLE_RINGS[name])
+        self.verdicts(relabelled_grading(base, data.draw(st.permutations(range(base.ring.size)))))
+
+    def test_small_corpus_gradings(self, small_instances):
+        seen = set()
+        for inst in small_instances.values():
+            seen |= self.verdicts(inst.grading)
+        assert seen == {True, False}
+
+
+def _spanned_decompositions(ring, family):
+    return [
+        (a, b)
+        for a, b in itertools.combinations(nontrivial_proper(family), 2)
+        if a.mask & b.mask == ring.zero_mask
+        and brute_additive_span(ring.add, ring.zero, a.mask | b.mask) == ring.full_mask
+    ]
+
+
+class TestDecompositionsByCounting:
+    # disjoint a and b sum to R exactly when |a| |b| = |R|
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RINGS))
+    def test_oracle_ring_families(self, name):
+        ring = ORACLE_RINGS[name]
+        grading = ORACLE_GRADINGS.get(name, trivial_grading)(ring)
+        for family in (enumerate_left_ideals(ring), enumerate_graded_left_ideals(grading)):
+            assert internal_decompositions(ring, family) == _spanned_decompositions(ring, family)
+
+    def test_corpus_graded_families(self, corpus_instances):
+        found = 0
+        for name, inst in corpus_instances.items():
+            expected = _spanned_decompositions(inst.ring, inst.graded_family)
+            assert internal_decompositions(inst.ring, inst.graded_family) == expected, name
+            found += len(expected)
+        assert found > 0
 
 
 class TestChains:

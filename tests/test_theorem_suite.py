@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import idealgraphs.cli as cli
@@ -21,6 +23,8 @@ from idealgraphs import (
 )
 from idealgraphs import ring_core
 from idealgraphs.cli import load_instance, parse_instance
+from idealgraphs.ring_core import additive_span
+from oracles import is_graded as oracle_is_graded
 
 ALL_IDS = [
     "lemma_b", "lemma_r1", "t1", "c1", "c11", "c101", "t2", "t51", "t52",
@@ -166,6 +170,29 @@ class TestNoTupleTables:
         assert self.frozen(built_rings) == []
 
 
+def _lemma_b_by_spans(inst, family):
+    """Verdict, witness and pair count of lemma_b with every pairwise sum
+    spanned and gradedness tested member by member."""
+    ring, grading = inst.ring, inst.grading
+    pairs = 0
+    for i, a in enumerate(family):
+        for b in family[i:]:
+            pairs += 1
+            if not oracle_is_graded(grading, additive_span(ring, a.mask | b.mask)):
+                return "FAIL", f"sum of {a.label()} and {b.label()}", pairs
+            if not oracle_is_graded(grading, a.mask & b.mask):
+                return "FAIL", f"intersection of {a.label()} and {b.label()}", pairs
+    return "PASS", None, pairs
+
+
+def _lemma_b_on(corpus_dir, name, family):
+    """The lemma_b report of a fresh instance whose graded family is replaced."""
+    inst = load_instance(str(corpus_dir / f"{name}.json"))
+    inst.graded_family = sorted(family, key=lambda i: i.sort_key())
+    report = run_check(inst, "lemma_b")
+    return report.verdict, report.witness, report.details["pairs"]
+
+
 class TestLemmaBPairs:
     def test_each_unordered_pair_is_counted_once(self, corpus_instances):
         for name, inst in corpus_instances.items():
@@ -173,6 +200,33 @@ class TestLemmaBPairs:
             report = run_check(inst, "lemma_b")
             assert report.verdict == "PASS", name
             assert report.details["pairs"] == n * (n + 1) // 2, name
+
+    def test_reports_match_spanned_sums_on_the_corpus(self, corpus_instances):
+        for name, inst in corpus_instances.items():
+            report = run_check(inst, "lemma_b")
+            got = (report.verdict, report.witness, report.details["pairs"])
+            assert got == _lemma_b_by_spans(inst, inst.graded_family), name
+
+    def test_one_ungraded_ideal_still_fails(self, corpus_dir, corpus_instances):
+        inst = corpus_instances["f2xy_12"]
+        (mixed,) = [i for i in inst.all_family if i.label() == "<x+y>"]
+        report = _lemma_b_on(corpus_dir, "f2xy_12", [*inst.graded_family, mixed])
+        assert report == ("FAIL", "sum of <0> and <x+y>", 4)
+
+    def test_doctored_families_match_spanned_sums(self, corpus_dir, small_instances):
+        # without the zero ideal or the whole ring some sums are missing from
+        # the family and are spanned; an ungraded member must still be found
+        witnesses = set()
+        for name, inst in small_instances.items():
+            graded = {i.mask for i in inst.graded_family}
+            mixed = [[]] + [[i] for i in inst.all_family if i.mask not in graded]
+            for drop, extra in itertools.product(("is_zero", "is_full"), mixed):
+                family = [i for i in inst.graded_family if not getattr(i, drop)] + extra
+                expected = _lemma_b_by_spans(inst, sorted(family, key=lambda i: i.sort_key()))
+                assert _lemma_b_on(corpus_dir, name, family) == expected, (name, drop, extra)
+                witnesses.add(expected[1])
+        # among them a sum of two members that the family lacks
+        assert None in witnesses and "sum of <2> and <1+g>" in witnesses
 
 
 class TestFrozenVerdicts:
