@@ -10,7 +10,6 @@ interface.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .ring_core import (
     is_additive_subgroup,
     is_subgroup,
     mask_members,
+    span_extend,
 )
 
 
@@ -139,37 +139,40 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
     # injective + size match means every element was hit exactly once
     where = np.empty(ring.size, dtype=np.int64)
     where[sums] = np.arange(ring.size)
-    parts = np.stack(
-        [np.asarray(ms)[c] for ms, c in zip(member_lists, np.unravel_index(where, sizes))],
-        axis=1,
-    )
-    decomposition = [
-        tuple((degs[i], p) for i, p in enumerate(combo) if p != ring.zero)
-        for combo in parts.tolist()
-    ]
-    # products of nonzero members, checked per degree pair in one gather
-    # against the target component; the first escape in row-major order over
-    # ascending members is the witness
-    mul = ring.mul_array
-    nonzero = [
-        np.array([x for x in ms if x != ring.zero], dtype=np.int64) for ms in member_lists
-    ]
-    inside = {}
-    for d, ms in zip(degs, member_lists):
-        inside[d] = np.zeros(ring.size, dtype=bool)
-        inside[d][ms] = True
-    only_zero = np.zeros(ring.size, dtype=bool)
-    only_zero[ring.zero] = True
-    for (i, ds), (j, dt) in itertools.product(enumerate(degs), repeat=2):
-        target = grades.op(ds, dt)
-        escaped = ~inside.get(target, only_zero)[mul[np.ix_(nonzero[i], nonzero[j])]]
-        if escaped.any():
-            row, col = np.argwhere(escaped)[0]
-            a, b = nonzero[i][row], nonzero[j][col]
-            raise ProductEscapes(
-                f"product {ring.names[a]} * {ring.names[b]} leaves the degree "
-                f"{grades.name(target)} component"
-            )
+    # one column of (degree, part) pairs per component, None for a zero part
+    columns = []
+    for d, ms, c in zip(degs, member_lists, np.unravel_index(where, sizes)):
+        pairs = np.empty(len(ms), dtype=object)
+        pairs[:] = [(d, p) if p != ring.zero else None for p in ms]
+        columns.append(pairs[c].tolist())
+    decomposition = [tuple(filter(None, row)) for row in zip(*columns)]
+    # `*` is biadditive and each component a subgroup, so C_d C_e lies in
+    # C_de exactly when the products of their additive generators do; all
+    # of those are checked in one gather, against the component each
+    # nonzero homogeneous element lies in (they meet only in zero): home -1
+    # marks the other elements, target -2 a degree whose component is zero
+    gens = [_subgroup_generators(ring, comps[d]) for d in degs]
+    home = np.full(ring.size, -1)
+    for i, ms in enumerate(member_lists):
+        home[ms] = i
+    index = {d: i for i, d in enumerate(degs)}
+    target = np.array([[index.get(grades.op(ds, dt), -2) for dt in degs] for ds in degs])
+    G = np.concatenate([np.asarray(g, dtype=np.int64) for g in gens])
+    of = np.repeat(np.arange(len(degs)), [len(g) for g in gens])
+    products = ring.mul_array[np.ix_(G, G)]
+    escaped = (home[products] != target[of[:, None], of]) & (products != ring.zero)
+    if escaped.any():
+        # The witness is the first escape over degree pairs, then over
+        # nonzero members in row-major order, and it is a product of
+        # generators: the a in C_d with a C_e inside C_de form a subgroup K,
+        # and the least member outside K is the greedy generator that first
+        # leaves K (generators ascend); the same holds for b given a.
+        rows, cols = (x.tolist() for x in np.nonzero(escaped))
+        i, j, row, col = min(zip(of[rows].tolist(), of[cols].tolist(), rows, cols))
+        raise ProductEscapes(
+            f"product {ring.names[G[row]]} * {ring.names[G[col]]} leaves the degree "
+            f"{grades.name(grades.op(degs[i], degs[j]))} component"
+        )
     e = grades.identity
     if not comps.get(e, ring.zero_mask) & (1 << ring.one):
         raise UnityNotInIdentityComponent(
@@ -182,6 +185,21 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
         support=tuple(degs),
         decomposition=tuple(decomposition),
     )
+
+
+def _subgroup_generators(ring: FiniteRing, mask: int) -> list[int]:
+    """Greedy additive generators of a subgroup, in ascending order: each
+    the least member outside the span of those before, as
+    `ring.add_generators` are for the whole ring."""
+    if mask == ring.full_mask:
+        return list(ring.add_generators)
+    gens, span, rows = [], ring.zero_mask, {}
+    while span != mask:
+        rest = mask & ~span
+        g = (rest & -rest).bit_length() - 1
+        gens.append(g)
+        span = span_extend(ring.add_array, span, mask_members(span), 1 << g, rows)
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,24 @@
 
 Every carrier is the index range 0..size-1; operations are dense tables,
 so all algebra below is table lookups.  Constructors validate every axiom
-before returning, so downstream code never re-checks algebra laws.  Group
-tables, ring addition and module addition share one generator routine,
-`_generators`, which picks a generating set S of at most log2(n) elements
-and proves associativity by Light's test on each of them: two row gathers
-and an n x n comparison per generator, the only n x n pass per generator,
-O(n^2 log n) in all.  Its closure doubles a cyclic run each round, so it
-takes O(log n) numpy rounds per generator.  A map out of
-(R,+) is additive exactly when it is additive on the n - 1 + |S| edges of
-`_additive_edges`, the normal-form spanning tree of (R,+) and one power
-relation per generator; distributivity and the module's additivity in
-either argument are checked on those edges, and associativity of `*` and
-of the action on S x S x S, which suffices because the associator is
-additive in each argument.  A module is validated where it enters a ring,
-in `idealization`, after its size check.  Subrings skip validation
+before returning, so downstream code never re-checks algebra laws.  Each
+axiom costs a fixed number of passes over a table, however many generators
+the addition needs.  An addition, of a ring or a module, picks the greedy
+generating set S of at most log2(n) elements (each the first element not
+yet reached) and steps the cosets of each new generator, its multiples
+found by doubling; the layers form `_additive_edges`, the normal-form
+spanning tree of (R,+) plus one power relation per generator, n - 1 + |S|
+edges.  Associativity of + is proved on that tree in one pass of row
+gathers, with the generators' translations checked to commute (the proof
+is in `_validate_abelian_group`).  A map out of (R,+) is additive exactly
+when it is additive on those edges: every column of `*` is checked by
+whole-row gathers, after which left distributivity needs the rows of S
+only, and associativity of `*` and of a module action needs S x S x S,
+because the associator is additive in each argument.  Group tables, which
+need not commute, keep Light's test on each generator in `_generators`,
+two row gathers and an n x n comparison per generator; it also names the
+witness when an addition fails.  A module is validated where it enters a
+ring, in `idealization`, after its size check.  Subrings skip validation
 altogether: a subset of a validated ring closed under `+`, `*` and
 negation is a ring already.  Subsets of a carrier travel as int bitmasks
 (bit i set = element i present), which keeps the lattice and graph code
@@ -26,7 +30,8 @@ Tables are filled with numpy, never entry by entry.  Polynomial quotients,
 algebras over Z_n and group rings are all base^d with a bilinear product
 and share one constructor, `free_algebra`, which builds the addition as a
 direct product of copies of the base and fills the product rows from the
-products of monomials by additive extension, one gather per digit.  A ring
+products of monomials by additive extension, one gather per digit; direct
+products and idealizations are broadcast outer sums over pairs.  A ring
 stores its validated addition and multiplication once, as read-only arrays
 of the smallest signed dtype holding n-1 (int16 at the cap), and a module
 stores its addition and action as arrays too; every reader in the package
@@ -96,7 +101,12 @@ def _refuse(bad: np.ndarray, message: str) -> None:
 
 
 def _generators(
-    T: np.ndarray, start: int, what: str, sym: str, Tt: np.ndarray | None = None
+    T: np.ndarray,
+    start: int,
+    what: str,
+    sym: str,
+    Tt: np.ndarray | None = None,
+    tree: list | None = None,
 ) -> list[int]:
     """Greedy generating set of a table's operation, proving it associative.
 
@@ -110,7 +120,16 @@ def _generators(
     and with itself, which stay in it; a cyclic run doubles each round.  It
     is closed under every chosen generator, a subgroup H of a group table,
     so there are at most log2(n) generators.
+
+    Given a list `tree`, for an addition, the same choice is made with no
+    test, on the coset layers of `_additive_edges`, whose edges (None for
+    layers that form no tree) are appended to it: for an addition validated
+    already, or one whose associativity `_validate_abelian_group` proves on
+    that tree.
     """
+    if tree is not None:
+        tree.append(_additive_edges(T, start))
+        return [] if tree[-1] is None else list(dict.fromkeys(tree[-1][1].tolist()))
     Tt = T if Tt is None else Tt
     gens: list[int] = []
     reached = np.zeros(len(T), dtype=bool)
@@ -151,8 +170,24 @@ def _inverses(T: np.ndarray, e: int, missing: str) -> list[int]:
 
 def _validate_abelian_group(
     add, zero: int, neg, n: int, what: str
-) -> tuple[np.ndarray, list[int]]:
-    """Abelian group check; returns the table and an additive generating set."""
+) -> tuple[np.ndarray, list[int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Abelian group check; returns the table, an additive generating set S
+    and the edges of `_additive_edges` on it.
+
+    Associativity is proved on the translation tree of S, with no pass per
+    generator.  Write L_x for the translation y -> x + y, row x of the
+    table.  On every edge (src, s, dst) row dst must equal row src read at
+    row s, (src + s) + y = src + (s + y), and the translations of the
+    generators must commute, s + (t + y) = t + (s + y).  By induction along
+    the tree, which reaches every element from zero with L_zero the
+    identity, every L_x = L_src L_s then lies in the monoid the L_s
+    generate, and that monoid is commutative.  Two members f and g with
+    f(0) = g(0) are equal: f(y) = f(L_y(0)) = L_y(f(0)) = g(y), as zero is
+    neutral on both sides of the commutative table.  L_a L_b and
+    L_(a+b) agree at 0, so (a + b) + y = a + (b + y).  A table that fails,
+    or whose layers form no tree, is not a group, and Light's test in
+    `_generators` names its witness, as it did when it was the proof.
+    """
     A = _as_table(add, n, f"{what} addition")
     if not np.array_equal(A, A.T):
         raise InvalidConstruction(f"{what} addition is not commutative")
@@ -163,12 +198,42 @@ def _validate_abelian_group(
         raise InvalidConstruction(f"{what} negation table malformed")
     if not np.array_equal(A[np.arange(n), ng], np.full(n, zero)):
         raise InvalidConstruction(f"{what} negation is not an additive inverse")
-    return A, _generators(A, zero, f"{what} addition", "+")
+    tree: list = []
+    gens = _generators(A, zero, f"{what} addition", "+", None, tree)
+    edges = tree[0]
+    if edges is None or not _translation_tree_holds(A, gens, edges):
+        # Light's test raises here: a table that passes it is associative
+        _generators(A, zero, f"{what} addition", "+")
+        raise InvalidConstruction(f"{what} addition not associative")
+    return A, gens, edges
+
+
+def _edge_blocks(edges, width: int):
+    """The edges with one via s at a time, in blocks of about _BLOCK
+    entries of rows of `width`, as (s, src, dst); `_additive_edges` lists
+    the edges of each generator together."""
+    src, via, dst = edges
+    step = max(_BLOCK // max(width, 1), 1)
+    cuts = (np.flatnonzero(np.diff(via)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(via)]):
+        for lo in range(a, b, step):
+            yield int(via[a]), src[lo : min(lo + step, b)], dst[lo : min(lo + step, b)]
+
+
+def _translation_tree_holds(A: np.ndarray, gens: Sequence[int], edges) -> bool:
+    """The two checks of the translation-tree proof: row dst is row src
+    read at row s on every edge, and the generators' translations commute."""
+    for s, src, dst in _edge_blocks(edges, len(A)):
+        if not (A[src][:, A[s]] == A[dst]).all():
+            return False
+    R = A[np.asarray(gens, dtype=np.int64)]
+    after = R[:, R]  # after[i, j, y] = s_i + (s_j + y)
+    return bool(np.array_equal(after, after.transpose(1, 0, 2)))
 
 
 def _additive_edges(
-    A: np.ndarray, zero: int, gens: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    A: np.ndarray, zero: int, gens: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Edges (src, via, dst) with dst = src + via and via in S: a map f out
     of the abelian group (A, zero) generated by S is additive exactly when
     f(dst) = f(src) + f(via) on each of its n - 1 + |S| edges.
@@ -181,27 +246,46 @@ def _additive_edges(
     edge has f(0) = 0 (edge 0 -> s_1), equals on every element the sum its
     normal form gives, and that sum is a well-defined homomorphism because
     it respects every relation of the presentation (von Dyck).
+
+    With no `gens`, each generator is the first element not yet reached, as
+    in `_generators`.  A table not yet proved a group gets None when a new
+    layer meets the reached set or repeats an element, when the layers miss
+    an element, or when the multiples of a generator pass n without
+    returning to H.
     """
-    reached = np.zeros(len(A), dtype=bool)
+    n = len(A)
+    reached = np.zeros(n, dtype=bool)
     reached[zero] = True
     H = np.array([zero])
     src, via, dst = [H[:0]], [H[:0]], [H[:0]]  # the trivial group has no edges
-    for s in gens:
+
+    def first_unreached():
+        while len(H) < n:
+            yield int(reached.argmin())
+
+    for s in first_unreached() if gens is None else gens:
         # multiples j s for j < m by doubling: (L + i) s = i s + L s
         mults = H[:1]
         while True:
             nxt = A[mults, A[mults[-1], s]]
             hit = reached[nxt]
             if hit.any():
-                mults = np.concatenate([mults, nxt[: np.argmax(hit)]])
+                mults = np.concatenate([mults, nxt[: hit.argmax()]])
                 break
             mults = np.concatenate([mults, nxt])
-        layers = A[np.ix_(mults, H)]  # layers[j] = H + j s
+            if len(mults) > n:
+                return None
+        layers = A[mults[:, None], H]  # layers[j] = H + j s
         src += [layers[:-1].ravel(), mults[-1:]]
         dst += [layers[1:].ravel(), A[mults[-1:], s]]
-        via.append(np.full(layers.size - len(H) + 1, s))
+        via.append(np.repeat(s, layers.size - len(H) + 1))
         H = layers.ravel()
         reached[H] = True
+        # reached was H's old layer, so any overlap or repeat leaves it short
+        if np.count_nonzero(reached) < len(H):
+            return None
+    if len(H) < n:
+        return None
     return np.concatenate(src), np.concatenate(via), np.concatenate(dst)
 
 
@@ -225,30 +309,52 @@ def _check_additive(F: np.ndarray, A: np.ndarray, edges, message: str) -> None:
             raise InvalidConstruction(message.format(lo + row, src[e], via[e]))
 
 
+def _columns_additive(F: np.ndarray, A: np.ndarray, edges) -> bool:
+    """Whether every column of F, a map into the group with addition table
+    A, is additive on `edges` (src, via, dst): F[dst] = A[F[src], F[via]]
+    entrywise, by whole-row gathers, with A read from the flat table at an
+    index of about _BLOCK entries."""
+    src, via, dst = edges
+    n, flat = len(A), A.ravel()
+    step = max(_BLOCK // max(F.shape[1], 1), 1)
+    for lo in range(0, len(src), step):
+        e = slice(lo, lo + step)
+        at = F[src[e]].astype(np.intp)
+        at *= n
+        at += F[via[e]]
+        if not (flat.take(at) == F[dst[e]]).all():
+            return False
+    return True
+
+
 def _validate_ring_tables(
     add, mul, zero: int, one: int, neg, n: int
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Full ring axiom check; returns the addition and multiplication as
     compact arrays and the additive generating set.
 
-    Each row and each column of `*` must be additive, which is checked on
-    the n - 1 + |S| edges of `_additive_edges`, all rows by gathers.  The
-    associator (xy)z - x(yz) is then additive in each argument, so
-    associativity of `*` needs checking on S x S x S only.
+    Every column of `*` must be additive (right distributivity), checked on
+    the n - 1 + |S| edges of `_additive_edges` by whole-row gathers.  Then
+    the rows a with a(b + c) = ab + ac for all b, c are closed under +, as
+    (a + a')b = ab + a'b, so left distributivity needs checking on the rows
+    of S only.  The associator (xy)z - x(yz) is then additive in each
+    argument, so associativity of `*` needs checking on S x S x S only.  A
+    failure is named by the search over every row and then every column.
     """
     if one == zero:
         raise InvalidConstruction("unity must differ from zero")
-    A, gens = _validate_abelian_group(add, zero, neg, n, "ring")
+    A, gens, edges = _validate_abelian_group(add, zero, neg, n, "ring")
     M = _as_table(mul, n, "ring multiplication")
     if not np.array_equal(M[one], np.arange(n)):
         raise InvalidConstruction(f"unity {one} is not left-neutral")
     if not np.array_equal(M[:, one], np.arange(n)):
         raise InvalidConstruction(f"unity {one} is not right-neutral")
-    edges = _additive_edges(A, zero, gens)
-    # row a of M is b -> a*b, column a is b -> b*a
-    _check_additive(M, A, edges, "left distributivity fails (witness {}*({}+{}))")
-    _check_additive(M.T, A, edges, "right distributivity fails (witness ({1}+{2})*{0})")
     G = np.asarray(gens)
+    # columns of M.T[:, G] are the rows of S
+    if not (_columns_additive(M, A, edges) and _columns_additive(M.T[:, G], A, edges)):
+        # row a of M is b -> a*b, column a is b -> b*a
+        _check_additive(M, A, edges, "left distributivity fails (witness {}*({}+{}))")
+        _check_additive(M.T, A, edges, "right distributivity fails (witness ({1}+{2})*{0})")
     P = M[np.ix_(G, G)]
     bad = M[P][:, :, G] != M[G][:, P]
     if bad.any():
@@ -372,7 +478,7 @@ class FiniteRing:
     def add_generators(self) -> tuple[int, ...]:
         """An additive generating set.  Validation finds one and stores it
         here; induced subrings, which skip validation, compute it on demand."""
-        return tuple(_generators(self.add_array, self.zero, "ring addition", "+"))
+        return tuple(_generators(self.add_array, self.zero, "ring addition", "+", None, []))
 
     @property
     def full_mask(self) -> int:
@@ -466,6 +572,8 @@ def _finish_ring(
     parts: dict | None = None,
 ) -> FiniteRing:
     A, M, gens = _validate_ring_tables(add, mul, zero, one, neg, size)
+    # `*` is biadditive, so it commutes exactly when it does on S x S
+    P = M[np.ix_(gens, gens)]
     ring = FiniteRing(
         size=size,
         add_array=A,
@@ -473,7 +581,7 @@ def _finish_ring(
         zero=zero,
         one=one,
         neg=tuple(int(x) for x in neg),
-        commutative=bool(np.array_equal(M, M.T)),
+        commutative=bool(np.array_equal(P, P.T)),
         construction=construction,
         names=tuple(names),
         parts=dict(parts or {}),
@@ -538,13 +646,9 @@ def direct_product(
     n1, n2 = left.size, right.size
     n = n1 * n2
     _check_size(n, max_size)
-    # widened to the product's dtype before scaling, which then holds every sum
-    wide = _compact_dtype(n)
-    r = np.repeat(np.arange(n1), n2)
-    s = np.tile(np.arange(n2), n1)
-    add = (left.add_array.astype(wide) * n2)[np.ix_(r, r)] + right.add_array[np.ix_(s, s)]
-    mul = (left.mul_array.astype(wide) * n2)[np.ix_(r, r)] + right.mul_array[np.ix_(s, s)]
-    neg = np.asarray(left.neg)[r] * n2 + np.asarray(right.neg)[s]
+    add = _pair_table(left.add_array, right.add_array)
+    mul = _pair_table(left.mul_array, right.mul_array)
+    neg = (np.asarray(left.neg)[:, None] * n2 + np.asarray(right.neg)).ravel()
     zero = left.zero * n2 + right.zero
     one = left.one * n2 + right.one
     names = [f"({left.names[a]},{right.names[b]})" for a in range(n1) for b in range(n2)]
@@ -559,6 +663,15 @@ def direct_product(
         names,
         parts={"left": left, "right": right},
     )
+
+
+def _pair_table(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Entry ((r, s), (r', s')) = L[r, r'] |R| + R[s, s'] of an operation on
+    pairs at index r |R| + s, one broadcast outer sum over (r, s, r', s');
+    L is widened to the pair dtype before scaling, which then holds every sum."""
+    n1, n2 = len(L), len(R)
+    scaled = L.astype(_compact_dtype(n1 * n2)) * n2
+    return (scaled[:, None, :, None] + R[None, :, None, :]).reshape(n1 * n2, n1 * n2)
 
 
 def _digit_array(radix: int, dim: int) -> np.ndarray:
@@ -772,9 +885,9 @@ def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
     """Module axioms on the ring's additive generators S: (r+s).x = r.x + s.x
     makes the action additive in r, so s.(x+y) = s.x + s.y extends to all of
     R, and so does (st).x = s.(t.x), whose two sides are additive in s and t.
-    Additivity in r is checked on the edges of R, additivity in x on the
-    edges of M (see `_additive_edges`).  Returns the module addition and the
-    action as arrays.
+    Additivity in r is checked on the edges of R by whole-row gathers,
+    additivity in x on the edges of M (see `_additive_edges`).  Returns the
+    module addition and the action as arrays.
 
     A module whose addition array, zero and negation are the ring's own, as
     in `module_self`, skips the abelian group check the ring passed already.
@@ -790,22 +903,22 @@ def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
     ):
         MA, module_edges = RA, ring_edges
     else:
-        MA, module_gens = _validate_abelian_group(
+        MA, _, module_edges = _validate_abelian_group(
             mod.add_array, mod.zero, mod.neg, m, "module"
         )
-        module_edges = _additive_edges(MA, mod.zero, module_gens)
     ACT = np.asarray(mod.act_array, dtype=np.int64)
     if ACT.shape != (ring.size, m) or (ACT.size and (ACT.min() < 0 or ACT.max() >= m)):
         raise InvalidConstruction("module action table malformed")
     if not np.array_equal(ACT[ring.one], np.arange(m)):
         raise InvalidConstruction("unity does not act as identity on the module")
-    # column x of ACT is r -> r.x, row s is x -> s.x
-    _check_additive(
-        ACT.T,
-        MA,
-        ring_edges,
-        "module action not additive in the ring (witness ({1}+{2}).{0})",
-    )
+    # row r of ACT is x -> r.x; column x is r -> r.x, named by the search
+    if not _columns_additive(ACT, MA, ring_edges):
+        _check_additive(
+            ACT.T,
+            MA,
+            ring_edges,
+            "module action not additive in the ring (witness ({1}+{2}).{0})",
+        )
     for s in gens:
         _check_additive(
             ACT[s : s + 1],
@@ -873,14 +986,19 @@ def idealization(
     n = n1 * n2
     _check_size(n, max_size)
     MA, ACT = _validate_module(module)
-    # widened to the ring's dtype before scaling, which then holds every sum
-    wide = _compact_dtype(n)
-    r = np.repeat(np.arange(n1), n2)[:, None]
-    m = np.tile(np.arange(n2), n1)[:, None]
-    add = (base.add_array.astype(wide) * n2)[r, r.T] + MA[m, m.T]
-    # (r, m)(r', m') = (rr', r.m' + r'.m); rows are (r, m), columns (r', m')
-    mul = (base.mul_array.astype(wide) * n2)[r, r.T] + MA[ACT[r, m.T], ACT[r.T, m]]
-    neg = np.asarray(base.neg)[r[:, 0]] * n2 + np.asarray(module.neg)[m[:, 0]]
+    add = _pair_table(base.add_array, MA)
+    # (r, m)(r', m') = (rr', r.m' + r'.m): the module term gathers the flat
+    # module addition at (r.m') |M| + r'.m over (r, m, r', m'), a block of
+    # about _BLOCK entries at a time
+    act = ACT.astype(_compact_dtype(n2 * n2))
+    scaled = base.mul_array.astype(_compact_dtype(n)) * n2
+    mul = np.empty((n1, n2, n1, n2), dtype=scaled.dtype)
+    step = max(_BLOCK // (n2 * n), 1)
+    for lo in range(0, n1, step):
+        at = (act[lo : lo + step] * n2)[:, None, None, :] + act.T[None, :, :, None]
+        mul[lo : lo + step] = scaled[lo : lo + step, None, :, None] + MA.ravel()[at]
+    mul = mul.reshape(n, n)
+    neg = (np.asarray(base.neg)[:, None] * n2 + np.asarray(module.neg)).ravel()
     zero = base.zero * n2 + module.zero
     one = base.one * n2 + module.zero
     names = [

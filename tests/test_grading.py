@@ -27,6 +27,7 @@ from idealgraphs import (
     is_strong,
     make_cyclic_ring,
     module_self,
+    module_zn_quotient,
     poly_quotient_integer_grading,
     polynomial_quotient,
     run_check,
@@ -36,6 +37,7 @@ from idealgraphs import (
     validate_grading,
 )
 from oracles import first_escaping_product, relabelled_ring
+from idealgraphs.grading import _subgroup_generators
 from idealgraphs.ring_core import mask_members
 
 F2XY_TABLE = [
@@ -282,3 +284,58 @@ class TestProductCheckWitness:
             f"product {ring.names[a]} * {ring.names[b]} leaves the degree "
             f"{grades.name(target)} component"
         )
+
+
+def _moved_components(data):
+    """A canonical grading, relabelled, with its components moved to drawn
+    degrees: the ring, the grade group and the raw components."""
+    grading = CANONICAL_CASES[data.draw(st.sampled_from(sorted(CANONICAL_CASES)))]
+    grades = grading.grades
+    at = data.draw(st.permutations(range(grading.ring.size)))
+    degs = list(grading.support)
+    if grades.kind == "integers":
+        targets = data.draw(
+            st.lists(st.integers(-3, 3), min_size=len(degs), max_size=len(degs), unique=True)
+        )
+    else:
+        targets = data.draw(st.permutations(range(grades.group.size)))[: len(degs)]
+    raw = {
+        t: sum(1 << at[x] for x in mask_members(grading.components[d]))
+        for d, t in zip(degs, targets)
+    }
+    return relabelled_ring(grading.ring, at), grades, raw
+
+
+class TestGeneratorProducts:
+    def test_escape_past_the_first_generator(self):
+        # Z4 x| Z2 with (1|0) and (2|0) swapped, so the greedy generators of
+        # the base are (2|0) and then (1|0).  With the module in degree e and
+        # the base in degree g, (0|1) times the base must stay in the base:
+        # (0|1)(2|0) = 0 does and (0|1)(1|0) = (0|1) does not
+        z4 = make_cyclic_ring(4)
+        at = [0, 1, 4, 3, 2, 5, 6, 7]  # (r|m) was at 2r + m
+        ring = relabelled_ring(idealization(z4, module_zn_quotient(z4, 2)), at)
+        base, module = sum(1 << at[2 * r] for r in range(4)), 0b11
+        assert [ring.names[x] for x in _subgroup_generators(ring, base)] == ["(2|0)", "(1|0)"]
+        grades = finite_grades(cyclic_group(2))
+        raw = {0: module, 1: base}
+        a, b, _ = first_escaping_product(ring, grades, raw)
+        assert (ring.names[a], ring.names[b]) == ("(0|1)", "(1|0)")
+        with pytest.raises(ProductEscapes) as err:
+            validate_grading(ring, grades, raw)
+        assert str(err.value) == "product (0|1) * (1|0) leaves the degree g component"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_first_escape_is_a_product_of_generators(self, data):
+        # the witness the member-by-member loop finds is always a product of
+        # the greedy generators of its two components, so checking the
+        # generators loses no witness
+        ring, grades, raw = _moved_components(data)
+        expected = first_escaping_product(ring, grades, raw)
+        if expected is not None:
+            a, b, _ = expected
+            (left,) = (m for m in raw.values() if m >> a & 1)
+            (right,) = (m for m in raw.values() if m >> b & 1)
+            assert a in _subgroup_generators(ring, left)
+            assert b in _subgroup_generators(ring, right)

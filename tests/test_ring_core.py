@@ -494,6 +494,25 @@ class TestValidatorAgainstOracle:
         library = _library_verdict(add, mul, ring.zero, ring.one)
         assert library == oracle
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_several_entry_corruption(self, data):
+        # two or three entries across both tables, each possibly with its
+        # mirror entry: failures the one-sided checks must still catch
+        ring = ORACLE_RINGS[data.draw(st.sampled_from(sorted(ORACLE_RINGS)))]
+        n = ring.size
+        add = [list(row) for row in ring.add]
+        mul = [list(row) for row in ring.mul]
+        for _ in range(data.draw(st.integers(2, 3))):
+            table = data.draw(st.sampled_from([add, mul]))
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            table[i][j] = (table[i][j] + data.draw(st.integers(1, n - 1))) % n
+            if data.draw(st.booleans()):
+                table[j][i] = table[i][j]
+        oracle = _oracle_verdict(add, mul, ring.zero, ring.one)
+        library = _library_verdict(add, mul, ring.zero, ring.one)
+        assert library == oracle
+
 
 def _relabelled_tables(ring, at):
     """The ring's tables with element x stored at index at[x]."""
@@ -1320,13 +1339,16 @@ GENERATOR_TABLES = {
 
 
 class _CountedTable(np.ndarray):
-    """A table that counts how often it is indexed."""
+    """A table that counts how often it is indexed, and the entries read."""
 
     reads = 0
+    entries = 0
 
     def __getitem__(self, index):
         _CountedTable.reads += 1
-        return np.asarray(super().__getitem__(index))
+        out = np.asarray(super().__getitem__(index))
+        _CountedTable.entries += out.size
+        return out
 
 
 class TestGeneratorSearch:
@@ -1382,6 +1404,20 @@ class TestGeneratorSearch:
         assert frontier_bfs_generators(T, 0, "ring addition", "+") == [1]
         assert _CountedTable.reads >= n - 1
 
+    @pytest.mark.parametrize("bits", [6, 9])
+    def test_ring_validation_reads_the_addition_in_a_bounded_number_of_passes(self, bits):
+        # F2^bits, a product of fields, has |S| = bits generators.  Light's
+        # test read two n x n gathers of the addition per generator, 18 n^2
+        # entries on F2^9; the translation tree and the distributivity check
+        # read a number of n^2 passes that does not grow with |S|
+        n = 1 << bits
+        a = np.arange(n)
+        add = (a[:, None] ^ a).astype(ring_core._compact_dtype(n)).view(_CountedTable)
+        _CountedTable.entries = 0
+        _, _, gens = ring_core._validate_ring_tables(add, a[:, None] & a, 0, n - 1, a, n)
+        assert len(gens) == bits
+        assert _CountedTable.entries <= 3 * n * n
+
 
 class TestFrozenTableArrays:
     @pytest.mark.parametrize("n", [200, 1024])
@@ -1420,3 +1456,114 @@ class TestFrozenTableArrays:
         assert np.array_equal(again.add_array, ring.add_array)
         assert np.array_equal(again.mul_array, ring.mul_array)
         assert again.neg == ring.neg and again.commutative == ring.commutative
+
+
+# Commutative tables with a neutral zero and inverses that are no groups,
+# one for each way the translation tree of `_validate_abelian_group` fails,
+# found among symmetric Latin squares
+OVERLAPPING_LOOP = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 4, 5, 3, 2],
+    [2, 4, 0, 1, 5, 3],
+    [3, 5, 1, 4, 2, 0],
+    [4, 3, 5, 2, 0, 1],
+    [5, 2, 3, 0, 1, 4],
+]
+RUNAWAY_LOOP = [
+    [0, 1, 2, 3, 4, 5, 6],
+    [1, 5, 6, 0, 3, 2, 4],
+    [2, 6, 3, 4, 5, 0, 1],
+    [3, 0, 4, 1, 2, 6, 5],
+    [4, 3, 5, 2, 6, 1, 0],
+    [5, 2, 0, 6, 1, 4, 3],
+    [6, 4, 1, 5, 0, 3, 2],
+]
+# the order-6 loop of TestTableValidation
+TREE_LOOP = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0],
+    [4, 5, 0, 1, 3, 2],
+    [5, 4, 1, 0, 2, 3],
+]
+
+
+def _refusal(build, *args):
+    with pytest.raises(InvalidConstruction) as err:
+        build(*args)
+    return str(err.value)
+
+
+def _cyclic_product(n):
+    return [[a * b % n for b in range(n)] for a in range(n)]
+
+
+class TestTranslationTree:
+    """Each refusal of the translation-tree proof is named by Light's test,
+    as when it was the proof (`frontier_bfs_generators` keeps its search)."""
+
+    def _light(self, add):
+        return _refusal(frontier_bfs_generators, np.array(add), 0, "ring addition", "+")
+
+    def test_loop_whose_coset_layers_overlap(self):
+        # 1 and 2 have order 2 and span H = {0, 1, 2, 4}; H + 3 meets H
+        add = np.array(OVERLAPPING_LOOP)
+        assert sorted(add[3, [0, 1, 2, 4]]) == [1, 2, 3, 5]
+        assert ring_core._additive_edges(add, 0) is None
+        message = _refusal(ring_from_tables, OVERLAPPING_LOOP, _cyclic_product(6), 0, 1)
+        assert message == self._light(OVERLAPPING_LOOP)
+        assert message.startswith("ring addition not associative (witness")
+
+    def test_loop_whose_multiples_never_return(self):
+        # the multiples of 1 by doubling, (L + i) 1 = i 1 + L 1, pass the
+        # order without returning to zero
+        mults = [0]
+        while len(mults) <= 7:
+            step = RUNAWAY_LOOP[mults[-1]][1]
+            nxt = [RUNAWAY_LOOP[m][step] for m in mults]
+            assert 0 not in nxt
+            mults += nxt
+        assert ring_core._additive_edges(np.array(RUNAWAY_LOOP), 0) is None
+        message = _refusal(ring_from_tables, RUNAWAY_LOOP, _cyclic_product(7), 0, 1)
+        assert message == self._light(RUNAWAY_LOOP)
+
+    def test_loop_whose_layers_form_a_tree(self):
+        # the layers of 1 and 2 cover all six elements once, so only the
+        # row check sees that the loop is no group
+        add = np.array(TREE_LOOP)
+        edges = ring_core._additive_edges(add, 0)
+        assert edges is not None and sorted(set(edges[1].tolist())) == [1, 2]
+        assert not ring_core._translation_tree_holds(add, [1, 2], edges)
+        message = _refusal(ring_from_tables, TREE_LOOP, _cyclic_product(6), 0, 1)
+        assert message == self._light(TREE_LOOP)
+
+    def test_left_distributivity_broken_only_outside_the_generators(self):
+        # F2^2 under xor, S = {1, 2}, unity 1: rows 1 and 2 are additive and
+        # row 3 = 1 + 2 is not, which only a column check can see
+        add = [[a ^ b for b in range(4)] for a in range(4)]
+        mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 1, 1]]
+        A, M = np.array(add), np.array(mul)
+        edges = ring_core._additive_edges(A, 0, [1, 2])
+        assert ring_core._columns_additive(M.T[:, [1, 2]], A, edges)
+        assert not ring_core._columns_additive(M, A, edges)
+        left = "left distributivity fails (witness {}*({}+{}))"
+        message = _refusal(ring_core._check_additive, M, A, edges, left)
+        assert message.startswith("left distributivity fails (witness 3*")
+        assert _refusal(ring_from_tables, add, mul, 0, 1) == message
+        assert _oracle_verdict(add, mul, 0, 1) is None
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            *ORACLE_RINGS.values(),
+            group_ring(make_cyclic_ring(2), GROUPS["S3"]),
+            algebra_over_zn(2, 3, T2_IDENTITY_FIRST),
+            algebra_over_zn(4, 3, T2_IDENTITY_FIRST),
+        ],
+        ids=[*ORACLE_RINGS, "Z2[S3]", "T2(Z2) identity first", "T2(Z4)"],
+    )
+    def test_commutative_flag_from_generator_products(self, ring):
+        M = ring.mul_array
+        assert ring.commutative == np.array_equal(M, M.T)
+        assert ring_from_tables(ring.add_array, M, ring.zero, ring.one).commutative == ring.commutative
