@@ -46,7 +46,7 @@ class GradeGroup:
     def op(self, a: int, b: int) -> int:
         if self.kind == "integers":
             return a + b
-        return self.group.op[a][b]
+        return int(self.group.op_array[a, b])
 
     def inv(self, a: int) -> int:
         if self.kind == "integers":
@@ -292,7 +292,9 @@ def _has_components(grading: Grading, grades: GradeGroup, components: dict) -> b
     grade group (finite grade groups must share their operation table)."""
     if grading.grades.kind != grades.kind:
         return False
-    if grades.kind == "finite" and grading.grades.group.op != grades.group.op:
+    if grades.kind == "finite" and not np.array_equal(
+        grading.grades.group.op_array, grades.group.op_array
+    ):
         return False
     zero = grading.ring.zero_mask
     return grading.components == {d: c for d, c in components.items() if c != zero}

@@ -31,14 +31,10 @@ algebras over Z_n and group rings are all base^d with a bilinear product
 and share one constructor, `free_algebra`, which builds the addition as a
 direct product of copies of the base and fills the product rows from the
 products of monomials by additive extension, one gather per digit; direct
-products and idealizations are broadcast outer sums over pairs.  A ring
-stores its validated addition and multiplication once, as read-only arrays
-of the smallest signed dtype holding n-1 (int16 at the cap), and a module
-stores its addition and action as arrays too; every reader in the package
-gathers from them.  The tuple-of-tuples views `FiniteRing.add` and `.mul`
-exist only for callers outside the package: they are frozen from the arrays
-on first use, draw every entry from one object array of n shared ints, and
-hand numpy a copy of their array, parsing no entry.
+products and idealizations are broadcast outer sums over pairs.  Tables
+are stored once, as read-only arrays of the smallest signed dtype holding
+n-1 (int16 at the cap): a ring's addition and multiplication, a module's
+addition and action, a group's operation.  Every reader gathers from them.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ import numpy as np
 from .errors import InvalidConstruction, NotASubring, SizeLimit
 
 MAX_RING_SIZE = 1024
-_BLOCK = 1 << 16  # entries per block of `_check_additive` and `_freeze`
+_BLOCK = 1 << 16  # entries per block of a gather, which bounds its index arrays
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +102,6 @@ def _generators(
     what: str,
     sym: str,
     Tt: np.ndarray | None = None,
-    tree: list | None = None,
 ) -> list[int]:
     """Greedy generating set of a table's operation, proving it associative.
 
@@ -120,16 +115,7 @@ def _generators(
     and with itself, which stay in it; a cyclic run doubles each round.  It
     is closed under every chosen generator, a subgroup H of a group table,
     so there are at most log2(n) generators.
-
-    Given a list `tree`, for an addition, the same choice is made with no
-    test, on the coset layers of `_additive_edges`, whose edges (None for
-    layers that form no tree) are appended to it: for an addition validated
-    already, or one whose associativity `_validate_abelian_group` proves on
-    that tree.
     """
-    if tree is not None:
-        tree.append(_additive_edges(T, start))
-        return [] if tree[-1] is None else list(dict.fromkeys(tree[-1][1].tolist()))
     Tt = T if Tt is None else Tt
     gens: list[int] = []
     reached = np.zeros(len(T), dtype=bool)
@@ -198,14 +184,12 @@ def _validate_abelian_group(
         raise InvalidConstruction(f"{what} negation table malformed")
     if not np.array_equal(A[np.arange(n), ng], np.full(n, zero)):
         raise InvalidConstruction(f"{what} negation is not an additive inverse")
-    tree: list = []
-    gens = _generators(A, zero, f"{what} addition", "+", None, tree)
-    edges = tree[0]
-    if edges is None or not _translation_tree_holds(A, gens, edges):
+    tree = _additive_edges(A, zero)
+    if tree is None or not _translation_tree_holds(A, *tree):
         # Light's test raises here: a table that passes it is associative
         _generators(A, zero, f"{what} addition", "+")
         raise InvalidConstruction(f"{what} addition not associative")
-    return A, gens, edges
+    return A, *tree
 
 
 def _edge_blocks(edges, width: int):
@@ -233,10 +217,11 @@ def _translation_tree_holds(A: np.ndarray, gens: Sequence[int], edges) -> bool:
 
 def _additive_edges(
     A: np.ndarray, zero: int, gens: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Edges (src, via, dst) with dst = src + via and via in S: a map f out
-    of the abelian group (A, zero) generated by S is additive exactly when
-    f(dst) = f(src) + f(via) on each of its n - 1 + |S| edges.
+) -> tuple[list[int], tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    """A generating set S with the edges (src, via, dst), dst = src + via
+    and via in S: a map f out of the abelian group (A, zero) generated by S
+    is additive exactly when f(dst) = f(src) + f(via) on each of its
+    n - 1 + |S| edges.
 
     H_k = <s_1..s_k> is the union of the layers H_(k-1) + j s_k for j below
     m_k, the first j with j s_k in H_(k-1).  The edges b -> b + s_k between
@@ -247,23 +232,25 @@ def _additive_edges(
     normal form gives, and that sum is a well-defined homomorphism because
     it respects every relation of the presentation (von Dyck).
 
-    With no `gens`, each generator is the first element not yet reached, as
-    in `_generators`.  A table not yet proved a group gets None when a new
-    layer meets the reached set or repeats an element, when the layers miss
-    an element, or when the multiples of a generator pass n without
-    returning to H.
+    With no `gens`, each generator is the first element not yet reached, the
+    greedy choice `_generators` makes too.  A table not yet proved a group
+    gets None when a new layer meets the reached set or repeats an element,
+    when the layers miss an element, or when the multiples of a generator
+    pass n without returning to H.
     """
     n = len(A)
     reached = np.zeros(n, dtype=bool)
     reached[zero] = True
     H = np.array([zero])
     src, via, dst = [H[:0]], [H[:0]], [H[:0]]  # the trivial group has no edges
+    chosen = []
 
     def first_unreached():
         while len(H) < n:
             yield int(reached.argmin())
 
     for s in first_unreached() if gens is None else gens:
+        chosen.append(s)
         # multiples j s for j < m by doubling: (L + i) s = i s + L s
         mults = H[:1]
         while True:
@@ -286,45 +273,33 @@ def _additive_edges(
             return None
     if len(H) < n:
         return None
-    return np.concatenate(src), np.concatenate(via), np.concatenate(dst)
+    return chosen, (np.concatenate(src), np.concatenate(via), np.concatenate(dst))
 
 
-def _check_additive(F: np.ndarray, A: np.ndarray, edges, message: str) -> None:
-    """Each row of F, a map into the group with addition table A, must be
-    additive on `edges` (src, via, dst); otherwise raise InvalidConstruction
-    naming the first row and edge, as the row followed by the edge's src and
-    via.  A[x, y] is read from the flat table at x * len(A) + y, an index of
-    the compact dtype for len(A)^2; rows go in blocks of about _BLOCK
-    entries, so the index array stays small whatever the size."""
-    src, via, dst = edges
-    rows = _BLOCK // max(len(src), 1)
-    for lo in range(0, len(F), rows):
-        block = F[lo : lo + rows]
-        got = block[:, src].astype(_compact_dtype(len(A) ** 2))
-        got *= len(A)
-        got += block[:, via]
-        bad = A.ravel()[got] != block[:, dst]
-        if bad.any():
-            row, e = np.argwhere(bad)[0]
-            raise InvalidConstruction(message.format(lo + row, src[e], via[e]))
-
-
-def _columns_additive(F: np.ndarray, A: np.ndarray, edges) -> bool:
-    """Whether every column of F, a map into the group with addition table
-    A, is additive on `edges` (src, via, dst): F[dst] = A[F[src], F[via]]
-    entrywise, by whole-row gathers, with A read from the flat table at an
-    index of about _BLOCK entries."""
+def _columns_additive(F: np.ndarray, A: np.ndarray, edges) -> tuple[int, int, int] | None:
+    """The first column of F, a map into the group with addition table A,
+    that is not additive on `edges` (src, via, dst), with the first edge on
+    which it fails, as (column, src, via); None when F[dst] = A[F[src],
+    F[via]] entrywise.  Whole-row gathers read A from the flat table at an
+    index of about _BLOCK entries.  The blocks run over the edges, so a
+    failure replaces the one found so far only when its column is smaller,
+    and the scan goes on to the last block."""
     src, via, dst = edges
     n, flat = len(A), A.ravel()
     step = max(_BLOCK // max(F.shape[1], 1), 1)
+    first = None
     for lo in range(0, len(src), step):
         e = slice(lo, lo + step)
         at = F[src[e]].astype(np.intp)
         at *= n
         at += F[via[e]]
-        if not (flat.take(at) == F[dst[e]]).all():
-            return False
-    return True
+        bad = flat.take(at) != F[dst[e]]
+        if bad.any():
+            x = int(bad.any(axis=0).argmax())
+            if first is None or x < first[0]:
+                k = lo + int(bad[:, x].argmax())
+                first = x, int(src[k]), int(via[k])
+    return first
 
 
 def _validate_ring_tables(
@@ -339,7 +314,8 @@ def _validate_ring_tables(
     (a + a')b = ab + a'b, so left distributivity needs checking on the rows
     of S only.  The associator (xy)z - x(yz) is then additive in each
     argument, so associativity of `*` needs checking on S x S x S only.  A
-    failure is named by the search over every row and then every column.
+    failure is named by the least row that does not distribute, else by the
+    least such column, each with its first failing edge.
     """
     if one == zero:
         raise InvalidConstruction("unity must differ from zero")
@@ -350,11 +326,16 @@ def _validate_ring_tables(
     if not np.array_equal(M[:, one], np.arange(n)):
         raise InvalidConstruction(f"unity {one} is not right-neutral")
     G = np.asarray(gens)
-    # columns of M.T[:, G] are the rows of S
-    if not (_columns_additive(M, A, edges) and _columns_additive(M.T[:, G], A, edges)):
-        # row a of M is b -> a*b, column a is b -> b*a
-        _check_additive(M, A, edges, "left distributivity fails (witness {}*({}+{}))")
-        _check_additive(M.T, A, edges, "right distributivity fails (witness ({1}+{2})*{0})")
+    # column a of M is b -> b*a and column a of M.T, row a of M, is b -> a*b;
+    # the columns of M.T[:, G] are the rows of S
+    if _columns_additive(M, A, edges) or _columns_additive(M.T[:, G], A, edges):
+        for F, message in (
+            (M.T, "left distributivity fails (witness {}*({}+{}))"),
+            (M, "right distributivity fails (witness ({1}+{2})*{0})"),
+        ):
+            bad = _columns_additive(F, A, edges)
+            if bad is not None:
+                raise InvalidConstruction(message.format(*bad))
     P = M[np.ix_(G, G)]
     bad = M[P][:, :, G] != M[G][:, P]
     if bad.any():
@@ -365,32 +346,6 @@ def _validate_ring_tables(
     return A, M, gens
 
 
-class _Table(tuple):
-    """Tuple rows; numpy gets a writable copy of the array."""
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.array, dtype=dtype)
-
-
-def _freeze(table) -> tuple[tuple[int, ...], ...]:
-    """An n x n table over 0..n-1 as tuples of shared ints: each row points
-    into one object array of n ints instead of owning n of its own, gathered
-    in blocks of about _BLOCK entries.  The table keeps the array read-only,
-    copying a writable one, which its owner may still change."""
-    arr = np.asarray(table)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    ints = np.array(range(len(arr)), dtype=object)
-    step = max(_BLOCK // len(arr), 1)
-    rows = []
-    for lo in range(0, len(arr), step):
-        rows += map(tuple, ints[arr[lo : lo + step]].tolist())
-    frozen = _Table(rows)
-    frozen.array = arr
-    return frozen
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -398,20 +353,24 @@ def _freeze(table) -> tuple[tuple[int, ...], ...]:
 @dataclass(eq=False)
 class FiniteGroup:
     size: int
-    op: tuple[tuple[int, ...], ...]
+    # the validated operation, read-only, in the compact dtype of `size`
+    op_array: np.ndarray = field(repr=False)
     identity: int
     inv: tuple[int, ...]
     names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        self.op_array.flags.writeable = False
 
 
 def cyclic_group(k: int) -> FiniteGroup:
     if k < 1:
         raise InvalidConstruction("cyclic group order must be positive")
     g = np.arange(k)
-    op = _freeze((g[:, None] + g) % k)
+    op = ((g[:, None] + g) % k).astype(_compact_dtype(k))
     inv = tuple((-g % k).tolist())
     names = tuple("e" if a == 0 else ("g" if a == 1 else f"g^{a}") for a in range(k))
-    return FiniteGroup(size=k, op=op, identity=0, inv=inv, names=names)
+    return FiniteGroup(size=k, op_array=op, identity=0, inv=inv, names=names)
 
 
 def group_from_table(op, names: Sequence[str] | None = None) -> FiniteGroup:
@@ -425,16 +384,21 @@ def group_from_table(op, names: Sequence[str] | None = None) -> FiniteGroup:
     names = tuple(map(str, range(n))) if names is None else tuple(names)
     if len(names) != n:
         raise InvalidConstruction("group names length mismatch")
-    return FiniteGroup(size=n, op=_freeze(T), identity=identity, inv=tuple(inv), names=names)
+    # the group keeps its own table: a caller's array is copied, never shared
+    return FiniteGroup(
+        size=n, op_array=T.copy(), identity=identity, inv=tuple(inv), names=names
+    )
 
 
 def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
-    """Closure test; in a finite group, op-closure of a set containing the
-    identity already implies inverses."""
+    """Closure test on the gathered products of the members; in a finite
+    group, op-closure of a set containing the identity already implies
+    inverses."""
     s = set(members)
     if group.identity not in s:
         return False
-    return all(group.op[a][b] in s for a in s for b in s)
+    m = np.array(list(s))
+    return bool(np.isin(group.op_array[np.ix_(m, m)], m).all())
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +428,23 @@ class FiniteRing:
         self.add_array.flags.writeable = False
         self.mul_array.flags.writeable = False
 
-    @cached_property
-    def add(self) -> tuple[tuple[int, ...], ...]:
-        """The addition as tuple rows, for callers outside the package."""
-        return _freeze(self.add_array)
+    @property
+    def add(self) -> np.ndarray:
+        """`add_array` under its older name, kept only because
+        `perfbench/worker.py` reads it (ROADMAP item 8)."""
+        return self.add_array
 
-    @cached_property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        """The multiplication as tuple rows, for callers outside the package."""
-        return _freeze(self.mul_array)
+    @property
+    def mul(self) -> np.ndarray:
+        """`mul_array` under its older name, kept only because
+        `perfbench/worker.py` reads it (ROADMAP item 8)."""
+        return self.mul_array
 
     @cached_property
     def add_generators(self) -> tuple[int, ...]:
         """An additive generating set.  Validation finds one and stores it
         here; induced subrings, which skip validation, compute it on demand."""
-        return tuple(_generators(self.add_array, self.zero, "ring addition", "+", None, []))
+        return tuple(_additive_edges(self.add_array, self.zero)[0])
 
     @property
     def full_mask(self) -> int:
@@ -854,7 +820,7 @@ def group_ring(
     g = group.size
     _check_size(base.size**g, max_size)
     # e_i e_j = e_(ij): coefficient k is the unity where k = ij, else zero
-    structure = np.where(np.asarray(group.op)[:, :, None] == np.arange(g), base.one, base.zero)
+    structure = np.where(group.op_array[:, :, None] == np.arange(g), base.one, base.zero)
     return free_algebra(
         base,
         structure,
@@ -895,7 +861,7 @@ def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
     ring, m = mod.ring, mod.size
     RA = ring.add_array
     gens = ring.add_generators
-    ring_edges = _additive_edges(RA, ring.zero, gens)
+    _, ring_edges = _additive_edges(RA, ring.zero, gens)
     if (
         mod.add_array is RA
         and mod.neg is ring.neg
@@ -911,22 +877,19 @@ def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidConstruction("module action table malformed")
     if not np.array_equal(ACT[ring.one], np.arange(m)):
         raise InvalidConstruction("unity does not act as identity on the module")
-    # row r of ACT is x -> r.x; column x is r -> r.x, named by the search
-    if not _columns_additive(ACT, MA, ring_edges):
-        _check_additive(
-            ACT.T,
-            MA,
-            ring_edges,
-            "module action not additive in the ring (witness ({1}+{2}).{0})",
-        )
-    for s in gens:
-        _check_additive(
-            ACT[s : s + 1],
-            MA,
-            module_edges,
-            f"module action not additive in the module (witness {s}.({{1}}+{{2}}))",
-        )
     G = np.asarray(gens)
+    # column x of ACT is r -> r.x, and column j of ACT[G].T is x -> G[j].x
+    bad = _columns_additive(ACT, MA, ring_edges)
+    if bad is not None:
+        raise InvalidConstruction(
+            "module action not additive in the ring (witness ({1}+{2}).{0})".format(*bad)
+        )
+    bad = _columns_additive(ACT[G].T, MA, module_edges)
+    if bad is not None:
+        j, a, b = bad
+        raise InvalidConstruction(
+            f"module action not additive in the module (witness {G[j]}.({a}+{b}))"
+        )
     bad = ACT[ring.mul_array[np.ix_(G, G)]] != ACT[G][:, ACT[G]]
     if bad.any():
         s, t, x = np.argwhere(bad)[0]

@@ -16,7 +16,6 @@ from idealgraphs.errors import InvalidConstruction, NotASubring
 from idealgraphs.grading import validate_grading
 from idealgraphs.ring_core import (
     FiniteGroup,
-    _freeze,
     _induced_ring,
     additive_span,
     mask_members,
@@ -26,6 +25,13 @@ from idealgraphs.ring_core import (
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def as_lists(table) -> list:
+    """A table, or one row of it, as nested lists of Python ints: the
+    package keeps its tables as arrays of a compact dtype, whose arithmetic
+    wraps where Python ints grow, so every reference loop reads them here."""
+    return np.asarray(table).tolist()
 
 
 # --- ring axioms, checked on every pair and triple
@@ -104,6 +110,19 @@ def frontier_bfs_generators(T, start: int, what: str, sym: str) -> list[int]:
     return gens
 
 
+def first_non_additive_column(F, A, edges):
+    """The first column x of F, then the first edge (src, via, dst) in edge
+    order, with F[dst][x] != A[F[src][x]][F[via][x]], as (x, src, via);
+    None when every column is additive on the edges."""
+    F, A = as_lists(F), as_lists(A)
+    src, via, dst = (as_lists(e) for e in edges)
+    for x in range(len(F[0])):
+        for s, v, d in zip(src, via, dst):
+            if A[F[s][x]][F[v][x]] != F[d][x]:
+                return x, s, v
+    return None
+
+
 # --- groups, modules and unital subrings, by the element loops the library
 # used before its generator validator
 
@@ -134,7 +153,17 @@ def exhaustive_group_from_table(op, names=None) -> FiniteGroup:
         names = tuple(names)
         if len(names) != n:
             raise InvalidConstruction("group names length mismatch")
-    return FiniteGroup(size=n, op=_freeze(T), identity=identity, inv=tuple(inv), names=names)
+    return FiniteGroup(size=n, op_array=T.copy(), identity=identity, inv=tuple(inv), names=names)
+
+
+def pairwise_is_subgroup(group, members) -> bool:
+    """Closure test product by product, as the library made it on tuple
+    tables: a set holding the identity and closed under the operation."""
+    op = as_lists(group.op_array)
+    s = set(members)
+    if group.identity not in s:
+        return False
+    return all(op[a][b] in s for a in s for b in s)
 
 
 def exhaustive_validate_module(mod) -> None:
@@ -146,8 +175,8 @@ def exhaustive_validate_module(mod) -> None:
         raise InvalidConstruction("module action table malformed")
     if not np.array_equal(ACT[mod.ring.one], np.arange(m)):
         raise InvalidConstruction("unity does not act as identity on the module")
-    RA = np.asarray(mod.ring.add)
-    RM = np.asarray(mod.ring.mul)
+    RA = mod.ring.add_array
+    RM = mod.ring.mul_array
     for r in range(n):
         if not np.array_equal(ACT[r][ACT], ACT[RM[r]]):
             raise InvalidConstruction(f"module action not associative (witness {r})")
@@ -174,22 +203,23 @@ def exhaustive_unital_ring_on(parent, members):
     if parent.zero not in ms:
         raise NotASubring("subset misses the zero element")
     sset = set(ms)
+    add, mul = as_lists(parent.add_array), as_lists(parent.mul_array)
     one = None
     for e in ms:
-        if all(parent.mul[e][a] == a and parent.mul[a][e] == a for a in ms):
+        if all(mul[e][a] == a and mul[a][e] == a for a in ms):
             one = e
             break
     if one is None:
         raise InvalidConstruction("subset has no internal identity element")
     for a in ms:
-        if any(parent.add[a][b] not in sset for b in ms):
+        if any(add[a][b] not in sset for b in ms):
             raise NotASubring(f"subset not additively closed (witness {a})")
     return _induced_ring(parent, ms, one, "unital_subring")
 
 
 def brute_additive_span(add, zero: int, seed_mask: int) -> int:
     """Smallest additive subgroup holding the seeds: add every pairwise sum
-    until nothing changes."""
+    until nothing changes.  `add` is the addition as nested lists."""
     members = {zero} | {x for x in range(len(add)) if seed_mask >> x & 1}
     while True:
         grown = members | {add[a][b] for a in members for b in members}
@@ -202,14 +232,15 @@ def relabelled_ring(ring, at):
     """The same ring with element x stored at index at[x], built and
     validated from its tables."""
     n = ring.size
+    ring_add, ring_mul = as_lists(ring.add_array), as_lists(ring.mul_array)
     add = [[0] * n for _ in range(n)]
     mul = [[0] * n for _ in range(n)]
     names = [""] * n
     for a in range(n):
         names[at[a]] = ring.names[a]
         for b in range(n):
-            add[at[a]][at[b]] = at[ring.add[a][b]]
-            mul[at[a]][at[b]] = at[ring.mul[a][b]]
+            add[at[a]][at[b]] = at[ring_add[a][b]]
+            mul[at[a]][at[b]] = at[ring_mul[a][b]]
     return ring_from_tables(add, mul, at[ring.zero], at[ring.one], names)
 
 
@@ -238,6 +269,7 @@ def brute_left_ideal_masks(ring) -> set[int]:
     n = ring.size
     zero = ring.zero
     others = [x for x in range(n) if x != zero]
+    add, mul = as_lists(ring.add_array), as_lists(ring.mul_array)
     found = set()
     for d in divisors(n):
         for combo in itertools.combinations(others, d - 1):
@@ -246,12 +278,12 @@ def brute_left_ideal_masks(ring) -> set[int]:
             for x in members:
                 mask |= 1 << x
             closed = all(
-                mask >> ring.add[x][y] & 1 for x in members for y in members
+                mask >> add[x][y] & 1 for x in members for y in members
             )
             if not closed:
                 continue
             absorbing = all(
-                mask >> ring.mul[r][x] & 1 for r in range(n) for x in members
+                mask >> mul[r][x] & 1 for r in range(n) for x in members
             )
             if absorbing:
                 found.add(mask)
@@ -276,7 +308,7 @@ def brute_graded_left_ideal_masks(ring, grading) -> set[int]:
 def brute_submodule_masks(module) -> set[int]:
     n = module.size
     zero = module.zero
-    add, act = module.add_array.tolist(), module.act_array.tolist()
+    add, act = as_lists(module.add_array), as_lists(module.act_array)
     others = [x for x in range(n) if x != zero]
     found = set()
     for d in divisors(n):
@@ -298,7 +330,7 @@ def brute_submodule_masks(module) -> set[int]:
     return found
 
 
-# --- the Python loops over tuple tables that the library's readers replaced
+# --- the Python loops over table rows that the library's readers replaced
 # with array gathers, kept as they were
 
 
@@ -317,7 +349,7 @@ def span_of_products(grading, ds: int, dt: int) -> int:
     right = mask_members(grading.component(dt))
     products = set()
     for a in mask_members(grading.component(ds)):
-        row = ring.mul[a]
+        row = as_lists(ring.mul_array[a])
         products.update([row[b] for b in right])
     prod_mask = 0
     for p in products:
@@ -328,19 +360,20 @@ def span_of_products(grading, ds: int, dt: int) -> int:
 def is_sigma_faithful(grading, sigma: int) -> bool:
     ring = grading.ring
     g = grading.grades
+    mul = as_lists(ring.mul_array)
     for tau in grading.support:
         left = mask_members(grading.component(g.op(sigma, g.inv(tau))))
         for x in mask_members(grading.component(tau)):
             if x == ring.zero:
                 continue
-            if all(ring.mul[a][x] == ring.zero for a in left):
+            if all(mul[a][x] == ring.zero for a in left):
                 return False
     return True
 
 
 def ideal_product(ring, a_mask: int, b_mask: int) -> int:
     seed = 0
-    mul = ring.mul
+    mul = as_lists(ring.mul_array)
     for a in mask_members(a_mask):
         row = mul[a]
         for b in mask_members(b_mask):
@@ -349,21 +382,22 @@ def ideal_product(ring, a_mask: int, b_mask: int) -> int:
 
 
 def is_unit(ring, x: int) -> bool:
-    row = ring.mul[x]
+    row, column = as_lists(ring.mul_array[x]), as_lists(ring.mul_array[:, x])
     for y in range(ring.size):
-        if row[y] == ring.one and ring.mul[y][x] == ring.one:
+        if row[y] == ring.one and column[y] == ring.one:
             return True
     return False
 
 
 def is_nilpotent(ring, x: int) -> bool:
+    column = as_lists(ring.mul_array[:, x])
     seen = set()
     p = x
     while p not in seen:
         if p == ring.zero:
             return True
         seen.add(p)
-        p = ring.mul[p][x]
+        p = column[p]
     return False
 
 
@@ -374,17 +408,20 @@ def is_graded_domain(grading) -> bool:
     hom = sorted(
         {x for cm in grading.components.values() for x in mask_members(cm) if x != ring.zero}
     )
-    return all(ring.mul[a][b] != ring.zero for a in hom for b in hom)
+    mul = as_lists(ring.mul_array)
+    return all(mul[a][b] != ring.zero for a in hom for b in hom)
 
 
 def first_unembedded_pair(base, ring, embed):
     """The groupring_example witness: the first pair of base elements whose
     sum or product `embed` does not carry into the ring."""
+    badd, bmul = as_lists(base.add_array), as_lists(base.mul_array)
+    radd, rmul = as_lists(ring.add_array), as_lists(ring.mul_array)
     for a in range(base.size):
         for b in range(base.size):
             if (
-                embed[base.add[a][b]] != ring.add[embed[a]][embed[b]]
-                or embed[base.mul[a][b]] != ring.mul[embed[a]][embed[b]]
+                embed[badd[a][b]] != radd[embed[a]][embed[b]]
+                or embed[bmul[a][b]] != rmul[embed[a]][embed[b]]
             ):
                 return a, b
     return None
@@ -440,7 +477,8 @@ def pmul(base, modulus, a, b) -> tuple[int, ...]:
     """Schoolbook product of two coefficient tuples, reduced by the monic
     modulus from the top degree down."""
     d = len(modulus) - 1
-    badd, bmul, bneg, bzero = base.add, base.mul, base.neg, base.zero
+    badd, bmul = as_lists(base.add_array), as_lists(base.mul_array)
+    bneg, bzero = base.neg, base.zero
     prod = [bzero] * (2 * d - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -453,11 +491,13 @@ def pmul(base, modulus, a, b) -> tuple[int, ...]:
 
 
 def gmul(base, group, a, b) -> tuple[int, ...]:
+    op = as_lists(group.op_array)
+    badd, bmul = as_lists(base.add_array), as_lists(base.mul_array)
     out = [base.zero] * group.size
     for i, ci in enumerate(a):
         for j, cj in enumerate(b):
-            k = group.op[i][j]
-            out[k] = base.add[out[k]][base.mul[ci][cj]]
+            k = op[i][j]
+            out[k] = badd[out[k]][bmul[ci][cj]]
     return tuple(out)
 
 
@@ -514,7 +554,7 @@ def _join_terms(terms) -> str:
 def entrywise_polynomial_quotient(base, modulus) -> dict:
     d = len(modulus) - 1
     out = _entrywise_tables(
-        base.add, base.neg, base.size, d, lambda a, b: pmul(base, modulus, a, b)
+        as_lists(base.add_array), base.neg, base.size, d, lambda a, b: pmul(base, modulus, a, b)
     )
 
     def term(c, k):
@@ -535,7 +575,7 @@ def entrywise_polynomial_quotient(base, modulus) -> dict:
 def entrywise_group_ring(base, group) -> dict:
     g = group.size
     out = _entrywise_tables(
-        base.add, base.neg, base.size, g, lambda a, b: gmul(base, group, a, b)
+        as_lists(base.add_array), base.neg, base.size, g, lambda a, b: gmul(base, group, a, b)
     )
 
     def term(c, k):
@@ -575,11 +615,12 @@ def entrywise_idealization(base, module) -> dict:
     """(r, m) at index r*|M| + m, with (r, m)(r', m') = (rr', r.m' + r'.m)."""
     pairs = [(r, m) for r in range(base.size) for m in range(module.size)]
     k = module.size
-    add, act = module.add_array.tolist(), module.act_array.tolist()
+    add, act = as_lists(module.add_array), as_lists(module.act_array)
+    badd, bmul = as_lists(base.add_array), as_lists(base.mul_array)
     return {
-        "add": [[base.add[r][s] * k + add[m][p] for s, p in pairs] for r, m in pairs],
+        "add": [[badd[r][s] * k + add[m][p] for s, p in pairs] for r, m in pairs],
         "mul": [
-            [base.mul[r][s] * k + add[act[r][p]][act[s][m]] for s, p in pairs]
+            [bmul[r][s] * k + add[act[r][p]][act[s][m]] for s, p in pairs]
             for r, m in pairs
         ],
         "neg": [base.neg[r] * k + module.neg[m] for r, m in pairs],
@@ -588,9 +629,8 @@ def entrywise_idealization(base, module) -> dict:
 
 def brute_left_multiple_masks(ring) -> list[int]:
     """Mask of R*x for every x, one product at a time."""
-    return [
-        sum({1 << ring.mul[r][x] for r in range(ring.size)}) for x in range(ring.size)
-    ]
+    mul = as_lists(ring.mul_array)
+    return [sum({1 << mul[r][x] for r in range(ring.size)}) for x in range(ring.size)]
 
 
 def first_escaping_product(ring, grades, comps):
@@ -599,11 +639,12 @@ def first_escaping_product(ring, grades, comps):
     whose product leaves its degree's component; None when none does."""
     degs = sorted(d for d, mask in comps.items() if mask != 1 << ring.zero)
     members = {d: [x for x in range(ring.size) if comps[d] >> x & 1 and x != ring.zero] for d in degs}
+    mul = as_lists(ring.mul_array)
     for ds, dt in itertools.product(degs, repeat=2):
         target = comps.get(grades.op(ds, dt), 1 << ring.zero)
         for a in members[ds]:
             for b in members[dt]:
-                if not target >> ring.mul[a][b] & 1:
+                if not target >> mul[a][b] & 1:
                     return a, b, grades.op(ds, dt)
     return None
 

@@ -16,6 +16,7 @@ from idealgraphs import (
     decompose,
     explicit_grading,
     finite_grades,
+    group_from_table,
     group_ring,
     group_ring_grading,
     idealization,
@@ -36,9 +37,10 @@ from idealgraphs import (
     trivial_grading,
     validate_grading,
 )
-from oracles import first_escaping_product, relabelled_ring
-from idealgraphs.grading import _subgroup_generators
-from idealgraphs.ring_core import mask_members
+from oracles import first_escaping_product, pairwise_is_subgroup, relabelled_ring
+from idealgraphs.grading import _subgroup_generators, is_canonical
+from idealgraphs.ring_core import is_subgroup, mask_members
+from test_ring_core import GROUPS
 
 F2XY_TABLE = [
     [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -339,3 +341,69 @@ class TestGeneratorProducts:
             (right,) = (m for m in raw.values() if m >> b & 1)
             assert a in _subgroup_generators(ring, left)
             assert b in _subgroup_generators(ring, right)
+
+
+class TestArrayGroups:
+    """Grade groups read their operation from `op_array`."""
+
+    def test_equal_groups_built_apart_grade_alike(self):
+        ring = group_ring(make_cyclic_ring(2), cyclic_group(4))
+        canonical = group_ring_grading(ring)
+        twin = validate_grading(ring, finite_grades(cyclic_group(4)), canonical.components)
+        assert twin.grades.group is not ring.parts["group"]
+        assert same_grading(canonical, twin) and is_canonical(twin)
+        # C4 with 1 and 2 swapped, and the same components at their new degrees
+        swap = [0, 2, 1, 3]
+        relabelled = group_from_table(
+            [[swap[(swap[a] + swap[b]) % 4] for b in range(4)] for a in range(4)]
+        )
+        moved = validate_grading(
+            ring, finite_grades(relabelled), {swap[d]: c for d, c in canonical.components.items()}
+        )
+        assert not same_grading(canonical, moved) and not is_canonical(moved)
+        # trivial gradings, whose components agree: only the tables differ
+        trivial = trivial_grading(ring, finite_grades(cyclic_group(4)))
+        assert same_grading(trivial, trivial_grading(ring, finite_grades(cyclic_group(4))))
+        assert not same_grading(trivial, trivial_grading(ring, finite_grades(relabelled)))
+
+    @pytest.mark.parametrize("name", ["C4", "V4", "S3"])
+    def test_degrees_are_python_ints(self, name):
+        grades = finite_grades(GROUPS[name])
+        n = grades.group.size
+        assert {type(grades.op(a, b)) for a in range(n) for b in range(n)} == {int}
+
+    def test_classify_on_s3(self):
+        s3 = GROUPS["S3"]
+        flags = {
+            "e_faithful": True,
+            "faithful": True,
+            "strong": True,
+            "first_strong": True,
+            "support_is_subgroup": True,
+        }
+        ring = group_ring(make_cyclic_ring(2), s3)
+        assert classify(group_ring_grading(ring)) == {
+            "support": ["e", "a", "b", "c", "d", "f"],
+            **flags,
+        }
+        # Z2[C3] graded by the 3-cycles c and d = c c of S3
+        c3 = group_ring(make_cyclic_ring(2), cyclic_group(3))
+        comps = group_ring_grading(c3).components
+        grading = validate_grading(c3, finite_grades(s3), {0: comps[0], 3: comps[1], 4: comps[2]})
+        assert classify(grading) == {
+            "support": ["e", "c", "d"],
+            **flags,
+            "faithful": False,
+            "strong": False,
+        }
+
+    @pytest.mark.parametrize(
+        "group, subgroups", [(cyclic_group(6), 4), (GROUPS["S3"], 6)], ids=["C6", "S3"]
+    )
+    def test_is_subgroup_matches_the_pairwise_loop(self, group, subgroups):
+        found = 0
+        for bits in range(1 << group.size):
+            members = [x for x in range(group.size) if bits >> x & 1]
+            assert is_subgroup(group, members) == pairwise_is_subgroup(group, members)
+            found += is_subgroup(group, members)
+        assert found == subgroups

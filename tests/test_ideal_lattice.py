@@ -55,6 +55,7 @@ from idealgraphs import (
 from idealgraphs.ideal_lattice import known_sum
 from idealgraphs.ring_core import additive_span, is_additive_subgroup
 from oracles import (
+    as_lists,
     brute_additive_span,
     brute_graded_left_ideal_masks,
     brute_left_ideal_masks,
@@ -264,9 +265,10 @@ class TestSumsByOrder:
         for mask in family:
             by_order.setdefault(mask.bit_count(), []).append(mask)
         top = {ring.size: [ring.full_mask]}
+        add = as_lists(ring.add_array)
         for a in family:
             for b in family:
-                span = brute_additive_span(ring.add, ring.zero, a | b)
+                span = brute_additive_span(add, ring.zero, a | b)
                 assert known_sum(by_order, a, b) == span
                 # a bucket without the sum answers None, never a wrong set
                 assert known_sum(top, a, b) == (span if span == ring.full_mask else None)
@@ -278,10 +280,11 @@ class TestSumWork:
         ring = ORACLE_RINGS[name]
         family = [i.mask for i in enumerate_left_ideals(ring)]
         incomparable = 0
+        add = as_lists(ring.add_array)
         with counted_work() as work:
             for a in family:
                 for b in family:
-                    expected = brute_additive_span(ring.add, ring.zero, a | b)
+                    expected = brute_additive_span(add, ring.zero, a | b)
                     assert ideal_sum(ring, a, b) == expected
                     if a | b not in (a, b):
                         incomparable += 1
@@ -422,18 +425,17 @@ class TestSpansAgainstOracle:
         elements = st.integers(0, ring.size - 1)
         seeds = data.draw(st.lists(elements, max_size=4))
         seed_mask = sum(1 << x for x in set(seeds))
-        span = brute_additive_span(ring.add, ring.zero, seed_mask)
+        add, mul = as_lists(ring.add_array), as_lists(ring.mul_array)
+        span = brute_additive_span(add, ring.zero, seed_mask)
         assert additive_span(ring, seed_mask) == span
         assert is_additive_subgroup(ring, seed_mask) == (span == seed_mask)
 
-        products = sum({1 << ring.mul[r][x] for r in range(ring.size) for x in seeds})
-        assert generated_left_ideal(ring, seeds) == brute_additive_span(
-            ring.add, ring.zero, products
-        )
+        products = sum({1 << mul[r][x] for r in range(ring.size) for x in seeds})
+        assert generated_left_ideal(ring, seeds) == brute_additive_span(add, ring.zero, products)
 
         a = data.draw(st.sampled_from(family))
         b = data.draw(st.sampled_from(family))
-        assert ideal_sum(ring, a, b) == brute_additive_span(ring.add, ring.zero, a | b)
+        assert ideal_sum(ring, a, b) == brute_additive_span(add, ring.zero, a | b)
 
 
 LABEL_RINGS = {name: ring for name, (ring, _) in SPAN_RINGS.items()}
@@ -504,8 +506,9 @@ class TestGradedStructureFlags:
 def _ideals_sums_and_intersections(ring):
     family = [i.mask for i in enumerate_left_ideals(ring)]
     out = set(family)
+    add = as_lists(ring.add_array)
     for a, b in itertools.combinations(family, 2):
-        out |= {brute_additive_span(ring.add, ring.zero, a | b), a & b}
+        out |= {brute_additive_span(add, ring.zero, a | b), a & b}
     return out
 
 
@@ -541,11 +544,12 @@ class TestGradedByCounting:
 
 
 def _spanned_decompositions(ring, family):
+    add = as_lists(ring.add_array)
     return [
         (a, b)
         for a, b in itertools.combinations(nontrivial_proper(family), 2)
         if a.mask & b.mask == ring.zero_mask
-        and brute_additive_span(ring.add, ring.zero, a.mask | b.mask) == ring.full_mask
+        and brute_additive_span(add, ring.zero, a.mask | b.mask) == ring.full_mask
     ]
 
 

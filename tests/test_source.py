@@ -2,6 +2,8 @@ import ast
 import re
 from pathlib import Path
 
+from idealgraphs import cyclic_group, group_ring, make_cyclic_ring
+
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "idealgraphs"
 
 
@@ -79,9 +81,10 @@ def test_ring_tables_are_not_converted_back_to_numpy():
 
 
 def test_package_reads_no_tuple_table():
-    # rings and modules keep their tables as arrays (add_array, mul_array,
-    # act_array); a read of `add`, `mul` or `act` as a value would freeze or
-    # want a tuple table, while calls such as set.add(x) are method calls
+    # rings, modules and groups keep their tables as arrays (add_array,
+    # mul_array, act_array, op_array); a read of `add`, `mul`, `act` or `op`
+    # as a value would want a table by another name, while calls such as
+    # set.add(x) and GradeGroup.op(a, b) are method calls
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -89,12 +92,39 @@ def test_package_reads_no_tuple_table():
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Attribute)
-                and node.attr in ("add", "mul", "act")
+                and node.attr in ("add", "mul", "act", "op")
                 and isinstance(node.ctx, ast.Load)
                 and id(node) not in called
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"tuple tables read in the package: {found}"
+
+
+def test_package_defines_no_tuple_table_view():
+    # tables are arrays only: no freezer, no tuple subclass and no cached
+    # second copy of a table; `ring.add` and `ring.mul` are the arrays
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in (
+                "_freeze",
+                "_Table",
+            ):
+                found.append(f"{path.name}:{node.lineno} ({node.name})")
+            elif isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) == "tuple" for base in node.bases
+            ):
+                found.append(f"{path.name}:{node.lineno} ({node.name} is a tuple)")
+            elif (
+                isinstance(node, ast.FunctionDef)
+                and node.name in ("add", "mul", "act", "op")
+                and any(getattr(d, "id", None) == "cached_property" for d in node.decorator_list)
+            ):
+                found.append(f"{path.name}:{node.lineno} (cached {node.name})")
+    assert not found, f"tuple table views in the package: {found}"
+    ring = group_ring(make_cyclic_ring(2), cyclic_group(3))
+    assert ring.add is ring.add_array and ring.mul is ring.mul_array
+    assert not hasattr(cyclic_group(3), "op")
 
 
 def test_one_dispatcher_writes_every_check_report():
