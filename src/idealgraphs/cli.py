@@ -61,6 +61,22 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
+def _is_int(x) -> bool:
+    """Whether x is a JSON integer; true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_nested(x, depth: int) -> bool:
+    """Whether x is a list nested `depth` deep with integers at the bottom."""
+    if depth == 0:
+        return _is_int(x)
+    return isinstance(x, list) and all(_is_nested(y, depth - 1) for y in x)
+
+
+def _is_names(x) -> bool:
+    return isinstance(x, list) and all(isinstance(y, str) for y in x)
+
+
 def _check_group_order(k: int, path: str, cap: int, of_group_ring: bool) -> None:
     """Refuse a group before its k x k table is built: a grade group of order
     over the cap, or a group whose group ring, of at least 2^k elements, is."""
@@ -79,7 +95,7 @@ def _parse_group(node, path: str, cap: int, of_group_ring: bool = False):
     _require(isinstance(node, dict), path, "expected 'integers' or an object")
     if "cyclic" in node:
         _require(
-            set(node) == {"cyclic"} and isinstance(node["cyclic"], int),
+            set(node) == {"cyclic"} and _is_int(node["cyclic"]),
             path,
             "cyclic group form is {'cyclic': k}",
         )
@@ -87,7 +103,9 @@ def _parse_group(node, path: str, cap: int, of_group_ring: bool = False):
         return finite_grades(cyclic_group(node["cyclic"]))
     if "table" in node:
         _require(
-            set(node) <= {"table", "names"} and isinstance(node["table"], list),
+            set(node) <= {"table", "names"}
+            and _is_nested(node["table"], 2)
+            and _is_names(node.get("names", [])),
             path,
             "table group form is {'table': [rows], 'names'?: [...]}",
         )
@@ -106,7 +124,7 @@ def _parse_ring(node, path: str, max_size: int) -> FiniteRing:
     )
     ((key, val),) = node.items()
     if key == "zn":
-        _require(isinstance(val, int), f"{path}.zn", "expected an integer modulus")
+        _require(_is_int(val), f"{path}.zn", "expected an integer modulus")
         return make_cyclic_ring(val, max_size)
     if key == "product":
         _require(
@@ -127,22 +145,29 @@ def _parse_ring(node, path: str, max_size: int) -> FiniteRing:
         )
         base = _parse_ring(val["base"], f"{path}.poly_quotient.base", max_size)
         _require(
-            isinstance(val["modulus"], list)
-            and all(isinstance(c, int) for c in val["modulus"]),
+            _is_nested(val["modulus"], 1),
             f"{path}.poly_quotient.modulus",
             "expected a list of integer coefficients",
         )
         return polynomial_quotient(base, val["modulus"], max_size)
     if key == "algebra":
         _require(
-            isinstance(val, dict) and {"n", "dim", "table"} <= set(val) <= {
-                "n",
-                "dim",
-                "table",
-                "basis",
-            },
+            isinstance(val, dict)
+            and {"n", "dim", "table"} <= set(val) <= {"n", "dim", "table", "basis"}
+            and _is_int(val["n"])
+            and _is_int(val["dim"]),
             f"{path}.algebra",
             "expected {'n': int, 'dim': int, 'table': [...], 'basis': [...]?}",
+        )
+        _require(
+            _is_nested(val["table"], 3),
+            f"{path}.algebra.table",
+            "expected rows of cells, each a list of integer coefficients",
+        )
+        _require(
+            _is_names(val.get("basis", [])),
+            f"{path}.algebra.basis",
+            "expected a list of basis names",
         )
         return algebra_over_zn(
             val["n"], val["dim"], val["table"], val.get("basis"), max_size
@@ -176,7 +201,9 @@ def _parse_ring(node, path: str, max_size: int) -> FiniteRing:
         mod = val["module"]
         if mod == "self":
             module = module_self(base)
-        elif isinstance(mod, dict) and set(mod) == {"zn_quotient"}:
+        elif isinstance(mod, dict) and set(mod) == {"zn_quotient"} and _is_int(
+            mod["zn_quotient"]
+        ):
             module = module_zn_quotient(base, mod["zn_quotient"])
         else:
             raise SchemaError(
@@ -245,7 +272,7 @@ def _parse_grading(node, ring: FiniteRing, path: str, max_size: int) -> Grading:
         for deg_key, gens in comps.items():
             deg = _parse_degree(deg_key, grades, f"{path}.explicit.components")
             _require(
-                isinstance(gens, list) and all(isinstance(x, int) for x in gens),
+                _is_nested(gens, 1),
                 f"{path}.explicit.components.{deg_key}",
                 "expected a list of element indices",
             )
@@ -269,7 +296,7 @@ def parse_instance(doc, name: str = "instance") -> Instance:
         "only 'max_ring_size' is supported",
     )
     cap = limits.get("max_ring_size")
-    _require(cap is None or isinstance(cap, int), "$.limits.max_ring_size", "expected int")
+    _require(cap is None or _is_int(cap), "$.limits.max_ring_size", "expected int")
     if cap is None or cap >= MAX_RING_SIZE:
         cap = MAX_RING_SIZE
         ring = _parse_ring(doc["ring"], "$.ring", cap)

@@ -8,6 +8,8 @@ An Instance builds each derived object at most once, on first use:
   whole ring, and these are the full family and graph);
 - the trace partition, its quotient graph, the extension map, and the
   isomorphism reports onto that quotient and onto the graded graph;
+  the quotient is read from the graded graph's rows, and each report
+  checks one vertex map from the identity component's graph, by position;
 - the identity-faithful and first-strong flags;
 - the base family and the submodule family of a composite carrier;
 - the induced grading, and its graded graph, of each direct-sum factor.
@@ -15,6 +17,8 @@ An Instance builds each derived object at most once, on first use:
 The checks in theorem_suite, the command line, and the transfer and
 comparison functions of structure_maps and ordered_grading all take these
 objects from here, so one run over every check derives each object once.
+Each vertex list is in (size, mask) order, the order of its graph's
+vertices, so a position in the list is a vertex of the graph.
 
 The caches live on the Instance, never on the ring or the grading: the
 families, gradings and graphs point back at the ring, so a cache hung on the
@@ -42,10 +46,6 @@ from .ideal_lattice import (
 from .ring_core import FiniteRing
 
 
-def _vertices(family: list[IdealSet]) -> list[IdealSet]:
-    return sorted(nontrivial_proper(family), key=lambda i: i.sort_key())
-
-
 @dataclass(eq=False)
 class Instance:
     """One graded ring under test, with lazily cached derived objects."""
@@ -64,7 +64,7 @@ class Instance:
 
     @cached_property
     def graded_vertices(self) -> list[IdealSet]:
-        return _vertices(self.graded_family)
+        return nontrivial_proper(self.graded_family)
 
     @cached_property
     def graded_graph(self) -> Graph:
@@ -81,7 +81,7 @@ class Instance:
 
     @cached_property
     def all_vertices(self) -> list[IdealSet]:
-        return _vertices(self.all_family)
+        return nontrivial_proper(self.all_family)
 
     @cached_property
     def all_graph(self) -> Graph:
@@ -121,7 +121,7 @@ class Instance:
     def re_vertices(self) -> list[IdealSet]:
         if self._re_is_whole:
             return self.all_vertices
-        return _vertices(self.re_family)
+        return nontrivial_proper(self.re_family)
 
     @cached_property
     def re_graph(self) -> Graph:
@@ -147,16 +147,14 @@ class Instance:
 
         if not self.e_faithful:
             raise NotEFaithful("grading is not faithful at the identity degree")
-        return sim_partition(
-            self.grading, self.graded_vertices, self.re_ring, self.re_embedding
-        )
+        return sim_partition(self.graded_vertices, self.re_ring, self.re_embedding)
 
     @cached_property
     def quotient(self) -> Graph:
         """The graded graph with each trace class collapsed to a vertex."""
         from .structure_maps import quotient_graph
 
-        return quotient_graph(self.partition)
+        return quotient_graph(self.partition, self.graded_graph)
 
     @cached_property
     def extension(self) -> dict:
@@ -168,32 +166,44 @@ class Instance:
 
     @cached_property
     def quotient_iso(self) -> dict:
-        """structure_maps.phi_iso_check onto the trace-class quotient; needs
-        an identity-faithful grading (else NotEFaithful)."""
+        """Extension followed by the trace-class collapse, checked by
+        structure_maps.phi_iso_check as a map from the identity component's
+        graph onto the quotient; needs an identity-faithful grading (else
+        NotEFaithful)."""
         from .structure_maps import phi_iso_check
 
-        # a violation in the partition is reported before one in the
-        # extension, so build the partition first
-        partition = self.partition
-        return phi_iso_check(
-            self.grading, self.re_ring, self.re_vertices, self.extension,
-            partition=partition, quotient=self.quotient,
-        )
+        # a violation in the partition or the quotient is reported before
+        # one in the extension
+        quotient, class_of = self.quotient, self.partition.class_of
+        image = [class_of.get(self.extension[ie.mask]) for ie in self.re_vertices]
+        phi_iso_check(self.re_graph, image, quotient)
+        classes = self.partition.classes
+        return {
+            "variant": "quotient",
+            "identity_vertices": len(image),
+            "classes": len(classes),
+            "class_sizes": [members.bit_count() for members in classes],
+        }
 
     @cached_property
     def first_strong_iso(self) -> dict:
-        """structure_maps.phi_iso_check onto the graded graph itself; needs
-        a first-strong grading (else WrongConstruction)."""
+        """Extension alone, checked by structure_maps.phi_iso_check as a map
+        from the identity component's graph onto the graded graph; needs a
+        first-strong grading (else WrongConstruction)."""
         from .structure_maps import phi_iso_check
 
         if not self.first_strong:
             raise WrongConstruction(
                 "first-strong comparison needs a first-strong grading"
             )
-        return phi_iso_check(
-            self.grading, self.re_ring, self.re_vertices, self.extension,
-            graded_vertices=self.graded_vertices,
-        )
+        position = {v.mask: i for i, v in enumerate(self.graded_vertices)}
+        image = [position.get(self.extension[ie.mask]) for ie in self.re_vertices]
+        phi_iso_check(self.re_graph, image, self.graded_graph)
+        return {
+            "variant": "first_strong",
+            "identity_vertices": len(image),
+            "graded_vertices": len(position),
+        }
 
     @cached_property
     def transfer_report(self) -> dict:
@@ -222,7 +232,7 @@ class Instance:
 
     @cached_property
     def base_vertices(self) -> list[IdealSet]:
-        return _vertices(self.base_family)
+        return nontrivial_proper(self.base_family)
 
     @cached_property
     def base_graph(self) -> Graph:

@@ -52,20 +52,19 @@ def _trace_mask(parent_mask: int, embedding: Sequence[int]) -> int:
 class SimPartition:
     """Nontrivial proper graded left ideals, grouped by identity trace.
 
-    keys are trace masks over the identity-component ring, sorted by
-    (popcount, value); classes[key] lists the graded ideals sharing that
-    trace; class_key_of maps a graded ideal's mask to its key.
+    keys are the trace masks over the identity-component ring, sorted by
+    (popcount, value); classes[k] is the mask of the positions, among the
+    graded vertices, of the ideals whose trace is keys[k]; class_of maps a
+    graded ideal's mask to its class position k.
     """
 
-    grading: Grading
     re_ring: FiniteRing
     keys: tuple[int, ...]
-    classes: dict
-    class_key_of: dict
+    classes: tuple[int, ...]
+    class_of: dict
 
 
 def sim_partition(
-    grading: Grading,
     graded_vertices: Sequence[IdealSet],
     re_ring: FiniteRing,
     embedding: Sequence[int],
@@ -75,12 +74,11 @@ def sim_partition(
     The caller establishes that the grading is faithful at the identity
     degree (Instance.partition raises NotEFaithful otherwise).  Verifies
     that every trace is a nontrivial proper left ideal of the identity
-    component (re_ring, embedded into the parent by `embedding`) and that
-    every class is a clique.
+    component (re_ring, embedded into the parent by `embedding`);
+    quotient_graph checks that every class is a clique.
     """
-    classes: dict = {}
-    class_key_of: dict = {}
-    for ideal in graded_vertices:
+    positions: dict = {}
+    for pos, ideal in enumerate(graded_vertices):
         key = _trace_mask(ideal.mask, embedding)
         if key == re_ring.zero_mask:
             raise WellDefinednessViolation(
@@ -94,56 +92,60 @@ def sim_partition(
             raise WellDefinednessViolation(
                 f"trace of {ideal.label()} is not a left ideal of the identity component"
             )
-        classes.setdefault(key, []).append(ideal)
-        class_key_of[ideal.mask] = key
-    zero_mask = grading.ring.zero_mask
-    for key, members in classes.items():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if members[a].mask & members[b].mask == zero_mask:
-                    raise WellDefinednessViolation(
-                        f"class {ideal_label(re_ring, key)} is not a clique: "
-                        f"{members[a].label()} meets {members[b].label()} only in 0"
-                    )
-    keys = tuple(sorted(classes, key=lambda m: (m.bit_count(), m)))
-    return SimPartition(
-        grading=grading,
-        re_ring=re_ring,
-        keys=keys,
-        classes={k: tuple(classes[k]) for k in keys},
-        class_key_of=class_key_of,
-    )
+        positions[key] = positions.get(key, 0) | 1 << pos
+    keys = tuple(sorted(positions, key=lambda m: (m.bit_count(), m)))
+    classes = tuple(positions[key] for key in keys)
+    class_of = {
+        graded_vertices[v].mask: k
+        for k, members in enumerate(classes)
+        for v in mask_members(members)
+    }
+    return SimPartition(re_ring=re_ring, keys=keys, classes=classes, class_of=class_of)
 
 
-def quotient_graph(partition: SimPartition) -> Graph:
-    """Collapse each trace class to one vertex.
+def quotient_graph(partition: SimPartition, graded_graph: Graph) -> Graph:
+    """Collapse each trace class of the graded graph to one vertex.
 
-    Adjacency between two classes must not depend on which representatives
-    are compared; every cross pair is checked and a disagreement raises
-    WellDefinednessViolation.
+    One scan over the graded graph's rows, class by class in key order,
+    tests the diagonal block (the class is a clique), then the blocks
+    towards later classes (each is all edges or none, so adjacency between
+    classes does not depend on representatives), and keeps the class's
+    quotient row.  The first failure raises WellDefinednessViolation.
     """
-    keys = partition.keys
-    zero_mask = partition.grading.ring.zero_mask
-    n = len(keys)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            verdicts = {
-                (a.mask & b.mask) != zero_mask
-                for a in partition.classes[keys[i]]
-                for b in partition.classes[keys[j]]
-            }
-            if len(verdicts) > 1:
+    classes, adj, labels = partition.classes, graded_graph.adj, graded_graph.labels
+    held = sum(classes)
+    if held != (1 << graded_graph.n) - 1:
+        raise WellDefinednessViolation(
+            f"the graded graph has {graded_graph.n} vertices, "
+            f"the trace classes hold {held.bit_count()}"
+        )
+    names = tuple(ideal_label(partition.re_ring, key) for key in partition.keys)
+    rows = []
+    for k, members in enumerate(classes):
+        vs = mask_members(members)
+        row = outside = 0
+        for j, other in enumerate(classes):
+            if j != k and adj[vs[0]] & other:
+                row |= 1 << j
+                outside |= other
+        for v in vs:
+            missing = members & ~adj[v] & ~(1 << v)
+            if missing:
                 raise WellDefinednessViolation(
-                    "adjacency between classes "
-                    f"{ideal_label(partition.re_ring, keys[i])} and "
-                    f"{ideal_label(partition.re_ring, keys[j])} depends on representatives"
+                    f"class {names[k]} is not a clique: {labels[v]} meets "
+                    f"{labels[mask_members(missing)[0]]} only in 0"
                 )
-            if verdicts.pop():
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    labels = tuple(ideal_label(partition.re_ring, k) for k in keys)
-    return Graph(n=n, adj=tuple(adj), labels=labels)
+        if any(adj[v] & ~members != outside for v in vs):
+            j = next(
+                j for j in range(k + 1, len(classes))
+                if {adj[v] & classes[j] for v in vs} not in ({0}, {classes[j]})
+            )
+            raise WellDefinednessViolation(
+                f"adjacency between classes {names[k]} and {names[j]} "
+                "depends on representatives"
+            )
+        rows.append(row)
+    return Graph(n=len(rows), adj=tuple(rows), labels=names)
 
 
 def extension_map(
@@ -167,89 +169,39 @@ def extension_map(
     return out
 
 
-def phi_iso_check(
-    grading: Grading,
-    re_ring: FiniteRing,
-    re_vertices: Sequence[IdealSet],
-    extension: dict,
-    graded_vertices: Sequence[IdealSet] = (),
-    partition: SimPartition | None = None,
-    quotient: Graph | None = None,
-) -> dict:
-    """Verify that ideal extension from the identity component induces a
-    graph isomorphism, and return a small report.
+def phi_iso_check(source: Graph, image: Sequence[int | None], target: Graph) -> None:
+    """Check that a vertex map is a graph isomorphism from source onto target.
 
-    Variant "quotient", when the trace partition and its quotient graph are
-    given: the target is that quotient of the graded graph.  Variant
-    "first_strong", otherwise: the target is the graded graph itself, on
-    graded_vertices.  The caller checks the variant's hypothesis (identity
-    faithful, or first strong).  Any failed isomorphism condition raises
-    IsoViolation naming a witness.
+    image[a] is the target vertex of source vertex a, or None when it has
+    none.  The map must hit every target vertex exactly once, and two
+    source vertices must be adjacent exactly when their images are.  The
+    first failure raises IsoViolation: the first source vertex without an
+    image, the first whose image an earlier one already has, the first
+    target vertex not hit, or else the first pair (a, b) in row-major order
+    whose adjacency differs, read from the XOR of a's row with the pullback
+    of its image's row.
     """
-    zero_re = re_ring.zero_mask
-
-    if partition is not None:
-        image_key = {
-            ie.mask: partition.class_key_of.get(extension[ie.mask])
-            for ie in re_vertices
-        }
-        for ie in re_vertices:
-            if image_key[ie.mask] is None:
-                raise IsoViolation(
-                    f"extension of {ie.label()} lies in no trace class"
-                )
-        hit = set(image_key.values())
-        if len(hit) != len(re_vertices):
-            raise IsoViolation("two identity-component ideals map to one class")
-        missing = [k for k in partition.keys if k not in hit]
-        if missing:
+    source_of: list = [None] * target.n
+    for a, t in enumerate(image):
+        if t is None or not 0 <= t < target.n:
+            raise IsoViolation(f"{source.labels[a]} has no image")
+        if source_of[t] is not None:
             raise IsoViolation(
-                f"class {ideal_label(re_ring, missing[0])} is not in the image"
+                f"{source.labels[source_of[t]]} and {source.labels[a]} "
+                f"both map to {target.labels[t]}"
             )
-        key_index = {k: i for i, k in enumerate(partition.keys)}
-        for a in range(len(re_vertices)):
-            for b in range(a + 1, len(re_vertices)):
-                ia, ib = re_vertices[a], re_vertices[b]
-                left = (ia.mask & ib.mask) != zero_re
-                right = quotient.has_edge(
-                    key_index[image_key[ia.mask]], key_index[image_key[ib.mask]]
-                )
-                if left != right:
-                    raise IsoViolation(
-                        f"adjacency of {ia.label()} and {ib.label()} is not preserved"
-                    )
-        return {
-            "variant": "quotient",
-            "identity_vertices": len(re_vertices),
-            "classes": len(partition.keys),
-            "class_sizes": [len(partition.classes[k]) for k in partition.keys],
-        }
-
-    vertex_masks = {i.mask for i in graded_vertices}
-    images = [extension[ie.mask] for ie in re_vertices]
-    if len(set(images)) != len(images):
-        raise IsoViolation("two identity-component ideals extend to one graded ideal")
-    missing = vertex_masks - set(images)
-    if missing:
-        mask = sorted(missing, key=lambda m: (m.bit_count(), m))[0]
-        raise IsoViolation(
-            f"graded ideal {ideal_label(grading.ring, mask)} is not an extension"
-        )
-    zero_full = grading.ring.zero_mask
-    for a in range(len(re_vertices)):
-        for b in range(a + 1, len(re_vertices)):
-            ia, ib = re_vertices[a], re_vertices[b]
-            left = (ia.mask & ib.mask) != zero_re
-            right = (extension[ia.mask] & extension[ib.mask]) != zero_full
-            if left != right:
-                raise IsoViolation(
-                    f"adjacency of {ia.label()} and {ib.label()} is not preserved"
-                )
-    return {
-        "variant": "first_strong",
-        "identity_vertices": len(re_vertices),
-        "graded_vertices": len(vertex_masks),
-    }
+        source_of[t] = a
+    if None in source_of:
+        raise IsoViolation(f"{target.labels[source_of.index(None)]} is not in the image")
+    source_bit = [1 << a for a in source_of]
+    for a, t in enumerate(image):
+        pulled = sum([source_bit[u] for u in mask_members(target.adj[t])])
+        diff = source.adj[a] ^ pulled
+        if diff:
+            raise IsoViolation(
+                f"adjacency of {source.labels[a]} and "
+                f"{source.labels[mask_members(diff)[0]]} is not preserved"
+            )
 
 
 def gamma_omega_transfer(
@@ -265,17 +217,15 @@ def gamma_omega_transfer(
     number predicted for the graded graph: the heaviest clique of the
     identity component's graph, each vertex weighted by its class size.
     """
-    class_size = [
-        len(partition.classes[partition.class_key_of[extension[ie.mask]]])
-        for ie in re_vertices
-    ]
+    sizes = [members.bit_count() for members in partition.classes]
+    class_size = [sizes[partition.class_of[extension[ie.mask]]] for ie in re_vertices]
     return {
         "gamma_identity": domination_number(re_graph),
         "gamma_graded": domination_number(graded_graph),
         "omega_identity": clique_number(re_graph),
         "omega_graded": clique_number(graded_graph),
         "omega_from_classes": clique_number(re_graph, class_size),
-        "class_sizes": [len(partition.classes[k]) for k in partition.keys],
+        "class_sizes": sizes,
     }
 
 

@@ -12,8 +12,14 @@ from math import inf
 
 import numpy as np
 
-from idealgraphs.errors import InvalidConstruction, NotASubring
+from idealgraphs.errors import (
+    InvalidConstruction,
+    IsoViolation,
+    NotASubring,
+    WellDefinednessViolation,
+)
 from idealgraphs.grading import validate_grading
+from idealgraphs.graph_engine import graph_from_edges
 from idealgraphs.ring_core import (
     FiniteGroup,
     _induced_ring,
@@ -742,3 +748,64 @@ def brute_components(graph) -> int:
             seen.add(a)
             stack.extend(nbrs[a])
     return count
+
+
+# --- the identity-component transfer, pair by pair: the loops the library
+# ran before it read the graphs' rows, with adjacency taken from a graph
+
+
+def pairwise_quotient(partition, graph):
+    """The quotient of `graph` by the classes of a SimPartition, or the
+    WellDefinednessViolation the library raises for it.  For each class in
+    key order every pair inside it must be adjacent; then, for each later
+    class, every cross pair must give the same verdict."""
+    classes = [mask_members(m) for m in partition.classes]
+    held = sorted(v for members in classes for v in members)
+    if held != list(range(graph.n)):
+        raise WellDefinednessViolation(
+            f"the graded graph has {graph.n} vertices, the trace classes hold {len(held)}"
+        )
+    names = [ideal_label(partition.re_ring, key) for key in partition.keys]
+    edges = []
+    for i, members in enumerate(classes):
+        for a, b in itertools.combinations(members, 2):
+            if not graph.has_edge(a, b):
+                raise WellDefinednessViolation(
+                    f"class {names[i]} is not a clique: {graph.labels[a]} meets "
+                    f"{graph.labels[b]} only in 0"
+                )
+        for j in range(i + 1, len(classes)):
+            verdicts = {graph.has_edge(a, b) for a in members for b in classes[j]}
+            if len(verdicts) > 1:
+                raise WellDefinednessViolation(
+                    f"adjacency between classes {names[i]} and {names[j]} "
+                    "depends on representatives"
+                )
+            if verdicts.pop():
+                edges.append((i, j))
+    return graph_from_edges(len(classes), edges, names)
+
+
+def pairwise_phi_iso(source, image, target) -> None:
+    """Raise the IsoViolation the library raises when `image` (source vertex
+    -> target vertex or None) is not a graph isomorphism onto target: every
+    vertex needs an image in range, images must be distinct and cover the
+    target, and then each pair (a, b), a < b, must keep its adjacency."""
+    for a, t in enumerate(image):
+        if t not in range(target.n):
+            raise IsoViolation(f"{source.labels[a]} has no image")
+    if len(set(image)) != len(image):
+        b = next(b for b in range(len(image)) if image[b] in image[:b])
+        a = image.index(image[b])
+        raise IsoViolation(
+            f"{source.labels[a]} and {source.labels[b]} both map to "
+            f"{target.labels[image[b]]}"
+        )
+    missing = [t for t in range(target.n) if t not in image]
+    if missing:
+        raise IsoViolation(f"{target.labels[missing[0]]} is not in the image")
+    for a, b in itertools.combinations(range(source.n), 2):
+        if source.has_edge(a, b) != target.has_edge(image[a], image[b]):
+            raise IsoViolation(
+                f"adjacency of {source.labels[a]} and {source.labels[b]} is not preserved"
+            )

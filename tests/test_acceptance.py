@@ -26,7 +26,6 @@ from idealgraphs import (
     leading_ideal,
     make_cyclic_ring,
     nontrivial_proper,
-    phi_iso_check,
     run_all,
     run_check,
     theorem_ids,
@@ -147,13 +146,7 @@ def test_criterion_05_fixed_points(corpus_instances):
     checks.append(("doubled z4 clique formula", omega == 4 and omega == bound))
 
     z4c2 = corpus_instances["z4c2"]
-    phi = phi_iso_check(
-        z4c2.grading,
-        z4c2.re_ring,
-        z4c2.re_vertices,
-        z4c2.extension,
-        graded_vertices=z4c2.graded_vertices,
-    )
+    phi = z4c2.first_strong_iso  # phi_iso_check onto the graded graph
     checks.append(
         (
             "group ring copies its coefficient graph",

@@ -379,3 +379,84 @@ class TestCorpusCommand:
         assert lines[1] == "z2:"
         assert any(line.startswith("instances: 1  pass: ") for line in lines)
         assert lines[-1] == "files with errors: ['a_zn1']"
+
+
+# documents of the wrong shape: each is refused with the path of its fault
+MALFORMED = {
+    "algebra_table_number": (
+        {"ring": {"algebra": {"n": 2, "dim": 1, "table": 5}}, "grading": {"trivial": {}}},
+        "$.ring.algebra.table",
+    ),
+    "algebra_table_flat": (
+        {"ring": {"algebra": {"n": 2, "dim": 1, "table": [[5]]}}, "grading": {"trivial": {}}},
+        "$.ring.algebra.table",
+    ),
+    "algebra_basis_number": (
+        {
+            "ring": {"algebra": {"n": 2, "dim": 1, "table": [[[1]]], "basis": 3}},
+            "grading": {"trivial": {}},
+        },
+        "$.ring.algebra.basis",
+    ),
+    "algebra_dim_bool": (
+        {"ring": {"algebra": {"n": 2, "dim": True, "table": [[[1]]]}}, "grading": {"trivial": {}}},
+        "$.ring.algebra",
+    ),
+    "group_names_number": (
+        {"ring": {"zn": 4}, "grading": {"trivial": {"group": {"table": [[0]], "names": 3}}}},
+        "$.grading.trivial.group",
+    ),
+    "group_table_strings": (
+        {
+            "ring": {"group_ring": {"base": {"zn": 2}, "group": {"table": [["e"]]}}},
+            "grading": "canonical",
+        },
+        "$.ring.group_ring.group",
+    ),
+    "zn_bool": ({"ring": {"zn": True}, "grading": {"trivial": {}}}, "$.ring.zn"),
+    "cap_bool": (
+        {"ring": {"zn": 4}, "grading": {"trivial": {}}, "limits": {"max_ring_size": True}},
+        "$.limits.max_ring_size",
+    ),
+    "cyclic_bool": (
+        {"ring": {"zn": 4}, "grading": {"trivial": {"group": {"cyclic": True}}}},
+        "$.grading.trivial.group",
+    ),
+    "zn_quotient_string": (
+        {
+            "ring": {"idealization": {"base": {"zn": 4}, "module": {"zn_quotient": "2"}}},
+            "grading": "canonical",
+        },
+        "$.ring.idealization.module",
+    ),
+    "component_bool": (
+        {
+            "ring": {"zn": 4},
+            "grading": {"explicit": {"group": "integers", "components": {"0": [True]}}},
+        },
+        "$.grading.explicit.components.0",
+    ),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_refused_with_the_path(self, name):
+        doc, path = MALFORMED[name]
+        with pytest.raises(SchemaError) as err:
+            parse_instance(doc)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_corpus_sweep_lists_every_bad_file(self, corpus_dir, tmp_path, capsys):
+        for name, (doc, _) in MALFORMED.items():
+            write(tmp_path, f"{name}.json", doc)
+        (tmp_path / "z12.json").write_text((corpus_dir / "z12.json").read_text())
+        assert main(["corpus", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.out.splitlines()
+        for name, (_, path) in MALFORMED.items():
+            assert f"{name}: ERROR {path}: " in captured.out
+        assert "z12:" in lines
+        assert any(line.startswith("instances: 1  pass: ") for line in lines)
+        assert lines[-1] == f"files with errors: {sorted(MALFORMED)}"

@@ -33,6 +33,18 @@ def test_each_check_alone_matches_run_all(path):
             assert run_check(fresh, report.theorem_id) == report
 
 
+def test_vertex_lists_are_in_their_graphs_order(corpus_instances):
+    # the transfer reads graph rows by list position, so each list must be
+    # in its graph's vertex order: (size, mask)
+    for name, inst in corpus_instances.items():
+        for which in ("graded", "all", "re"):
+            vertices = getattr(inst, f"{which}_vertices")
+            graph = getattr(inst, f"{which}_graph")
+            keys = [v.sort_key() for v in vertices]
+            assert keys == sorted(keys), (name, which)
+            assert [v.label() for v in vertices] == list(graph.labels), (name, which)
+
+
 def _count_calls(monkeypatch, name, key):
     """Wrap the package function `name` wherever a module binds it; each
     call is counted under key(*args), and the arguments are kept alive so

@@ -1,11 +1,20 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealgraphs import (
+    Graph,
+    IsoViolation,
     NotEFaithful,
+    SimPartition,
+    WellDefinednessViolation,
     WrongConstruction,
     enumerate_graded_left_ideals,
     enumerate_left_ideals,
     gamma_omega_transfer,
+    graph_from_edges,
     identity_component_ring,
     induced_factor_grading,
     is_connected,
@@ -15,6 +24,8 @@ from idealgraphs import (
     quotient_graph,
     sim_partition,
 )
+from idealgraphs.ring_core import mask_members
+from oracles import pairwise_phi_iso, pairwise_quotient
 
 
 class TestIdentityComponent:
@@ -36,17 +47,17 @@ class TestIdentityComponent:
 class TestSimPartition:
     def test_group_ring_single_class(self, corpus_instances):
         inst = corpus_instances["z4c2"]
-        part = sim_partition(inst.grading, inst.graded_vertices, *inst.identity_data)
+        part = sim_partition(inst.graded_vertices, *inst.identity_data)
         assert len(part.keys) == 1
-        (members,) = part.classes.values()
-        assert [i.label() for i in members] == ["<2>"]
+        (members,) = part.classes
+        assert [inst.graded_vertices[v].label() for v in mask_members(members)] == ["<2>"]
 
     def test_matrix_ring_classes(self, corpus_instances):
         inst = corpus_instances["m2f2"]
-        part = sim_partition(inst.grading, inst.graded_vertices, *inst.identity_data)
+        part = sim_partition(inst.graded_vertices, *inst.identity_data)
         # two identity-component ideals, one graded ideal over each
         assert len(part.keys) == 2
-        assert sorted(len(v) for v in part.classes.values()) == [1, 1]
+        assert sorted(m.bit_count() for m in part.classes) == [1, 1]
 
     def test_rejects_unfaithful_gradings(self, corpus_instances):
         inst = corpus_instances["f2xy_12"]
@@ -55,7 +66,8 @@ class TestSimPartition:
 
     def test_quotient_graph_of_group_ring(self, corpus_instances):
         inst = corpus_instances["z4c2"]
-        g = quotient_graph(sim_partition(inst.grading, inst.graded_vertices, *inst.identity_data))
+        part = sim_partition(inst.graded_vertices, *inst.identity_data)
+        g = quotient_graph(part, inst.graded_graph)
         assert g.n == 1
         assert g.edge_count == 0
 
@@ -64,27 +76,21 @@ class TestPhiIsomorphism:
     @pytest.mark.parametrize("name", ["z12", "z4c2", "z8c2", "m2f2", "f4", "z2c3"])
     def test_quotient_variant_on_faithful_instances(self, corpus_instances, name):
         inst = corpus_instances[name]
-        report = phi_iso_check(
-            inst.grading,
-            inst.re_ring,
-            inst.re_vertices,
-            inst.extension,
-            partition=inst.partition,
-            quotient=quotient_graph(inst.partition),
-        )
+        class_of = inst.partition.class_of
+        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        target = quotient_graph(inst.partition, inst.graded_graph)
+        assert phi_iso_check(inst.re_graph, image, target) is None
+        report = inst.quotient_iso
         assert report["variant"] == "quotient"
         assert report["identity_vertices"] == report["classes"]
 
     @pytest.mark.parametrize("name", ["z12", "z4c2", "z8c2", "z2c3"])
     def test_first_strong_variant(self, corpus_instances, name):
         inst = corpus_instances[name]
-        report = phi_iso_check(
-            inst.grading,
-            inst.re_ring,
-            inst.re_vertices,
-            inst.extension,
-            graded_vertices=inst.graded_vertices,
-        )
+        position = {v.mask: i for i, v in enumerate(inst.graded_vertices)}
+        image = [position[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        assert phi_iso_check(inst.re_graph, image, inst.graded_graph) is None
+        report = inst.first_strong_iso
         assert report["variant"] == "first_strong"
         assert report["identity_vertices"] == report["graded_vertices"]
 
@@ -92,6 +98,189 @@ class TestPhiIsomorphism:
         inst = corpus_instances["m2f2"]  # identity faithful but not first strong
         with pytest.raises(WrongConstruction):
             inst.first_strong_iso
+
+
+# the corpus instances with an identity-faithful or a first-strong grading
+TRANSFER = [
+    "f4", "m2f2", "z12", "z2", "z2c2", "z2c3", "z2xz2", "z4", "z4c2",
+    "z4xz4_product", "z8_int", "z8c2",
+]
+
+
+def test_transfer_list_is_every_faithful_instance(corpus_instances):
+    assert TRANSFER == [
+        n for n, i in corpus_instances.items() if i.e_faithful or i.first_strong
+    ]
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the kind and text of the violation it raises."""
+    try:
+        return fn(*args)
+    except (IsoViolation, WellDefinednessViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _flip(graph: Graph, u: int, v: int) -> Graph:
+    adj = list(graph.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return Graph(n=graph.n, adj=tuple(adj), labels=graph.labels)
+
+
+def _random_graph(data, n: int, labels) -> Graph:
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k], labels)
+
+
+def _with_extra_vertex(data, graph: Graph) -> Graph:
+    """graph plus one vertex, labelled "extra", joined to a drawn subset."""
+    n = graph.n
+    joined = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges = graph.edges + [(v, n) for v in range(n) if joined[v]]
+    return graph_from_edges(n + 1, edges, graph.labels + ("extra",))
+
+
+def _planted_partition(data, inst, k: int) -> SimPartition:
+    """The graded vertices dealt into k nonempty classes, keyed by the first
+    k trace keys of the instance's own partition (every corpus class is a
+    single vertex, so only a planted partition has larger classes)."""
+    n = len(inst.graded_vertices)
+    order = data.draw(st.permutations(range(n)))
+    owner = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)) if k else []
+    for c in range(k):
+        owner[order[c]] = c
+    classes = tuple(sum(1 << v for v in range(n) if owner[v] == c) for c in range(k))
+    return SimPartition(inst.re_ring, inst.partition.keys[:k], classes, class_of={})
+
+
+def _blow_up(data, part: SimPartition, labels) -> Graph:
+    """A graph the partition collapses cleanly: classes are cliques, and a
+    drawn quotient decides each block between two classes."""
+    quotient = _random_graph(data, len(part.classes), None)
+    owner = {v: c for c, m in enumerate(part.classes) for v in mask_members(m)}
+    edges = [
+        (u, v) for u, v in itertools.combinations(sorted(owner), 2)
+        if owner[u] == owner[v] or quotient.has_edge(owner[u], owner[v])
+    ]
+    return graph_from_edges(len(owner), edges, labels)
+
+
+# branch -> text the violation must contain; None: no violation, "": any outcome
+QUOTIENT_BRANCHES = {
+    "clean": None,
+    "random": "",
+    "order": "the graded graph has",
+    "non-clique class": "is not a clique",
+    "mixed block": "depends on representatives",
+}
+
+
+@pytest.mark.parametrize("branch", QUOTIENT_BRANCHES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_quotient_matches_the_pairwise_reference(corpus_instances, branch, data):
+    for name in TRANSFER:
+        inst = corpus_instances[name]
+        if not inst.e_faithful:
+            continue
+        labels = inst.graded_graph.labels
+        n = len(labels)
+        # a non-clique class needs a class of two; a mixed block, two classes
+        # and three vertices
+        low, high = {"non-clique class": (1, n - 1), "mixed block": (2, n - 1)}.get(
+            branch, (min(n, 1), n)
+        )
+        if low > high:
+            continue
+        part = _planted_partition(data, inst, data.draw(st.integers(low, high)))
+        graph = _blow_up(data, part, labels)
+        if branch == "random":
+            graph = _random_graph(data, n, labels)
+        elif branch == "order":
+            graph = (
+                _with_extra_vertex(data, graph) if n == 0 or data.draw(st.booleans())
+                else _random_graph(data, n - 1, labels[:-1])
+            )
+        elif branch == "non-clique class":
+            members = data.draw(st.sampled_from([m for m in part.classes if m.bit_count() > 1]))
+            u, v = data.draw(st.permutations(mask_members(members)))[:2]
+            graph = _flip(graph, u, v)
+        elif branch == "mixed block":
+            c = data.draw(st.sampled_from([m for m in part.classes if m.bit_count() > 1]))
+            d = data.draw(st.sampled_from([m for m in part.classes if m != c]))
+            graph = _flip(
+                graph,
+                data.draw(st.sampled_from(mask_members(c))),
+                data.draw(st.sampled_from(mask_members(d))),
+            )
+        got = _outcome(quotient_graph, part, graph)
+        assert got == _outcome(pairwise_quotient, part, graph), name
+        expected = QUOTIENT_BRANCHES[branch]
+        if expected is None:
+            assert isinstance(got, Graph), (name, got)
+        elif expected:
+            assert got[0] == "WellDefinednessViolation" and expected in got[1], (name, got)
+
+
+ISO_BRANCHES = {
+    "clean": None,
+    "random": "",
+    "no image": "has no image",
+    "two sources on one image": "both map to",
+    "unhit target": "extra is not in the image",
+    "broken pair": "is not preserved",
+}
+
+
+def _isomorphisms(inst):
+    """(image, target) for each transfer variant the instance's grading
+    supports: onto the trace-class quotient, and onto the graded graph."""
+    out = []
+    if inst.e_faithful:
+        class_of = inst.partition.class_of
+        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        out.append((image, inst.quotient))
+    if inst.first_strong:
+        position = {v.mask: i for i, v in enumerate(inst.graded_vertices)}
+        image = [position[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        out.append((image, inst.graded_graph))
+    return out
+
+
+@pytest.mark.parametrize("branch", ISO_BRANCHES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_isomorphism_matches_the_pairwise_reference(corpus_instances, branch, data):
+    for name in TRANSFER:
+        inst = corpus_instances[name]
+        source = inst.re_graph
+        n = source.n
+        if n < {"no image": 1, "two sources on one image": 2, "broken pair": 2}.get(branch, 0):
+            continue
+        for image, target in _isomorphisms(inst):
+            image = list(image)
+            if branch == "random":
+                target = _random_graph(data, target.n, target.labels)
+            elif branch == "no image":
+                a = data.draw(st.integers(0, n - 1))
+                image[a] = data.draw(st.sampled_from([None, -1, target.n]))
+            elif branch == "two sources on one image":
+                a, b = sorted(data.draw(st.permutations(range(n)))[:2])
+                image[b] = image[a]
+            elif branch == "unhit target":
+                target = _with_extra_vertex(data, target)
+            elif branch == "broken pair":
+                u, v = data.draw(st.permutations(range(target.n)))[:2]
+                target = _flip(target, u, v)
+            got = _outcome(phi_iso_check, source, image, target)
+            assert got == _outcome(pairwise_phi_iso, source, image, target), name
+            expected = ISO_BRANCHES[branch]
+            if expected is None:
+                assert got is None, (name, got)
+            elif expected:
+                assert got[0] == "IsoViolation" and expected in got[1], (name, got)
 
 
 class TestTransferNumbers:

@@ -396,19 +396,48 @@ class TestPlantedGraphReports:
         assert len(failing) >= 23, sorted(failing)
 
 
+class TestPlantedGraphOrder:
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_transfer_checks_fail_with_a_witness(self, corpus_instances, extra):
+        # the transfer reads the graded graph by position, so a planted
+        # graph with one vertex too few or too many refutes it
+        ids = ["t1001", "t56", "groupring_example"]
+        failing = set()
+        for name, clean in corpus_instances.items():
+            n = len(clean.graded_vertices) + extra
+            if n < 0:
+                continue
+            inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
+            inst.__dict__["graded_graph"] = graph_from_edges(n, [])
+            for rep in run_all(inst, ids):
+                if rep.verdict in ("VACUOUS", "SKIPPED"):
+                    continue
+                assert rep.verdict == "FAIL" and rep.witness, (name, rep)
+                failing.add(rep.theorem_id)
+        assert sorted(failing) == sorted(ids)
+
+
 class TestIsomorphismReports:
     def test_one_comparison_per_variant_in_run_all(self, corpus_dir, monkeypatch):
         # t56 and groupring_example share the instance's first-strong report
-        variants = []
+        targets = []
         real = structure_maps.phi_iso_check
 
-        def counting(*args, **kwargs):
-            report = real(*args, **kwargs)
-            variants.append(report["variant"])
-            return report
+        def counting(source, image, target):
+            targets.append(target)
+            return real(source, image, target)
 
         monkeypatch.setattr(structure_maps, "phi_iso_check", counting)
-        verdicts = verdict_map(load_instance(str(corpus_dir / "z2c3.json")))
+        inst = load_instance(str(corpus_dir / "z2c3.json"))
+        verdicts = verdict_map(inst)
         assert verdicts["t1001"] == verdicts["t56"] == "PASS"
         assert verdicts["groupring_example"] == "PASS"
+        variants = [
+            "quotient" if t is inst.quotient
+            else "first_strong" if t is inst.graded_graph
+            else "other"
+            for t in targets
+        ]
         assert sorted(variants) == ["first_strong", "quotient"]
+        assert inst.quotient_iso["variant"] == "quotient"
+        assert inst.first_strong_iso["variant"] == "first_strong"
