@@ -122,7 +122,6 @@ _EXPORTS = {
     ),
     "structure_maps": (
         "SimPartition",
-        "gamma_omega_transfer",
         "identity_component_ring",
         "induced_factor_grading",
         "phi_iso_check",
@@ -130,11 +129,8 @@ _EXPORTS = {
         "sim_partition",
     ),
     "ordered_grading": (
-        "LeadingIdealResult",
         "leading_ideal",
         "leading_part",
-        "lemma_ll_check",
-        "ordered_comparison_check",
     ),
     "instance": (
         "Instance",

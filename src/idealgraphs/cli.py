@@ -109,8 +109,19 @@ def _parse_group(node, path: str, cap: int, of_group_ring: bool = False):
             path,
             "table group form is {'table': [rows], 'names'?: [...]}",
         )
-        _check_group_order(len(node["table"]), path, cap, of_group_ring)
-        return finite_grades(group_from_table(node["table"], node.get("names")))
+        table = node["table"]
+        _check_group_order(len(table), path, cap, of_group_ring)
+        _require(
+            table and all(len(row) == len(table) for row in table),
+            f"{path}.table",
+            "expected a nonempty square table, one row per element",
+        )
+        _require(
+            len(node.get("names", table)) == len(table),
+            f"{path}.names",
+            f"expected {len(table)} names, one per element",
+        )
+        return finite_grades(group_from_table(table, node.get("names")))
     raise UnknownConstructor(f"{path}: unknown group form {sorted(node)!r}")
 
 
@@ -169,9 +180,20 @@ def _parse_ring(node, path: str, max_size: int) -> FiniteRing:
             f"{path}.algebra.basis",
             "expected a list of basis names",
         )
-        return algebra_over_zn(
-            val["n"], val["dim"], val["table"], val.get("basis"), max_size
-        )
+        dim, table = val["dim"], val["table"]
+        if dim >= 1:  # the constructor refuses an algebra without a basis
+            _require(
+                len(table) == dim
+                and all(len(row) == dim and all(len(c) == dim for c in row) for row in table),
+                f"{path}.algebra.table",
+                f"expected {dim} rows of {dim} cells, each of {dim} coefficients",
+            )
+            _require(
+                len(val.get("basis", table)) == dim,
+                f"{path}.algebra.basis",
+                f"expected {dim} basis names",
+            )
+        return algebra_over_zn(val["n"], dim, table, val.get("basis"), max_size)
     if key == "group_ring":
         _require(
             isinstance(val, dict) and set(val) == {"base", "group"},

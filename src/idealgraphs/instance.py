@@ -14,17 +14,17 @@ An Instance builds each derived object at most once, on first use:
 - the base family and the submodule family of a composite carrier;
 - the induced grading, and its graded graph, of each direct-sum factor.
 
-The checks in theorem_suite, the command line, and the transfer and
-comparison functions of structure_maps and ordered_grading all take these
-objects from here, so one run over every check derives each object once.
-Each vertex list is in (size, mask) order, the order of its graph's
-vertices, so a position in the list is a vertex of the graph.
+The checks in theorem_suite and the command line take these objects from
+here, so one run over every check derives each object once.  Each check
+computes its own comparisons from them: graph invariants, maximal members,
+leading ideals.  Each vertex list is in (size, mask) order, the order of
+its graph's vertices, so a position in the list is a vertex of the graph.
 
 The caches live on the Instance, never on the ring or the grading: the
 families, gradings and graphs point back at the ring, so a cache hung on the
 ring would form a reference cycle that only the cycle collector frees.
-structure_maps and ordered_grading are imported where they are first
-needed, so loading an instance does not load them.
+structure_maps is imported where it is first needed, so loading an
+instance does not load it.
 """
 
 from __future__ import annotations
@@ -204,24 +204,6 @@ class Instance:
             "identity_vertices": len(image),
             "graded_vertices": len(position),
         }
-
-    @cached_property
-    def transfer_report(self) -> dict:
-        from .structure_maps import gamma_omega_transfer
-
-        partition = self.partition  # before the extension, as in quotient_iso
-        return gamma_omega_transfer(
-            partition, self.re_vertices, self.re_graph, self.graded_graph, self.extension
-        )
-
-    @cached_property
-    def ordered_report(self) -> dict:
-        from .ordered_grading import ordered_comparison_check
-
-        return ordered_comparison_check(
-            self.grading, self.graded_family, self.all_family,
-            self.graded_graph, self.all_graph,
-        )
 
     # -- parts of composite carriers
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import IsoViolation, WellDefinednessViolation
 from .grading import Grading, validate_grading
-from .graph_engine import Graph, clique_number, domination_number
+from .graph_engine import Graph
 from .ideal_lattice import (
     IdealSet,
     generated_left_ideal,
@@ -202,31 +202,6 @@ def phi_iso_check(source: Graph, image: Sequence[int | None], target: Graph) -> 
                 f"adjacency of {source.labels[a]} and "
                 f"{source.labels[mask_members(diff)[0]]} is not preserved"
             )
-
-
-def gamma_omega_transfer(
-    partition: SimPartition,
-    re_vertices: Sequence[IdealSet],
-    re_graph: Graph,
-    graded_graph: Graph,
-    extension: dict,
-) -> dict:
-    """Compare domination and clique numbers across the transfer.
-
-    Reports both domination numbers, both clique numbers, and the clique
-    number predicted for the graded graph: the heaviest clique of the
-    identity component's graph, each vertex weighted by its class size.
-    """
-    sizes = [members.bit_count() for members in partition.classes]
-    class_size = [sizes[partition.class_of[extension[ie.mask]]] for ie in re_vertices]
-    return {
-        "gamma_identity": domination_number(re_graph),
-        "gamma_graded": domination_number(graded_graph),
-        "omega_identity": clique_number(re_graph),
-        "omega_graded": clique_number(graded_graph),
-        "omega_from_classes": clique_number(re_graph, class_size),
-        "class_sizes": sizes,
-    }
 
 
 def induced_factor_grading(grading: Grading, factor_mask: int) -> Grading:

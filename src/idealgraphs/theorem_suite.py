@@ -61,12 +61,13 @@ from .ideal_lattice import (
     is_maximal,
     is_minimal,
     known_sum,
+    maximal_chain_term_counts,
     maximal_members,
     min_generator_count,
     minimal_members,
 )
 from .instance import Instance
-from .ordered_grading import lemma_ll_check
+from .ordered_grading import leading_ideal
 from .ring_core import FiniteModule, FiniteRing, index_mask, mask_members
 
 # The checks reach structure_maps through Instance, which imports it on first
@@ -755,15 +756,12 @@ def _check_conn_equiv(inst: Instance) -> Finding:
 def _check_gamma_eq(inst: Instance) -> Finding:
     if not inst.e_faithful:
         return Finding(False)
-    rep = inst.transfer_report
-    details = {
-        "gamma_identity": rep["gamma_identity"],
-        "gamma_graded": rep["gamma_graded"],
-    }
-    equal = rep["gamma_identity"] == rep["gamma_graded"]
+    gamma_identity = domination_number(inst.re_graph)
+    gamma_graded = domination_number(inst.graded_graph)
+    details = {"gamma_identity": gamma_identity, "gamma_graded": gamma_graded}
     return Finding(
         True,
-        [("domination_equal", PASS if equal else FAIL)],
+        [("domination_equal", PASS if gamma_identity == gamma_graded else FAIL)],
         str(details),
         details=details,
     )
@@ -782,18 +780,26 @@ def _check_omega_formula(inst: Instance) -> Finding:
     annotations = ("finiteness holds outright on finite carriers",)
     if not inst.e_faithful:
         return Finding(False, annotations=annotations)
-    rep = inst.transfer_report
+    try:
+        partition = inst.partition  # before the extension, as in quotient_iso
+        extension = inst.extension
+    except (IsoViolation, WellDefinednessViolation) as exc:
+        directions = [("finiteness_equivalence", PASS), ("clique_sum_formula", FAIL)]
+        return Finding(True, directions, str(exc), annotations)
+    sizes = [members.bit_count() for members in partition.classes]
+    # each identity-component vertex weighs the size of its extension's class
+    weights = [sizes[partition.class_of[extension[ie.mask]]] for ie in inst.re_vertices]
     details = {
-        "omega_graded": rep["omega_graded"],
-        "omega_identity": rep["omega_identity"],
-        "omega_from_classes": rep["omega_from_classes"],
-        "class_sizes": rep["class_sizes"],
+        "omega_graded": clique_number(inst.graded_graph),
+        "omega_identity": clique_number(inst.re_graph),
+        "omega_from_classes": clique_number(inst.re_graph, weights),
+        "class_sizes": sizes,
     }
     directions = [
         ("finiteness_equivalence", PASS),
         (
             "clique_sum_formula",
-            PASS if rep["omega_graded"] == rep["omega_from_classes"] else FAIL,
+            PASS if details["omega_graded"] == details["omega_from_classes"] else FAIL,
         ),
     ]
     return Finding(True, directions, str(details), annotations, details)
@@ -1114,12 +1120,36 @@ def _check_planarity_cor(inst: Instance) -> Finding:
     kinds=("integer",),
 )
 def _check_lemma_ll(inst: Instance) -> Finding:
-    rep = lemma_ll_check(inst.grading, inst.all_family)
+    grading, zero = inst.grading, inst.ring.zero_mask
+    ideals = sorted(inst.all_family, key=lambda i: i.sort_key())
+    lead = {i.mask: leading_ideal(grading, i.mask) for i in ideals}
+    violations = []  # (law, witness) in the order found
+    for i in ideals:
+        li = lead[i.mask]
+        if (li == i.mask) != is_graded(grading, i.mask):
+            violations.append(("fixed_iff_graded", i.label()))
+        if (li == zero) != (i.mask == zero):
+            violations.append(("zero_iff_zero", i.label()))
+        if leading_ideal(grading, li) != li:
+            violations.append(("idempotent", i.label()))
+    nested_pairs = 0
+    for i in ideals:
+        for j in ideals:
+            if i.mask == j.mask or i.mask | j.mask != j.mask:
+                continue
+            nested_pairs += 1
+            li, lj = lead[i.mask], lead[j.mask]
+            if li | lj != lj:
+                violations.append(("monotone", f"{i.label()} inside {j.label()}"))
+            if li == lj:
+                violations.append(("nested_separated", f"{i.label()} inside {j.label()}"))
+    broken = {law for law, _ in violations}
+    laws = ("fixed_iff_graded", "zero_iff_zero", "monotone", "nested_separated", "idempotent")
     return Finding(
         True,
-        [(name, PASS if ok else FAIL) for name, ok in rep["parts"].items()],
-        "; ".join(rep["violations"]) or None,
-        details={"checked": rep["checked"], "nested_pairs": rep["nested_pairs"]},
+        [(law, FAIL if law in broken else PASS) for law in laws],
+        "; ".join(f"{law}: {witness}" for law, witness in violations) or None,
+        details={"checked": len(ideals), "nested_pairs": nested_pairs},
     )
 
 
@@ -1131,15 +1161,13 @@ def _check_lemma_ll(inst: Instance) -> Finding:
     kinds=("integer",),
 )
 def _check_t543(inst: Instance) -> Finding:
-    rep = inst.ordered_report
+    graded = is_connected(inst.graded_graph)
+    full = is_connected(inst.all_graph)
     return Finding(
         True,
-        [("connectivity_agrees", PASS if rep["connectivity_agrees"] else FAIL)],
-        f"graded {rep['graded_connected']}, full {rep['all_connected']}",
-        details={
-            "graded_connected": rep["graded_connected"],
-            "all_connected": rep["all_connected"],
-        },
+        [("connectivity_agrees", PASS if graded == full else FAIL)],
+        f"graded {graded}, full {full}",
+        details={"graded_connected": graded, "all_connected": full},
     )
 
 
@@ -1152,17 +1180,13 @@ def _check_t543(inst: Instance) -> Finding:
     kinds=("integer",),
 )
 def _check_t544(inst: Instance) -> Finding:
-    rep = inst.ordered_report
-    hyp = rep["local"]
+    local = len(maximal_members(inst.all_family)) == 1
+    graded, full = girth(inst.graded_graph), girth(inst.all_graph)
     return Finding(
-        hyp,
-        [("girth_agrees", PASS if rep["girth_agrees"] else FAIL)] if hyp else [],
-        f"graded girth {rep['graded_girth']}, full girth {rep['all_girth']}",
-        details={
-            "graded_girth": str(rep["graded_girth"]),
-            "all_girth": str(rep["all_girth"]),
-            "local": rep["local"],
-        },
+        local,
+        [("girth_agrees", PASS if graded == full else FAIL)] if local else [],
+        f"graded girth {graded}, full girth {full}",
+        details={"graded_girth": str(graded), "all_girth": str(full), "local": local},
     )
 
 
@@ -1177,12 +1201,9 @@ def _check_t544(inst: Instance) -> Finding:
     kinds=("integer",),
 )
 def _check_r545(inst: Instance) -> Finding:
-    rep = inst.ordered_report
-    triggered = rep["branch_triggered"]
-    details = {
-        "branch_triggered": triggered,
-        "chain_term_counts": rep["chain_term_counts"],
-    }
+    triggered = girth(inst.graded_graph) == math.inf and girth(inst.all_graph) == 3
+    counts = sorted(maximal_chain_term_counts(inst.all_family))
+    details = {"branch_triggered": triggered, "chain_term_counts": counts}
     if not triggered:
         return Finding(
             True,
@@ -1194,16 +1215,21 @@ def _check_r545(inst: Instance) -> Finding:
             ],
             details=details,
         )
-    keys = (
-        "graded_local",
-        "graded_maximal_is_maximal",
-        "maxima_share_leading",
-        "four_term_chains",
-    )
+    maxima = maximal_members(inst.all_family)
+    graded_maxima = maximal_members(inst.graded_family)
+    found = {"graded_local": len(graded_maxima) == 1}
+    if found["graded_local"]:
+        m = graded_maxima[0].mask
+        found["graded_maximal_is_maximal"] = any(k.mask == m for k in maxima)
+        found["maxima_share_leading"] = all(
+            leading_ideal(inst.grading, k.mask) == m for k in maxima
+        )
+    found["four_term_chains"] = counts == [4]
     return Finding(
         True,
-        [("branch_structure", PASS if rep["branch_ok"] else FAIL)],
-        str({k: rep[k] for k in keys if k in rep}),
+        # graded_local is False whenever the two middle keys are missing
+        [("branch_structure", PASS if all(found.values()) else FAIL)],
+        str(found),
         details=details,
     )
 

@@ -436,6 +436,48 @@ MALFORMED = {
         },
         "$.grading.explicit.components.0",
     ),
+    # right types, wrong sizes
+    "group_table_empty": (
+        {"ring": {"zn": 4}, "grading": {"trivial": {"group": {"table": []}}}},
+        "$.grading.trivial.group.table",
+    ),
+    "group_row_short": (
+        {"ring": {"zn": 4}, "grading": {"trivial": {"group": {"table": [[0, 1], [1]]}}}},
+        "$.grading.trivial.group.table",
+    ),
+    "group_names_short": (
+        {
+            "ring": {"zn": 4},
+            "grading": {"trivial": {"group": {"table": [[0, 1], [1, 0]], "names": ["e"]}}},
+        },
+        "$.grading.trivial.group.names",
+    ),
+    "algebra_table_ragged": (
+        {
+            "ring": {"algebra": {"n": 2, "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1]]]}},
+            "grading": {"trivial": {}},
+        },
+        "$.ring.algebra.table",
+    ),
+    "algebra_cell_short": (
+        {
+            "ring": {"algebra": {"n": 2, "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [0]]]}},
+            "grading": {"trivial": {}},
+        },
+        "$.ring.algebra.table",
+    ),
+    "algebra_basis_short": (
+        {
+            "ring": {
+                "algebra": {
+                    "n": 2, "dim": 2, "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                    "basis": ["1"],
+                },
+            },
+            "grading": {"trivial": {}},
+        },
+        "$.ring.algebra.basis",
+    ),
 }
 
 

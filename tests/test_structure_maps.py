@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 
 from idealgraphs import (
     Graph,
+    IdealSet,
+    Instance,
     IsoViolation,
     NotEFaithful,
     SimPartition,
     WellDefinednessViolation,
     WrongConstruction,
+    domination_number,
     enumerate_graded_left_ideals,
     enumerate_left_ideals,
-    gamma_omega_transfer,
     graph_from_edges,
     identity_component_ring,
     induced_factor_grading,
@@ -22,6 +24,7 @@ from idealgraphs import (
     nontrivial_proper,
     phi_iso_check,
     quotient_graph,
+    run_all,
     sim_partition,
 )
 from idealgraphs.ring_core import mask_members
@@ -286,23 +289,51 @@ def test_isomorphism_matches_the_pairwise_reference(corpus_instances, branch, da
 class TestTransferNumbers:
     def test_group_ring_numbers(self, corpus_instances):
         inst = corpus_instances["z8c2"]
-        rep = gamma_omega_transfer(
-            inst.partition, inst.re_vertices, inst.re_graph, inst.graded_graph, inst.extension
-        )
-        assert rep["gamma_identity"] == rep["gamma_graded"] == 1
-        assert rep["omega_identity"] == rep["omega_graded"] == 2
-        assert rep["omega_from_classes"] == 2
-        assert rep["class_sizes"] == [1, 1]  # one graded ideal above each
+        gamma, omega = run_all(inst, ["gamma_eq", "omega_formula"])
+        assert gamma.details["gamma_identity"] == gamma.details["gamma_graded"] == 1
+        assert omega.details["omega_identity"] == omega.details["omega_graded"] == 2
+        assert omega.details["omega_from_classes"] == 2
+        assert omega.details["class_sizes"] == [1, 1]  # one graded ideal above each
 
     def test_matrix_ring_numbers(self, corpus_instances):
         inst = corpus_instances["m2f2"]
-        rep = gamma_omega_transfer(
-            inst.partition, inst.re_vertices, inst.re_graph, inst.graded_graph, inst.extension
-        )
+        gamma, omega = run_all(inst, ["gamma_eq", "omega_formula"])
         # two isolated vertices on both sides
-        assert rep["gamma_identity"] == rep["gamma_graded"] == 2
-        assert rep["omega_identity"] == rep["omega_graded"] == 1
-        assert rep["omega_from_classes"] == 1
+        assert gamma.details["gamma_identity"] == gamma.details["gamma_graded"] == 2
+        assert omega.details["omega_identity"] == omega.details["omega_graded"] == 1
+        assert omega.details["omega_from_classes"] == 1
+
+    def test_zero_trace_vertex_fails_the_clique_formula(self, corpus_instances):
+        # the set {0, b} of the matrix ring has no identity-degree part
+        clean = corpus_instances["m2f2"]
+        ring = clean.ring
+        planted = IdealSet(ring=ring, mask=1 << ring.zero | 1 << ring.names.index("b"))
+        inst = Instance(name="m2f2", ring=ring, grading=clean.grading)
+        inst.__dict__["graded_vertices"] = clean.graded_vertices + [planted]
+        t1001, gamma, omega = run_all(inst, ["t1001", "gamma_eq", "omega_formula"])
+        message = "graded ideal {0,b} has zero identity trace"
+        assert t1001.verdict == "FAIL" and t1001.witness == message
+        assert gamma.verdict == "PASS"
+        assert gamma.details == {"gamma_identity": 2, "gamma_graded": 2}
+        assert omega.verdict == "FAIL" and omega.witness == message
+        assert omega.directions == (
+            ("finiteness_equivalence", "PASS"),
+            ("clique_sum_formula", "FAIL"),
+        )
+
+    @pytest.mark.parametrize("name", ["f4", "z4"])
+    def test_domination_read_from_a_planted_full_graph(self, corpus_instances, name):
+        # under a trivial grading the identity component's graph is the full
+        # graph, so a planted full graph is what gamma_eq compares
+        clean = corpus_instances[name]
+        inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
+        inst.__dict__["all_graph"] = graph_from_edges(2, [])
+        (gamma,) = run_all(inst, ["gamma_eq"])
+        assert gamma.details == {
+            "gamma_identity": 2,
+            "gamma_graded": domination_number(clean.graded_graph),
+        }
+        assert gamma.verdict == ("PASS" if gamma.details["gamma_graded"] == 2 else "FAIL")
 
 
 class TestInducedFactorGrading:
