@@ -5,12 +5,15 @@ A grading assigns to each degree an additive subgroup (its component) such
 that the components sum directly to the whole ring and products respect
 degrees.  Degrees live either in a finite group (indices into a FiniteGroup)
 or in the integers (plain ints); the GradeGroup wrapper gives both the same
-interface.
+interface.  Validation proves the components sum directly to the ring; the
+decomposition of each element into its homogeneous parts is built from the
+same sums when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +78,25 @@ class Grading:
     grades: GradeGroup
     components: dict  # deg -> mask, nonzero components only; every mask holds 0
     support: tuple  # sorted degrees of the nonzero components
-    # decomposition[x] = ((deg, part), ...) listing the nonzero homogeneous
-    # parts of element x, sorted by degree
-    decomposition: tuple
+
+    @cached_property
+    def decomposition(self) -> tuple:
+        """decomposition[x] = ((deg, part), ...) lists the nonzero
+        homogeneous parts of element x, sorted by degree.  Built on first
+        read: validation proved that the sums of one member per component
+        hit every element once, so the position of x among those sums
+        names its parts."""
+        ring = self.ring
+        member_lists = [mask_members(self.components[d]) for d in self.support]
+        where = np.empty(ring.size, dtype=np.int64)
+        where[_component_sums(ring, member_lists)] = np.arange(ring.size)
+        # parts[i][x] is the part of x in component i
+        picks = np.unravel_index(where, [len(ms) for ms in member_lists])
+        parts = [np.asarray(ms)[c].tolist() for ms, c in zip(member_lists, picks)]
+        return tuple(
+            tuple((d, p) for d, p in zip(self.support, row) if p != ring.zero)
+            for row in zip(*parts)
+        )
 
     def component(self, deg: int) -> int:
         return self.components.get(deg, self.ring.zero_mask)
@@ -101,8 +120,18 @@ def decompose(grading: Grading, x: int) -> dict:
     return {deg: part for deg, part in grading.decomposition[x]}
 
 
+def _component_sums(ring: FiniteRing, member_lists: list[list[int]]) -> np.ndarray:
+    """The sum of every combination of one member per list, in
+    itertools.product order."""
+    sums = np.array([ring.zero])
+    for ms in member_lists:
+        sums = ring.add_array[sums[:, None], ms].ravel()
+    return sums
+
+
 def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict) -> Grading:
-    """Check the full grading contract and assemble the decomposition.
+    """Check the full grading contract; the decomposition of each element
+    is left to its first read.
 
     raw_components maps degree -> mask.  Zero components are dropped; the
     remaining ones must be additive subgroups meeting pairwise in 0, summing
@@ -125,10 +154,8 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
             f"component sizes multiply to {total}, ring has {ring.size} elements"
         )
     member_lists = [mask_members(comps[d]) for d in degs]
-    # the sum of every combination of members, in itertools.product order
-    sums = np.array([ring.zero])
-    for ms in member_lists:
-        sums = ring.add_array[sums[:, None], ms].ravel()
+    sums = _component_sums(ring, member_lists)
+    # no repeat and a size match mean every element is hit exactly once
     order = np.argsort(sums, kind="stable")
     repeats = order[1:][sums[order[1:]] == sums[order[:-1]]]
     if repeats.size:
@@ -136,16 +163,6 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
         raise NotDirectSum(
             f"element {ring.names[s]} decomposes two ways; components overlap"
         )
-    # injective + size match means every element was hit exactly once
-    where = np.empty(ring.size, dtype=np.int64)
-    where[sums] = np.arange(ring.size)
-    # one column of (degree, part) pairs per component, None for a zero part
-    columns = []
-    for d, ms, c in zip(degs, member_lists, np.unravel_index(where, sizes)):
-        pairs = np.empty(len(ms), dtype=object)
-        pairs[:] = [(d, p) if p != ring.zero else None for p in ms]
-        columns.append(pairs[c].tolist())
-    decomposition = [tuple(filter(None, row)) for row in zip(*columns)]
     # `*` is biadditive and each component a subgroup, so C_d C_e lies in
     # C_de exactly when the products of their additive generators do; all
     # of those are checked in one gather, against the component each
@@ -183,7 +200,6 @@ def validate_grading(ring: FiniteRing, grades: GradeGroup, raw_components: dict)
         grades=grades,
         components=comps,
         support=tuple(degs),
-        decomposition=tuple(decomposition),
     )
 
 

@@ -4,13 +4,16 @@ intersection graphs this package produces.
 Adjacency is a tuple of int bitmasks (bit j of adj[i] = edge i-j).  All
 invariants are exact: BFS for distances and components (the frontier is a
 vertex mask, and the next one is the union of its rows less the vertices
-seen, so a root costs one row union per vertex it reaches), a triangle test
+seen, so a root costs one row union per vertex it reaches, and the search
+stops once every vertex is seen), a triangle test
 and then BFS for girth, one pivoting branch and bound for the clique number
 and the heaviest clique under positive vertex weights, increasing-cardinality
 search for domination, and a Kuratowski-subdivision search for planarity on
 small orders (larger orders fall back to the edge-count bound or report
 unknown as None).  Each invariant is computed once per Graph and kept on it,
-so every caller asking about the same graph shares one computation.
+so every caller asking about the same graph shares one computation.  The
+vertex labels of an intersection graph are searched one at a time, when
+each is first read.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .errors import GraphTooLarge
 from .ring_core import mask_members
@@ -28,11 +31,47 @@ from .ring_core import mask_members
 MAX_EXACT_GRAPH_ORDER = 64
 
 
+class Labels(Sequence):
+    """Vertex labels, each computed by `label_of(v)` when it is first read
+    and then kept.  Equal to the tuple of all the labels, and, like a
+    tuple, sliced and concatenated into tuples."""
+
+    def __init__(self, n: int, label_of: Callable[[int], str]) -> None:
+        self._label_of = label_of
+        self._read: list[str | None] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._read)
+
+    def __getitem__(self, index):
+        at = range(len(self._read))[index]
+        if isinstance(at, range):
+            return tuple(self[v] for v in at)
+        label = self._read[at]
+        if label is None:
+            label = self._read[at] = self._label_of(at)
+        return label
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Labels, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | Labels
     # invariant name -> value, filled by the memoized invariants below
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -69,7 +108,9 @@ def graph_from_edges(
 
 
 def intersection_graph(masks: Sequence[int], zero_mask: int, labels: Sequence[str]) -> Graph:
-    """Vertices are the given sets; edges join pairs meeting outside zero."""
+    """Vertices are the given sets; edges join pairs meeting outside zero.
+    Labels passed as a `Labels` are kept as they are, so none is computed
+    before it is read."""
     n = len(masks)
     if n > MAX_EXACT_GRAPH_ORDER:
         raise GraphTooLarge(f"{n} vertices exceeds the exact-invariant cap")
@@ -79,19 +120,21 @@ def intersection_graph(masks: Sequence[int], zero_mask: int, labels: Sequence[st
             if masks[i] & masks[j] & ~zero_mask:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Graph(n=n, adj=tuple(adj), labels=tuple(labels))
+    if not isinstance(labels, Labels):
+        labels = tuple(labels)
+    return Graph(n=n, adj=tuple(adj), labels=labels)
 
 
 def build_intersection_graph(ideals: Sequence) -> Graph:
     """Intersection graph of a family of ideal sets (nonzero overlap is an
-    edge).  Vertex order follows (size, mask) so output is deterministic."""
+    edge).  Vertex order follows (size, mask) so output is deterministic.
+    A vertex's label is searched when it is first read."""
     family = sorted(ideals, key=lambda i: i.sort_key())
     if not family:
         return Graph(n=0, adj=(), labels=())
     zero_mask = family[0].ring.zero_mask
-    return intersection_graph(
-        [i.mask for i in family], zero_mask, [i.label() for i in family]
-    )
+    labels = Labels(len(family), lambda v: family[v].label())
+    return intersection_graph([i.mask for i in family], zero_mask, labels)
 
 
 def _per_graph(fn):
@@ -113,17 +156,21 @@ def _per_graph(fn):
 
 
 def _reach(adj: Sequence[int], root_mask: int) -> tuple[int, int]:
-    """Mask of the vertices reachable from root_mask, and their greatest
-    distance from it.  The BFS keeps its frontier as a mask: the next one is
-    the union of the frontier's rows, less the vertices already seen."""
+    """Mask of the vertices reachable from a nonempty root_mask, and their
+    greatest distance from it.  The BFS keeps its frontier as a mask: the
+    next one is the union of the frontier's rows, less the vertices already
+    seen.  It stops once every vertex is seen, as no layer can follow."""
+    everyone = (1 << len(adj)) - 1
     seen = frontier = root_mask
-    depth = -1
-    while frontier:
-        depth += 1
+    depth = 0
+    while seen != everyone:
         nxt = 0
         for u in mask_members(frontier):
             nxt |= adj[u]
         frontier = nxt & ~seen
+        if not frontier:
+            break
+        depth += 1
         seen |= frontier
     return seen, depth
 
@@ -216,8 +263,10 @@ def clique_number(g: Graph, weight: Sequence[int] | None = None) -> int:
     extends only by the non-neighbors of the candidate with the most
     candidate neighbors (a pivot), since every maximal clique, and so the
     heaviest one, holds the pivot or one of those.  The unweighted answer is
-    kept on the Graph.
+    kept on the Graph, and all-ones weights read it too.
     """
+    if weight is not None and all(w == 1 for w in weight):
+        weight = None
     if weight is None and "clique_number" in g.memo:
         return g.memo["clique_number"]
     _check_order(g)

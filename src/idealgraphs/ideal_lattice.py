@@ -5,10 +5,10 @@ known closed set is extended by the orbit R*x of each candidate element, and
 the closure of the union is taken.  That closure depends on x only through
 its orbit, and many candidates share one, so each distinct orbit mask is
 tried once per closed set, and one that already lies inside it is skipped as
-a mask test.  For left ideals the closure of (ideal + R*x) is just the
-additive span, because the union of two sets closed under left multiplication
-is still closed under it; that observation keeps the inner loop purely
-additive.
+a mask test; only the candidates' orbits are built (`left_multiples`).  For
+left ideals the closure of (ideal + R*x) is just the additive span, because
+the union of two sets closed under left multiplication is still closed under
+it; that observation keeps the inner loop purely additive.
 
 A sum is read from the lattice by its order before it is spanned.  For
 additive subgroups A and B, |A + B| = |A| |B| / |A & B| (second isomorphism
@@ -82,8 +82,9 @@ class IdealSet:
 def is_left_ideal(ring: FiniteRing, mask: int) -> bool:
     if not is_additive_subgroup(ring, mask):
         return False
-    lm = ring.left_multiple_masks
-    return all(lm[x] | mask == mask for x in mask_members(mask))
+    members = mask_members(mask)
+    lm = ring.left_multiples(members)
+    return all(lm[x] | mask == mask for x in members)
 
 
 def is_graded(grading: Grading, mask: int) -> bool:
@@ -102,7 +103,8 @@ def generated_left_ideal(ring: FiniteRing, generators: Iterable[int]) -> int:
     their left-multiple sets (each R*x is already closed under left
     multiplication, and sums stay closed by distributivity)."""
     seed = 0
-    lm = ring.left_multiple_masks
+    generators = list(generators)
+    lm = ring.left_multiples(generators)
     for x in generators:
         seed |= lm[x]
     return additive_span(ring, seed)
@@ -150,10 +152,12 @@ def _enumerate_closed(
     while frontier:
         nxt = []
         for cur in frontier:
-            members = mask_members(cur)
+            members = None  # listed before the first span from cur
             for orbit in orbits:
                 if cur | orbit == cur or known_sum(by_order, cur, orbit) is not None:
                     continue
+                if members is None:
+                    members = mask_members(cur)
                 closed = span_extend(add, cur, members, orbit, rows)
                 order = sum_order(cur, orbit)
                 if closed.bit_count() != order:
@@ -198,7 +202,7 @@ def enumerate_graded_left_ideals(
     masks = _enumerate_closed(
         ring.add_array,
         ring.zero,
-        ring.left_multiple_masks,
+        ring.left_multiples(candidates),
         candidates,
         max_ideals,
         "graded left ideal",
@@ -216,7 +220,8 @@ def enumerate_submodules(
 ) -> list[int]:
     """All submodule masks of a finite module, sorted by (size, mask)."""
     # the orbit R.x + Zx of x: R.x holds x = 1.x already
-    orbit = [m | 1 << x for x, m in enumerate(column_masks(module.act_array))]
+    columns = range(module.size)
+    orbit = [m | 1 << x for x, m in enumerate(column_masks(module.act_array, columns))]
     return _enumerate_closed(
         module.add_array, module.zero, orbit, range(module.size), max_count, "submodule"
     )
@@ -447,7 +452,7 @@ def _search_label(ring: FiniteRing, mask: int) -> str:
     if mask == ring.zero_mask:
         return "<0>"
     nonzero = [x for x in mask_members(mask) if x != ring.zero]
-    lm = ring.left_multiple_masks
+    lm = ring.left_multiples(nonzero)
     for x in nonzero:
         if lm[x] == mask:
             return f"<{ring.names[x]}>"

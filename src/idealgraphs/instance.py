@@ -2,7 +2,10 @@
 
 An Instance builds each derived object at most once, on first use:
 
-- the graded and the full left ideal families, their vertices and graphs;
+- the graded and the full left ideal families, their vertices and graphs
+  (when the identity component is the whole ring, as under a trivial
+  grading, every left ideal is graded, and the graded ones are the full
+  ones);
 - the identity component as a subring with its embedding, and that
   subring's family and graph (under a trivial grading the component is the
   whole ring, and these are the full family and graph);
@@ -18,7 +21,9 @@ The checks in theorem_suite and the command line take these objects from
 here, so one run over every check derives each object once.  Each check
 computes its own comparisons from them: graph invariants, maximal members,
 leading ideals.  Each vertex list is in (size, mask) order, the order of
-its graph's vertices, so a position in the list is a vertex of the graph.
+its graph's vertices, so a position in the list is a vertex of the graph;
+`re_graph_by_position` checks the identity component's graph against its
+list before a check reads it that way.
 
 The caches live on the Instance, never on the ring or the grading: the
 families, gradings and graphs point back at the ring, so a cache hung on the
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NotEFaithful, WrongConstruction
+from .errors import IsoViolation, NotEFaithful, WrongConstruction
 from .grading import Grading, is_canonical, is_e_faithful, is_first_strong
 from .graph_engine import Graph, build_intersection_graph
 from .ideal_lattice import (
@@ -56,18 +61,32 @@ class Instance:
     _factor_gradings: dict = field(default_factory=dict, init=False, repr=False)
     _factor_graphs: dict = field(default_factory=dict, init=False, repr=False)
 
+    @property
+    def _identity_is_whole(self) -> bool:
+        """Whether the identity component is the whole ring, as it is under
+        a trivial grading: every left ideal is then graded, and the graded
+        lattice and graph, like the identity component's, are the full ones."""
+        grading = self.grading
+        return grading.component(grading.grades.identity) == self.ring.full_mask
+
     # -- graded and full lattices
 
     @cached_property
     def graded_family(self) -> list[IdealSet]:
+        if self._identity_is_whole:
+            return self.all_family
         return enumerate_graded_left_ideals(self.grading)
 
     @cached_property
     def graded_vertices(self) -> list[IdealSet]:
+        if self._identity_is_whole:
+            return self.all_vertices
         return nontrivial_proper(self.graded_family)
 
     @cached_property
     def graded_graph(self) -> Graph:
+        if self._identity_is_whole:
+            return self.all_graph
         return build_intersection_graph(self.graded_vertices)
 
     @cached_property
@@ -105,29 +124,35 @@ class Instance:
     def re_embedding(self) -> tuple[int, ...]:
         return self.identity_data[1]
 
-    @property
-    def _re_is_whole(self) -> bool:
-        """Whether the identity component is the whole ring, as it is under
-        a trivial grading; its lattice and graph are then the full ones."""
-        return self.re_ring is self.ring
-
     @cached_property
     def re_family(self) -> list[IdealSet]:
-        if self._re_is_whole:
+        if self._identity_is_whole:
             return self.all_family
         return enumerate_left_ideals(self.re_ring)
 
     @cached_property
     def re_vertices(self) -> list[IdealSet]:
-        if self._re_is_whole:
+        if self._identity_is_whole:
             return self.all_vertices
         return nontrivial_proper(self.re_family)
 
     @cached_property
     def re_graph(self) -> Graph:
-        if self._re_is_whole:
+        if self._identity_is_whole:
             return self.all_graph
         return build_intersection_graph(self.re_vertices)
+
+    def re_graph_by_position(self) -> Graph:
+        """re_graph, for a reader that takes vertex a to be re_vertices[a];
+        raises IsoViolation when the two differ in order, as a graph planted
+        in place of re_graph may."""
+        graph, order = self.re_graph, len(self.re_vertices)
+        if graph.n != order:
+            raise IsoViolation(
+                f"the identity component's graph has {graph.n} vertices "
+                f"for {order} nontrivial proper left ideals"
+            )
+        return graph
 
     @cached_property
     def e_faithful(self) -> bool:
@@ -176,7 +201,7 @@ class Instance:
         # one in the extension
         quotient, class_of = self.quotient, self.partition.class_of
         image = [class_of.get(self.extension[ie.mask]) for ie in self.re_vertices]
-        phi_iso_check(self.re_graph, image, quotient)
+        phi_iso_check(self.re_graph_by_position(), image, quotient)
         classes = self.partition.classes
         return {
             "variant": "quotient",
@@ -198,7 +223,7 @@ class Instance:
             )
         position = {v.mask: i for i, v in enumerate(self.graded_vertices)}
         image = [position.get(self.extension[ie.mask]) for ie in self.re_vertices]
-        phi_iso_check(self.re_graph, image, self.graded_graph)
+        phi_iso_check(self.re_graph_by_position(), image, self.graded_graph)
         return {
             "variant": "first_strong",
             "identity_vertices": len(image),

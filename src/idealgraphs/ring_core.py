@@ -35,13 +35,20 @@ products and idealizations are broadcast outer sums over pairs.  Tables
 are stored once, as read-only arrays of the smallest signed dtype holding
 n-1 (int16 at the cap): a ring's addition and multiplication, a module's
 addition and action, a group's operation.  Every reader gathers from them.
+
+What only some readers need is built on its first read, once.  A ring's
+or module's element names come from the naming function its constructor
+passes, so a ring that is never printed formats none.  The orbit masks R*x
+of a ring fill one table by column: a reader asks for the columns it reads,
+and those not built yet are scattered in one pass over that block of the
+multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -416,29 +423,38 @@ class FiniteRing:
     neg: tuple[int, ...]
     commutative: bool
     construction: dict
-    names: tuple[str, ...]
+    # returns the display name of every element; `names` calls it once
+    naming: Callable[[], Iterable[str]] = field(repr=False)
     # live sub-objects for composite constructors (base ring, group, module,
     # factors, parent + embedding); never serialized, never compared
     parts: dict = field(default_factory=dict, repr=False)
     # display label by ideal mask, filled by ideal_lattice.ideal_label; it
     # holds only ints and strings, so it never points back at the ring
     label_memo: dict = field(default_factory=dict, init=False, repr=False)
+    # orbit_memo[x] is the mask of R*x once a reader has asked for it, else None
+    orbit_memo: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.add_array.flags.writeable = False
         self.mul_array.flags.writeable = False
+        self.orbit_memo = [None] * self.size
 
     @property
     def add(self) -> np.ndarray:
         """`add_array` under its older name, kept only because
-        `perfbench/worker.py` reads it (ROADMAP item 8)."""
+        `perfbench/worker.py` reads it (ROADMAP item 10)."""
         return self.add_array
 
     @property
     def mul(self) -> np.ndarray:
         """`mul_array` under its older name, kept only because
-        `perfbench/worker.py` reads it (ROADMAP item 8)."""
+        `perfbench/worker.py` reads it (ROADMAP item 10)."""
         return self.mul_array
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Display name of each element, formatted on first read."""
+        return tuple(self.naming())
 
     @cached_property
     def add_generators(self) -> tuple[int, ...]:
@@ -454,19 +470,36 @@ class FiniteRing:
     def zero_mask(self) -> int:
         return 1 << self.zero
 
-    @cached_property
-    def left_multiple_masks(self) -> tuple[int, ...]:
+    def left_multiples(self, xs: Iterable[int]) -> list[int | None]:
+        """The orbit table, orbit_memo, with the mask of R*x built for every
+        x in xs; the columns of `*` not built yet are scattered in one
+        `column_masks` pass, and entries never asked for stay None."""
+        memo = self.orbit_memo
+        missing = [x for x in xs if memo[x] is None]
+        if missing:
+            for x, mask in zip(missing, column_masks(self.mul_array, missing)):
+                memo[x] = mask
+        return memo
+
+    @property
+    def left_multiple_masks(self) -> list[int]:
         """mask of R*x for every x; the building block of left ideals."""
-        return column_masks(self.mul_array)
+        return self.left_multiples(range(self.size))
 
 
-def column_masks(table: np.ndarray) -> tuple[int, ...]:
-    """Mask of the entries of each column of a table over 0..m-1, m its
-    width: R*x for column x of a multiplication or an action table.  The
-    entries are scattered into an m x m bit matrix and packed row by row."""
-    m = table.shape[1]
-    hit = np.zeros((m, m), dtype=bool)
-    hit[np.arange(m), table] = True  # hit[x, table[r, x]]
+def column_masks(table: np.ndarray, columns: Sequence[int]) -> tuple[int, ...]:
+    """Mask of the entries of each given column of a table over 0..m-1, m
+    its width: R*x for column x of a multiplication or an action table.
+    The n x k block of those columns is scattered into a k x m bit matrix,
+    about _BLOCK entries at a time, and packed row by row."""
+    n, m = table.shape
+    hit = np.zeros((len(columns), m), dtype=bool)
+    flat = hit.ravel()
+    step = max(_BLOCK // n, 1)
+    for lo in range(0, len(columns), step):
+        block = table[:, columns[lo : lo + step]]
+        # hit[j, table[r, columns[j]]], at flat index j * m + table[r, columns[j]]
+        flat[block + np.arange(lo * m, (lo + block.shape[1]) * m, m)] = True
     packed = np.packbits(hit, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
@@ -534,9 +567,11 @@ def _finish_ring(
     one: int,
     neg,
     construction: dict,
-    names: Sequence[str],
+    naming: Callable[[], Iterable[str]],
     parts: dict | None = None,
 ) -> FiniteRing:
+    """The validated ring; `naming` returns the element names, and is
+    called only when they are first read."""
     A, M, gens = _validate_ring_tables(add, mul, zero, one, neg, size)
     # `*` is biadditive, so it commutes exactly when it does on S x S
     P = M[np.ix_(gens, gens)]
@@ -546,10 +581,10 @@ def _finish_ring(
         mul_array=M,
         zero=zero,
         one=one,
-        neg=tuple(int(x) for x in neg),
+        neg=tuple(np.asarray(neg).tolist()),
         commutative=bool(np.array_equal(P, P.T)),
         construction=construction,
-        names=tuple(names),
+        naming=naming,
         parts=dict(parts or {}),
     )
     vars(ring)["add_generators"] = tuple(gens)  # the set the axioms were checked on
@@ -579,8 +614,9 @@ def make_cyclic_ring(n: int, max_size: int = MAX_RING_SIZE) -> FiniteRing:
         raise InvalidConstruction("modulus must be at least 2 so unity differs from zero")
     _check_size(n, max_size)
     add, mul = _cyclic_tables(n)
-    names = [str(x) for x in range(n)]
-    return _finish_ring(n, add, mul, 0, 1, -np.arange(n) % n, {"kind": "zn", "n": n}, names)
+    return _finish_ring(
+        n, add, mul, 0, 1, -np.arange(n) % n, {"kind": "zn", "n": n}, lambda: map(str, range(n))
+    )
 
 
 def ring_from_tables(
@@ -599,10 +635,14 @@ def ring_from_tables(
     add, mul = (np.array(t) if isinstance(t, np.ndarray) else t for t in (add, mul))
     A = _as_table(add, n, "ring addition")
     neg = _inverses(A, zero, "element {} has no additive inverse")
-    names = tuple(map(str, range(n))) if names is None else tuple(names)
-    if len(names) != n:
-        raise InvalidConstruction("ring names length mismatch")
-    return _finish_ring(n, A, mul, zero, one, neg, {"kind": "table"}, names)
+    if names is not None:
+        names = tuple(names)
+        if len(names) != n:
+            raise InvalidConstruction("ring names length mismatch")
+    return _finish_ring(
+        n, A, mul, zero, one, neg, {"kind": "table"},
+        lambda: map(str, range(n)) if names is None else names,
+    )
 
 
 def direct_product(
@@ -617,7 +657,6 @@ def direct_product(
     neg = (np.asarray(left.neg)[:, None] * n2 + np.asarray(right.neg)).ravel()
     zero = left.zero * n2 + right.zero
     one = left.one * n2 + right.one
-    names = [f"({left.names[a]},{right.names[b]})" for a in range(n1) for b in range(n2)]
     return _finish_ring(
         n,
         add,
@@ -626,7 +665,7 @@ def direct_product(
         one,
         neg,
         {"kind": "product", "left": left.construction, "right": right.construction},
-        names,
+        lambda: (f"({a},{b})" for a in left.names for b in right.names),
         parts={"left": left, "right": right},
     )
 
@@ -676,7 +715,7 @@ def free_algebra(
     structure,
     unit: int,
     construction: dict,
-    names: Sequence[str],
+    naming: Callable[[], Iterable[str]],
     parts: dict | None = None,
 ) -> FiniteRing:
     """The free base-module on e_0..e_{d-1} with a bilinear product.
@@ -719,7 +758,7 @@ def free_algebra(
     for k in range(d):
         mul[lows[k + 1]] = add[mono[k][:, None, :], mul[lows[k]]].reshape(-1, n)
     one = zero + int((base.one - z) * weights[unit])
-    return _finish_ring(n, add, mul, zero, one, neg, construction, names, parts)
+    return _finish_ring(n, add, mul, zero, one, neg, construction, naming, parts)
 
 
 def polynomial_quotient(
@@ -758,7 +797,7 @@ def polynomial_quotient(
         structure,
         0,
         {"kind": "poly_quotient", "modulus": [int(c) for c in modulus]},
-        _linear_names(base, d, basis, bare=0, descending=True),
+        lambda: _linear_names(base, d, basis, bare=0, descending=True),
         parts={"base": base},
     )
 
@@ -805,7 +844,7 @@ def algebra_over_zn(
             "table": [[list(cell) for cell in row] for row in tab],
             "basis": basis_names,
         },
-        _linear_names(base, dim, basis_names),
+        lambda: _linear_names(base, dim, basis_names),
     )
 
 
@@ -826,7 +865,7 @@ def group_ring(
         structure,
         group.identity,
         {"kind": "group_ring", "base": base.construction},
-        _linear_names(base, g, group.names, bare=group.identity),
+        lambda: _linear_names(base, g, group.names, bare=group.identity),
         parts={"base": base, "group": group},
     )
 
@@ -843,8 +882,14 @@ class FiniteModule:
     zero: int
     neg: tuple[int, ...]
     act_array: np.ndarray = field(repr=False)  # act_array[r, m] = r.m
-    names: tuple[str, ...]
+    # returns the display name of every element; `names` calls it once
+    naming: Callable[[], Iterable[str]] = field(repr=False)
     construction: dict
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Display name of each element, formatted on first read."""
+        return tuple(self.naming())
 
 
 def _validate_module(mod: FiniteModule) -> tuple[np.ndarray, np.ndarray]:
@@ -908,7 +953,7 @@ def module_self(ring: FiniteRing) -> FiniteModule:
         zero=ring.zero,
         neg=ring.neg,
         act_array=ring.mul_array,
-        names=ring.names,
+        naming=lambda: ring.names,
         construction={"kind": "self"},
     )
 
@@ -928,7 +973,7 @@ def module_zn_quotient(ring: FiniteRing, m: int) -> FiniteModule:
         zero=0,
         neg=tuple((-np.arange(m) % m).tolist()),
         act_array=mul[np.arange(n) % m],  # r.x = (r mod m) x
-        names=tuple(map(str, range(m))),
+        naming=lambda: map(str, range(m)),
         construction={"kind": "zn_quotient", "m": m},
     )
 
@@ -964,9 +1009,6 @@ def idealization(
     neg = (np.asarray(base.neg)[:, None] * n2 + np.asarray(module.neg)).ravel()
     zero = base.zero * n2 + module.zero
     one = base.one * n2 + module.zero
-    names = [
-        f"({base.names[r]}|{module.names[m]})" for r in range(n1) for m in range(n2)
-    ]
     return _finish_ring(
         n,
         add,
@@ -979,7 +1021,7 @@ def idealization(
             "base": base.construction,
             "module": module.construction,
         },
-        names,
+        lambda: (f"({r}|{m})" for r in base.names for m in module.names),
         parts={"base": base, "module": module},
     )
 
@@ -1024,7 +1066,7 @@ def _induced_ring(
         neg=tuple(neg.tolist()),
         commutative=bool(np.array_equal(mul, mul.T)),
         construction={"kind": kind, "members": list(members)},
-        names=tuple(parent.names[p] for p in members),
+        naming=lambda: (parent.names[p] for p in members),
         parts={"parent": parent, "embedding": embedding},
     )
     return ring, embedding

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import IsoViolation, WellDefinednessViolation
 from .grading import Grading, validate_grading
-from .graph_engine import Graph
+from .graph_engine import Graph, Labels
 from .ideal_lattice import (
     IdealSet,
     generated_left_ideal,
@@ -110,7 +110,8 @@ def quotient_graph(partition: SimPartition, graded_graph: Graph) -> Graph:
     tests the diagonal block (the class is a clique), then the blocks
     towards later classes (each is all edges or none, so adjacency between
     classes does not depend on representatives), and keeps the class's
-    quotient row.  The first failure raises WellDefinednessViolation.
+    quotient row.  The first failure raises WellDefinednessViolation.  A
+    class's label, the label of its trace, is searched when it is read.
     """
     classes, adj, labels = partition.classes, graded_graph.adj, graded_graph.labels
     held = sum(classes)
@@ -119,7 +120,8 @@ def quotient_graph(partition: SimPartition, graded_graph: Graph) -> Graph:
             f"the graded graph has {graded_graph.n} vertices, "
             f"the trace classes hold {held.bit_count()}"
         )
-    names = tuple(ideal_label(partition.re_ring, key) for key in partition.keys)
+    keys, re_ring = partition.keys, partition.re_ring
+    names = Labels(len(keys), lambda k: ideal_label(re_ring, keys[k]))
     rows = []
     for k, members in enumerate(classes):
         vs = mask_members(members)

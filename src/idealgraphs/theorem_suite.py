@@ -783,6 +783,7 @@ def _check_omega_formula(inst: Instance) -> Finding:
     try:
         partition = inst.partition  # before the extension, as in quotient_iso
         extension = inst.extension
+        re_graph = inst.re_graph_by_position()
     except (IsoViolation, WellDefinednessViolation) as exc:
         directions = [("finiteness_equivalence", PASS), ("clique_sum_formula", FAIL)]
         return Finding(True, directions, str(exc), annotations)
@@ -791,8 +792,8 @@ def _check_omega_formula(inst: Instance) -> Finding:
     weights = [sizes[partition.class_of[extension[ie.mask]]] for ie in inst.re_vertices]
     details = {
         "omega_graded": clique_number(inst.graded_graph),
-        "omega_identity": clique_number(inst.re_graph),
-        "omega_from_classes": clique_number(inst.re_graph, weights),
+        "omega_identity": clique_number(re_graph),
+        "omega_from_classes": clique_number(re_graph, weights),
         "class_sizes": sizes,
     }
     directions = [

@@ -306,6 +306,23 @@ def is_graded(grading, mask: int) -> bool:
     )
 
 
+def brute_decomposition(grading) -> tuple:
+    """For each element, its nonzero homogeneous parts as (degree, part)
+    pairs sorted by degree: the one choice of a member per component whose
+    sum is the element, found by summing every choice."""
+    ring = grading.ring
+    add = as_lists(ring.add_array)
+    degs = sorted(grading.components)
+    parts_of = {}
+    for choice in itertools.product(*(mask_members(grading.components[d]) for d in degs)):
+        total = ring.zero
+        for part in choice:
+            total = add[total][part]
+        assert total not in parts_of, "components overlap"
+        parts_of[total] = tuple((d, p) for d, p in zip(degs, choice) if p != ring.zero)
+    return tuple(parts_of[x] for x in range(ring.size))
+
+
 def brute_graded_left_ideal_masks(ring, grading) -> set[int]:
     """Left ideals all of whose members decompose inside the ideal."""
     return {mask for mask in brute_left_ideal_masks(ring) if is_graded(grading, mask)}

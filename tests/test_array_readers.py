@@ -135,7 +135,7 @@ def _relabelled_module(module, at):
         zero=int(at[module.zero]),
         neg=tuple(neg.tolist()),
         act_array=act,
-        names=tuple(module.names[x] for x in np.argsort(at)),
+        naming=lambda: tuple(module.names[x] for x in np.argsort(at)),
         construction={"kind": "relabelled"},
     )
 

@@ -93,6 +93,24 @@ def test_run_all_builds_each_object_once(corpus_dir, monkeypatch, name):
         assert calls["induced_factor_grading"], "the product has graded splittings"
 
 
+@pytest.mark.parametrize("name", ["z12", "z4xz4_product", "z8_int"])
+def test_a_trivial_grading_enumerates_and_graphs_the_ring_once(corpus_dir, monkeypatch, name):
+    # every left ideal is graded, so the graded lattice and graph, like the
+    # identity component's, are the full ones
+    enumerations = _count_calls(monkeypatch, "_enumerate_closed", lambda add, *rest: id(add))
+    graphs = _count_calls(
+        monkeypatch,
+        "build_intersection_graph",
+        lambda ideals: id(ideals[0].ring) if ideals else None,
+    )
+    inst = load_instance(str(corpus_dir / f"{name}.json"))
+    run_all(inst)
+    assert enumerations[id(inst.ring.add_array)] == 1
+    assert graphs[id(inst.ring)] == 1
+    assert inst.graded_family is inst.all_family is inst.re_family
+    assert inst.graded_graph is inst.all_graph is inst.re_graph
+
+
 def test_derived_objects_do_not_keep_the_ring_alive(corpus_dir):
     # every cache hangs off the Instance, so dropping it frees the ring by
     # reference counting alone, with no cycle left for the collector

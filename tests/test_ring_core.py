@@ -627,7 +627,7 @@ class TestAdditiveEdges:
             zero=0,
             neg=[PAIR_INDEX[times(-1, p)] for p in PAIRS],
             act_array=np.array(act),
-            names=[str(p) for p in PAIRS],
+            naming=lambda: [str(p) for p in PAIRS],
             construction={"kind": "hand-built"},
         )
         tree, relations = _walk_edges(add, 0, [1, 2, 3])
@@ -682,7 +682,7 @@ class TestAdditiveEdges:
             zero=zero,
             neg=neg,
             act_array=np.array(act),
-            names=[str(x) for x in range(n)],
+            naming=lambda: [str(x) for x in range(n)],
             construction={"kind": "hand-built"},
         )
         library = _module_accepted(ring_core._validate_module, module)
@@ -815,7 +815,7 @@ class TestFreeAlgebraAgainstOracle:
                 neg=np.asarray(neg).tolist(),
                 zero=zero,
                 one=one,
-                names=list(names),
+                names=list(names()),
                 construction=construction,
             )
 
@@ -1139,7 +1139,7 @@ class TestGroupsAndModulesAgainstOracle:
             zero=0,
             neg=list(range(size)),
             act_array=np.array(act),
-            names=[str(x) for x in range(size)],
+            naming=lambda: [str(x) for x in range(size)],
             construction={"kind": "hand-built"},
         )
         with pytest.raises(InvalidConstruction, match=law):
@@ -1586,7 +1586,7 @@ class TestAdditivityWitness:
             zero=0,
             neg=[0, 1, 2, 3],
             act_array=np.array(act),
-            names=["0", "1", "2", "3"],
+            naming=lambda: ["0", "1", "2", "3"],
             construction={"kind": "hand-built"},
         )
         message = _refusal(ring_core._validate_module, module)

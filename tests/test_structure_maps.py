@@ -324,9 +324,11 @@ class TestTransferNumbers:
     @pytest.mark.parametrize("name", ["f4", "z4"])
     def test_domination_read_from_a_planted_full_graph(self, corpus_instances, name):
         # under a trivial grading the identity component's graph is the full
-        # graph, so a planted full graph is what gamma_eq compares
+        # graph, so a planted full graph is what gamma_eq compares; the
+        # graded graph, which is the full one too, is read before planting
         clean = corpus_instances[name]
         inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
+        assert inst.graded_graph == clean.graded_graph
         inst.__dict__["all_graph"] = graph_from_edges(2, [])
         (gamma,) = run_all(inst, ["gamma_eq"])
         assert gamma.details == {

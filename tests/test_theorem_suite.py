@@ -416,6 +416,28 @@ class TestPlantedGraphOrder:
                 failing.add(rep.theorem_id)
         assert sorted(failing) == sorted(ids)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_planted_full_graph_under_a_trivial_grading_fails(
+        self, corpus_instances, extra
+    ):
+        # under a trivial grading the identity component's graph is the full
+        # graph, which these checks read by position as well
+        ids = ["t1001", "t56", "omega_formula"]
+        failing = set()
+        for name, clean in corpus_instances.items():
+            grading = clean.grading
+            if grading.component(grading.grades.identity) != clean.ring.full_mask:
+                continue
+            n = len(clean.all_vertices) + extra
+            if n < 0:
+                continue
+            inst = Instance(name=name, ring=clean.ring, grading=grading)
+            inst.__dict__["all_graph"] = graph_from_edges(n, [])
+            for rep in run_all(inst, ids):
+                assert rep.verdict == "FAIL" and rep.witness, (name, rep)
+                failing.add(rep.theorem_id)
+        assert sorted(failing) == sorted(ids)
+
 
 class TestIsomorphismReports:
     def test_one_comparison_per_variant_in_run_all(self, corpus_dir, monkeypatch):
