@@ -223,10 +223,17 @@ def _subgroup_generators(ring: FiniteRing, mask: int) -> list[int]:
 
 
 def trivial_grading(ring: FiniteRing, grades: GradeGroup | None = None) -> Grading:
-    """Everything in the identity degree."""
+    """Everything in the identity degree.
+
+    One component that is the whole ring and holds the unity is a grading
+    by itself, a direct sum of one subgroup closed under products, so it is
+    built without validation, as `ring_core._induced_ring` builds a closed
+    subset.  The grade group is validated by its own constructor.
+    """
     if grades is None:
         grades = finite_grades(cyclic_group(1))
-    return validate_grading(ring, grades, {grades.identity: ring.full_mask})
+    identity = grades.identity
+    return Grading(ring, grades, {identity: ring.full_mask}, (identity,))
 
 
 def _coefficient_line(ring: FiniteRing, base: FiniteRing, k: int) -> int:

@@ -8,9 +8,9 @@ seen, so a root costs one row union per vertex it reaches, and the search
 stops once every vertex is seen), a triangle test
 and then BFS for girth, one pivoting branch and bound for the clique number
 and the heaviest clique under positive vertex weights, increasing-cardinality
-search for domination, and a Kuratowski-subdivision search for planarity on
-small orders (larger orders fall back to the edge-count bound or report
-unknown as None).  Each invariant is computed once per Graph and kept on it,
+search for domination, and for planarity a split at cut vertices followed
+by the path addition of Demoucron, Malgrange and Pertuiset on each
+2-connected part.  Each invariant is computed once per Graph and kept on it,
 so every caller asking about the same graph shares one computation.  The
 vertex labels of an intersection graph are searched one at a time, when
 each is first read.
@@ -155,6 +155,14 @@ def _per_graph(fn):
 # distances and connectivity
 
 
+def _neighbours(adj: Sequence[int], mask: int) -> int:
+    """The union of the rows of the vertices in mask."""
+    union = 0
+    for u in mask_members(mask):
+        union |= adj[u]
+    return union
+
+
 def _reach(adj: Sequence[int], root_mask: int) -> tuple[int, int]:
     """Mask of the vertices reachable from a nonempty root_mask, and their
     greatest distance from it.  The BFS keeps its frontier as a mask: the
@@ -164,10 +172,7 @@ def _reach(adj: Sequence[int], root_mask: int) -> tuple[int, int]:
     seen = frontier = root_mask
     depth = 0
     while seen != everyone:
-        nxt = 0
-        for u in mask_members(frontier):
-            nxt |= adj[u]
-        frontier = nxt & ~seen
+        frontier = _neighbours(adj, frontier) & ~seen
         if not frontier:
             break
         depth += 1
@@ -175,14 +180,19 @@ def _reach(adj: Sequence[int], root_mask: int) -> tuple[int, int]:
     return seen, depth
 
 
-def connected_components(g: Graph) -> list[list[int]]:
+def _components(adj: Sequence[int], vertices: int) -> list[int]:
+    """The vertex masks of the components of the subgraph on `vertices`."""
+    adj = [row & vertices for row in adj]
     comps = []
-    rest = (1 << g.n) - 1
-    while rest:
-        comp, _ = _reach(g.adj, rest & -rest)
-        comps.append(mask_members(comp))
-        rest &= ~comp
+    while vertices:
+        comp, _ = _reach(adj, vertices & -vertices)
+        comps.append(comp)
+        vertices &= ~comp
     return comps
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    return [mask_members(comp) for comp in _components(g.adj, (1 << g.n) - 1)]
 
 
 @_per_graph
@@ -369,81 +379,116 @@ def star_center(g: Graph) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# planarity (three-valued)
+# planarity
 
 
-def _simple_paths(g: Graph, u: int, w: int, allowed: int):
-    """Yield the internal-vertex masks of simple u-w paths whose interior
-    stays inside `allowed` (u, w excluded from the mask)."""
-    if g.has_edge(u, w):
-        yield 0
-
-    def dfs(cur: int, used: int):
-        for v in mask_members(g.adj[cur] & allowed & ~used):
-            if v == w:
-                continue
-            if g.has_edge(v, w):
-                yield used | (1 << v)
-            yield from dfs(v, used | (1 << v))
-
-    yield from dfs(u, 0)
+def _split(rows: Sequence[int], part: int) -> list[int]:
+    """The parts a vertex set splits into: its components, or, when it is
+    connected, those of part - v, each with v added back, for its first cut
+    vertex v; [] when it has no cut vertex."""
+    for cut in [0, *(1 << v for v in mask_members(part))]:
+        pieces = _components(rows, part & ~cut)
+        if len(pieces) > 1:
+            return [piece | cut for piece in pieces]
+    return []
 
 
-def _assign_paths(g: Graph, pairs: list[tuple[int, int]], branch_mask: int, used: int) -> bool:
-    if not pairs:
-        return True
-    u, w = pairs[0]
-    allowed = ((1 << g.n) - 1) & ~branch_mask & ~used
-    for internal in _simple_paths(g, u, w, allowed):
-        if _assign_paths(g, pairs[1:], branch_mask, used | internal):
+def _path(rows: Sequence[int], inside: int, a: int, b: int) -> list[int]:
+    """The inner vertices of a shortest a-b path through the connected
+    vertex set `inside`, which both a and b touch, listed from a's end."""
+    layers, seen = [rows[b] & inside], rows[b] & inside
+    while not layers[-1] & rows[a]:
+        layers.append(_neighbours(rows, layers[-1]) & inside & ~seen)
+        seen |= layers[-1]
+    path, row = [], rows[a]
+    for layer in reversed(layers):
+        path.append(mask_members(layer & row)[0])
+        row = rows[path[-1]]
+    return path
+
+
+def _embeds(rows: Sequence[int], part: int) -> bool:
+    """Whether a connected vertex set of at least three vertices and without
+    cut vertices has a plane drawing, by the path addition of Demoucron,
+    Malgrange and Pertuiset (1964).
+
+    The drawing starts as one edge, read as a face with two sides.  The rest
+    of the graph falls into fragments: each undrawn edge between drawn
+    vertices, and each component of the undrawn vertices with the vertices
+    it attaches to.  A fragment fits a face holding all its attachments.
+    When some fragment fits no face the graph is not planar; otherwise a
+    path through a fragment with the fewest fitting faces is drawn across
+    one of them, which splits in two.  Faces are kept as cycles of vertices
+    and as vertex masks.
+    """
+    u = mask_members(part)[0]
+    w = mask_members(rows[u] & part)[0]
+    faces, face_masks = [[u, w]], [1 << u | 1 << w]
+    drawn = face_masks[0]
+    drawn_rows = [0] * len(rows)
+    drawn_rows[u], drawn_rows[w] = 1 << w, 1 << u
+    while True:
+        # (attachments, inner vertices) of each fragment
+        fragments = [
+            (1 << v | 1 << x, 0)
+            for v in mask_members(drawn)
+            for x in mask_members(rows[v] & drawn & ~drawn_rows[v])
+            if x > v
+        ]
+        for inner in _components(rows, part & ~drawn):
+            fragments.append((_neighbours(rows, inner) & drawn, inner))
+        if not fragments:
             return True
-    return False
-
-
-def _has_k5_subdivision(g: Graph) -> bool:
-    cand = [v for v in range(g.n) if g.degree(v) >= 4]
-    for branch in itertools.combinations(cand, 5):
-        bm = 0
-        for v in branch:
-            bm |= 1 << v
-        pairs = list(itertools.combinations(branch, 2))
-        if _assign_paths(g, pairs, bm, 0):
-            return True
-    return False
-
-
-def _has_k33_subdivision(g: Graph) -> bool:
-    cand = [v for v in range(g.n) if g.degree(v) >= 3]
-    for six in itertools.combinations(cand, 6):
-        bm = 0
-        for v in six:
-            bm |= 1 << v
-        rest = six[1:]
-        for two in itertools.combinations(rest, 2):
-            left = (six[0],) + two
-            right = tuple(v for v in six if v not in left)
-            pairs = [(a, b) for a in left for b in right]
-            if _assign_paths(g, pairs, bm, 0):
-                return True
-    return False
+        fits = [
+            [i for i, mask in enumerate(face_masks) if not attachments & ~mask]
+            for attachments, _ in fragments
+        ]
+        if not all(fits):
+            return False
+        _, k = min((len(f), k) for k, f in enumerate(fits))
+        (attachments, inner), i = fragments[k], fits[k][0]
+        a, b = mask_members(attachments)[:2]
+        interior = _path(rows, inner, a, b) if inner else []
+        path = [a, *interior, b]
+        for x, y in zip(path, path[1:]):
+            drawn_rows[x] |= 1 << y
+            drawn_rows[y] |= 1 << x
+        drawn |= sum(1 << v for v in interior)
+        face = faces[i]
+        at = face.index(a)
+        face = face[at:] + face[:at]
+        at = face.index(b)
+        halves = [face[: at + 1] + interior[::-1], face[at:] + [a] + interior]
+        faces[i : i + 1] = halves
+        face_masks[i : i + 1] = [sum(1 << v for v in half) for half in halves]
 
 
 @_per_graph
-def is_planar(g: Graph) -> bool | None:
-    """True/False when decidable cheaply or exactly (order <= 12), else None.
+def is_planar(g: Graph) -> bool:
+    """Whether the graph has a plane drawing.
 
-    Ladder: tiny orders and edge counts are always planar; the edge bound
-    3n - 6 rejects dense graphs; small orders get an exact search for a
-    subdivision of one of the two forbidden graphs.
+    Up to four vertices or eight edges every graph is planar, and above
+    3n - 6 edges none is.  Otherwise the graph is planar exactly when the
+    parts it splits into at its cut vertices, and between its components,
+    are.  A part of at most four vertices is planar, and a larger one
+    without a cut vertex is drawn face by face (`_embeds`).
     """
     n, m = g.n, g.edge_count
     if n <= 4 or m <= 8:
         return True
-    if n >= 3 and m > 3 * n - 6:
+    if m > 3 * n - 6:
         return False
-    if n <= 12:
-        return not (_has_k5_subdivision(g) or _has_k33_subdivision(g))
-    return None
+    parts = [(1 << n) - 1]
+    while parts:
+        part = parts.pop()
+        if part.bit_count() <= 4:
+            continue
+        pieces = _split(g.adj, part)
+        if pieces:
+            parts.extend(pieces)
+        elif not _embeds(g.adj, part):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +531,7 @@ def _dot_quote(text: str) -> str:
 def export_graph(g: Graph, format: str = "dot") -> str:
     """Deterministic serialization: DOT text or a JSON document that bundles
     vertices, edges, and the invariant report (infinities as the string
-    "inf", undecided planarity as null)."""
+    "inf")."""
     if format == "dot":
         lines = ["graph G {"]
         for v in range(g.n):

@@ -22,8 +22,8 @@ here, so one run over every check derives each object once.  Each check
 computes its own comparisons from them: graph invariants, maximal members,
 leading ideals.  Each vertex list is in (size, mask) order, the order of
 its graph's vertices, so a position in the list is a vertex of the graph;
-`re_graph_by_position` checks the identity component's graph against its
-list before a check reads it that way.
+`by_position` checks a graph against its list before a check reads it that
+way.
 
 The caches live on the Instance, never on the ring or the grading: the
 families, gradings and graphs point back at the ring, so a cache hung on the
@@ -34,6 +34,7 @@ instance does not load it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,6 +50,18 @@ from .ideal_lattice import (
     nontrivial_proper,
 )
 from .ring_core import FiniteRing
+
+
+def by_position(graph: Graph, vertices: Sequence[IdealSet]) -> Graph:
+    """`graph`, for a reader that takes its vertex a to be vertices[a];
+    raises IsoViolation when the two differ in order, as a graph planted in
+    place of an Instance's own may."""
+    if graph.n != len(vertices):
+        raise IsoViolation(
+            f"a graph of {graph.n} vertices is read by the positions of "
+            f"{len(vertices)} nontrivial proper left ideals"
+        )
+    return graph
 
 
 @dataclass(eq=False)
@@ -142,18 +155,6 @@ class Instance:
             return self.all_graph
         return build_intersection_graph(self.re_vertices)
 
-    def re_graph_by_position(self) -> Graph:
-        """re_graph, for a reader that takes vertex a to be re_vertices[a];
-        raises IsoViolation when the two differ in order, as a graph planted
-        in place of re_graph may."""
-        graph, order = self.re_graph, len(self.re_vertices)
-        if graph.n != order:
-            raise IsoViolation(
-                f"the identity component's graph has {graph.n} vertices "
-                f"for {order} nontrivial proper left ideals"
-            )
-        return graph
-
     @cached_property
     def e_faithful(self) -> bool:
         return is_e_faithful(self.grading)
@@ -201,7 +202,7 @@ class Instance:
         # one in the extension
         quotient, class_of = self.quotient, self.partition.class_of
         image = [class_of.get(self.extension[ie.mask]) for ie in self.re_vertices]
-        phi_iso_check(self.re_graph_by_position(), image, quotient)
+        phi_iso_check(by_position(self.re_graph, self.re_vertices), image, quotient)
         classes = self.partition.classes
         return {
             "variant": "quotient",
@@ -223,7 +224,8 @@ class Instance:
             )
         position = {v.mask: i for i, v in enumerate(self.graded_vertices)}
         image = [position.get(self.extension[ie.mask]) for ie in self.re_vertices]
-        phi_iso_check(self.re_graph_by_position(), image, self.graded_graph)
+        source = by_position(self.re_graph, self.re_vertices)
+        phi_iso_check(source, image, self.graded_graph)
         return {
             "variant": "first_strong",
             "identity_vertices": len(image),

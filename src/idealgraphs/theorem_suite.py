@@ -66,7 +66,7 @@ from .ideal_lattice import (
     min_generator_count,
     minimal_members,
 )
-from .instance import Instance
+from .instance import Instance, by_position
 from .ordered_grading import leading_ideal
 from .ring_core import FiniteModule, FiniteRing, index_mask, mask_members
 
@@ -208,7 +208,12 @@ def _check_lemma_b(inst: Instance) -> Finding:
 def _check_lemma_r1(inst: Instance) -> Finding:
     vertices = inst.graded_vertices
     family = inst.graded_family
-    g = inst.graded_graph
+    laws = ("minimal_neighborhood", "isolated_iff_min_and_max", "essential_neighborhood")
+    details = {"vertices": len(vertices)}
+    try:
+        g = by_position(inst.graded_graph, vertices)
+    except IsoViolation as exc:
+        return Finding(True, [(law, FAIL) for law in laws], str(exc), details=details)
     ok_min = ok_iso = ok_ess = True
     witness = None
     for i, v in enumerate(vertices):
@@ -227,13 +232,9 @@ def _check_lemma_r1(inst: Instance) -> Finding:
             ok_ess, witness = False, f"{v.label()} (essential vs neighborhood)"
     return Finding(
         bool(vertices),
-        [
-            ("minimal_neighborhood", PASS if ok_min else FAIL),
-            ("isolated_iff_min_and_max", PASS if ok_iso else FAIL),
-            ("essential_neighborhood", PASS if ok_ess else FAIL),
-        ],
+        [(law, PASS if ok else FAIL) for law, ok in zip(laws, (ok_min, ok_iso, ok_ess))],
         witness,
-        details={"vertices": len(vertices)},
+        details=details,
     )
 
 
@@ -574,6 +575,10 @@ def _check_t4(inst: Instance) -> Finding:
     g = inst.graded_graph
     if is_null(g) or girth(g) != math.inf:
         return Finding(False)
+    try:
+        by_position(g, inst.graded_vertices)
+    except IsoViolation as exc:
+        return Finding(True, [("star_centered_at_maximal", FAIL)], str(exc))
     if not is_graded_local(inst.grading, inst.graded_family):
         return Finding(
             True, [("graded_local", FAIL)], "no unique graded maximal ideal"
@@ -783,7 +788,7 @@ def _check_omega_formula(inst: Instance) -> Finding:
     try:
         partition = inst.partition  # before the extension, as in quotient_iso
         extension = inst.extension
-        re_graph = inst.re_graph_by_position()
+        re_graph = by_position(inst.re_graph, inst.re_vertices)
     except (IsoViolation, WellDefinednessViolation) as exc:
         directions = [("finiteness_equivalence", PASS), ("clique_sum_formula", FAIL)]
         return Finding(True, directions, str(exc), annotations)
@@ -1098,14 +1103,9 @@ def _check_planarity_cor(inst: Instance) -> Finding:
     base_count = len(inst.base_vertices)
     planar = is_planar(inst.graded_graph)
     details = {"planar": planar, "base_ideals": base_count}
-    if planar is None:
-        direction = ("planar_iff_small_base", FAIL)
-        witness = "planarity undecided at this graph size"
-    else:
-        ok = planar == (base_count <= 1)
-        direction = ("planar_iff_small_base", PASS if ok else FAIL)
-        witness = str(details)
-    return Finding(True, [direction], witness, details=details)
+    ok = planar == (base_count <= 1)
+    direction = ("planar_iff_small_base", PASS if ok else FAIL)
+    return Finding(True, [direction], str(details), details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,16 @@ class TestBasesWithZeroAwayFromIndexZero:
 
 
 class TestClassifiers:
+    def test_trivial_grading_matches_validation(self, corpus_instances):
+        # built without validation, it equals the validated grading
+        for name, inst in corpus_instances.items():
+            ring, grades = inst.ring, inst.grading.grades
+            built = trivial_grading(ring, grades)
+            checked = validate_grading(ring, grades, {grades.identity: ring.full_mask})
+            assert built.components == checked.components, name
+            assert built.support == checked.support, name
+            assert built.decomposition == checked.decomposition, name
+
     def test_trivial_grading_is_everything(self):
         z12 = make_cyclic_ring(12)
         g = trivial_grading(z12)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from idealgraphs import (
     Graph,
+    algebra_over_zn,
     build_intersection_graph,
     classify_shape,
     clique_number,
@@ -40,6 +41,7 @@ from oracles import (
     brute_domination_number,
     brute_girth,
 )
+from test_ring_core import F2XY_TABLE  # the square-zero plane over any Zp
 
 
 def complete_graph(n):
@@ -314,14 +316,63 @@ class TestPlanarity:
             (CUBE, True),
             (star_graph(8), True),
             (cycle_graph(6), True),
+            *((star_graph(n), True) for n in range(13, 41)),
         ],
     )
     def test_fixtures(self, g, expected):
         assert is_planar(g) == expected
 
-    def test_large_sparse_graph_is_undecided(self):
-        g = cycle_graph(13)
-        assert is_planar(g) is None
+    def test_large_sparse_graph_is_planar(self):
+        assert is_planar(cycle_graph(13)) is True
+
+    @staticmethod
+    def networkx_planar(g):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(g.n))
+        graph.add_edges_from(g.edges)
+        return nx.check_planarity(graph)[0]
+
+    def test_random_graphs_agree_with_networkx(self):
+        # sparse enough that most graphs pass the edge guards; both answers
+        # occur above twelve vertices
+        decided = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(5, 64)
+            g = random_graph(n, rng.uniform(1.5, 4.5) / (n - 1), seed)
+            planar = is_planar(g)
+            assert planar is self.networkx_planar(g), seed
+            if n > 12 and 8 < g.edge_count <= 3 * n - 6:
+                decided.add(planar)
+        assert decided == {True, False}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_subdivided_kuratowski_graphs(self, seed):
+        # each edge of K5 or K3,3 becomes a path, and the vertices are
+        # shuffled; without one of its paths the graph is planar
+        rng = random.Random(seed)
+        for base in (complete_graph(5), K33):
+            n, edges = base.n, []
+            for u, w in base.edges:
+                inner = list(range(n, n + rng.randint(1, 3)))
+                n += len(inner)
+                path = [u, *inner, w]
+                edges.append(list(zip(path, path[1:])))
+            order = rng.sample(range(n), n)
+            edges = [[(order[u], order[w]) for u, w in path] for path in edges]
+            g = graph_from_edges(n, itertools.chain(*edges))
+            assert n > 12 and is_planar(g) is False and not self.networkx_planar(g)
+            cut = graph_from_edges(n, itertools.chain(*edges[1:]))
+            assert is_planar(cut) is True and self.networkx_planar(cut)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_square_zero_plane_over_zp_is_a_planar_star(self, p):
+        # Zp[x,y]/(x,y)^2 has p + 2 nontrivial proper ideals: the p + 1
+        # lines of its maximal ideal, and that ideal
+        ring = algebra_over_zn(p, 3, F2XY_TABLE, ["1", "x", "y"], max_size=p**3)
+        g = build_intersection_graph(nontrivial_proper(enumerate_left_ideals(ring)))
+        assert g.n == p + 2 and is_star(g)
+        assert is_planar(g) is True
 
     def test_dense_graph_fails_edge_bound(self):
         g = complete_graph(8)  # 28 edges > 3*8-6

@@ -399,16 +399,17 @@ class TestPlantedGraphReports:
 class TestPlantedGraphOrder:
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_transfer_checks_fail_with_a_witness(self, corpus_instances, extra):
-        # the transfer reads the graded graph by position, so a planted
-        # graph with one vertex too few or too many refutes it
-        ids = ["t1001", "t56", "groupring_example"]
+        # the transfer, lemma_r1 and t4 read the graded graph by position,
+        # so a planted graph with one vertex too few or too many refutes
+        # them; it is a star, with an edge and no cycle, so t4 applies
+        ids = ["t1001", "t56", "groupring_example", "lemma_r1", "t4"]
         failing = set()
         for name, clean in corpus_instances.items():
             n = len(clean.graded_vertices) + extra
             if n < 0:
                 continue
             inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
-            inst.__dict__["graded_graph"] = graph_from_edges(n, [])
+            inst.__dict__["graded_graph"] = graph_from_edges(n, [(0, v) for v in range(1, n)])
             for rep in run_all(inst, ids):
                 if rep.verdict in ("VACUOUS", "SKIPPED"):
                     continue
