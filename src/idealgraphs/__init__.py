@@ -111,7 +111,6 @@ _EXPORTS = {
         "girth",
         "graph_from_edges",
         "graph_invariants",
-        "intersection_graph",
         "is_complete",
         "is_connected",
         "is_null",

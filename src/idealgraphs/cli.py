@@ -237,10 +237,16 @@ def _parse_ring(node, path: str, max_size: int) -> FiniteRing:
 
 
 def _parse_degree(key: str, grades: GradeGroup, path: str) -> int:
+    """The degree a component key names: an integer written in plain
+    decimal, as str(deg) writes it, so no two keys name one degree."""
     try:
         deg = int(key)
     except ValueError:
-        raise SchemaError(f"{path}: degree keys must be integers, got {key!r}")
+        deg = None
+    if deg is None or str(deg) != key:
+        raise SchemaError(
+            f"{path}: degree keys must be integers in plain decimal, got {key!r}"
+        )
     if grades.kind == "finite" and not 0 <= deg < grades.group.size:
         raise SchemaError(f"{path}: degree {deg} outside the group's range")
     return deg

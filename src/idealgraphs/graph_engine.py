@@ -11,9 +11,10 @@ and the heaviest clique under positive vertex weights, increasing-cardinality
 search for domination, and for planarity a split at cut vertices followed
 by the path addition of Demoucron, Malgrange and Pertuiset on each
 2-connected part.  Each invariant is computed once per Graph and kept on it,
-so every caller asking about the same graph shares one computation.  The
-vertex labels of an intersection graph are searched one at a time, when
-each is first read.
+so every caller asking about the same graph shares one computation.  A
+Graph holds its vertices beside its rows, and a vertex's label is
+str(vertex): for an ideal, its label, searched when first read and kept on
+the ring.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import GraphTooLarge
@@ -31,49 +32,17 @@ from .ring_core import mask_members
 MAX_EXACT_GRAPH_ORDER = 64
 
 
-class Labels(Sequence):
-    """Vertex labels, each computed by `label_of(v)` when it is first read
-    and then kept.  Equal to the tuple of all the labels, and, like a
-    tuple, sliced and concatenated into tuples."""
-
-    def __init__(self, n: int, label_of: Callable[[int], str]) -> None:
-        self._label_of = label_of
-        self._read: list[str | None] = [None] * n
-
-    def __len__(self) -> int:
-        return len(self._read)
-
-    def __getitem__(self, index):
-        at = range(len(self._read))[index]
-        if isinstance(at, range):
-            return tuple(self[v] for v in at)
-        label = self._read[at]
-        if label is None:
-            label = self._read[at] = self._label_of(at)
-        return label
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Labels, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other: tuple) -> tuple:
-        return tuple(self) + other
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 @dataclass(frozen=True)
 class Graph:
-    n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | Labels
+    # vertices[v] is the object at vertex v, and str(vertices[v]) its label
+    vertices: tuple
     # invariant name -> value, filled by the memoized invariants below
     memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -84,7 +53,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.adj[i].bit_count() for i in range(self.n)) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
@@ -94,47 +63,37 @@ class Graph:
 
 
 def graph_from_edges(
-    n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None
+    n: int, edges: Iterable[tuple[int, int]], vertices: Sequence | None = None
 ) -> Graph:
+    """The graph on n vertices with the given edges; vertex v is vertices[v],
+    by default its number as a string."""
     adj = [0] * n
     for i, j in edges:
         if i == j:
             continue
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    return Graph(n=n, adj=tuple(adj), labels=tuple(labels))
-
-
-def intersection_graph(masks: Sequence[int], zero_mask: int, labels: Sequence[str]) -> Graph:
-    """Vertices are the given sets; edges join pairs meeting outside zero.
-    Labels passed as a `Labels` are kept as they are, so none is computed
-    before it is read."""
-    n = len(masks)
-    if n > MAX_EXACT_GRAPH_ORDER:
-        raise GraphTooLarge(f"{n} vertices exceeds the exact-invariant cap")
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if masks[i] & masks[j] & ~zero_mask:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    if not isinstance(labels, Labels):
-        labels = tuple(labels)
-    return Graph(n=n, adj=tuple(adj), labels=labels)
+    if vertices is None:
+        vertices = [str(i) for i in range(n)]
+    return Graph(adj=tuple(adj), vertices=tuple(vertices))
 
 
 def build_intersection_graph(ideals: Sequence) -> Graph:
-    """Intersection graph of a family of ideal sets (nonzero overlap is an
-    edge).  Vertex order follows (size, mask) so output is deterministic.
-    A vertex's label is searched when it is first read."""
-    family = sorted(ideals, key=lambda i: i.sort_key())
-    if not family:
-        return Graph(n=0, adj=(), labels=())
-    zero_mask = family[0].ring.zero_mask
-    labels = Labels(len(family), lambda v: family[v].label())
-    return intersection_graph([i.mask for i in family], zero_mask, labels)
+    """Intersection graph of a family of ideal sets, in the order given:
+    two vertices are adjacent when their ideals meet outside zero.  A
+    vertex's label, the label of its ideal, is searched when it is first
+    read."""
+    n = len(ideals)
+    if n > MAX_EXACT_GRAPH_ORDER:
+        raise GraphTooLarge(f"{n} vertices exceeds the exact-invariant cap")
+    nonzero = [i.mask & ~i.ring.zero_mask for i in ideals]
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if nonzero[i] & nonzero[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(adj=tuple(adj), vertices=tuple(ideals))
 
 
 def _per_graph(fn):
@@ -348,16 +307,7 @@ def is_null(g: Graph) -> bool:
 def is_star(g: Graph) -> bool:
     """Some center adjacent to all other vertices, which are pairwise
     non-adjacent; single vertices and single edges count."""
-    if g.n == 0:
-        return False
-    full = (1 << g.n) - 1
-    for c in range(g.n):
-        if g.adj[c] != full & ~(1 << c):
-            continue
-        others = mask_members(full & ~(1 << c))
-        if all(g.adj[v] == 1 << c for v in others):
-            return True
-    return False
+    return star_center(g) is not None
 
 
 def is_regular(g: Graph) -> bool:
@@ -369,11 +319,10 @@ def is_regular(g: Graph) -> bool:
 def star_center(g: Graph) -> int | None:
     """The dominating vertex of a star, when the graph is one; for a single
     edge the lower-indexed endpoint is reported."""
-    if not is_star(g):
-        return None
     full = (1 << g.n) - 1
     for c in range(g.n):
-        if g.adj[c] == full & ~(1 << c):
+        others = full & ~(1 << c)
+        if g.adj[c] == others and all(g.adj[v] == 1 << c for v in mask_members(others)):
             return c
     return None
 
@@ -534,8 +483,8 @@ def export_graph(g: Graph, format: str = "dot") -> str:
     "inf")."""
     if format == "dot":
         lines = ["graph G {"]
-        for v in range(g.n):
-            lines.append(f"  v{v} [label={_dot_quote(g.labels[v])}];")
+        for v, vertex in enumerate(g.vertices):
+            lines.append(f"  v{v} [label={_dot_quote(str(vertex))}];")
         for u, w in g.edges:
             lines.append(f"  v{u} -- v{w};")
         lines.append("}")
@@ -546,7 +495,9 @@ def export_graph(g: Graph, format: str = "dot") -> str:
             for k, v in graph_invariants(g).items()
         }
         doc = {
-            "vertices": [{"id": v, "label": g.labels[v]} for v in range(g.n)],
+            "vertices": [
+                {"id": v, "label": str(vertex)} for v, vertex in enumerate(g.vertices)
+            ],
             "edges": [[u, w] for u, w in g.edges],
             "invariants": inv,
         }

@@ -78,6 +78,8 @@ class IdealSet:
     def label(self) -> str:
         return ideal_label(self.ring, self.mask)
 
+    __str__ = label
+
 
 def is_left_ideal(ring: FiniteRing, mask: int) -> bool:
     if not is_additive_subgroup(ring, mask):

@@ -20,10 +20,11 @@ An Instance builds each derived object at most once, on first use:
 The checks in theorem_suite and the command line take these objects from
 here, so one run over every check derives each object once.  Each check
 computes its own comparisons from them: graph invariants, maximal members,
-leading ideals.  Each vertex list is in (size, mask) order, the order of
-its graph's vertices, so a position in the list is a vertex of the graph;
-`by_position` checks a graph against its list before a check reads it that
-way.
+leading ideals.  Each graph is built from its vertex list and holds that
+list, in that order, as its vertices, so a position in the list is a
+vertex of the graph; `by_position` checks a graph against its list before
+a check reads it that way, as a graph planted in place of an Instance's
+own may not match it.
 
 The caches live on the Instance, never on the ring or the grading: the
 families, gradings and graphs point back at the ring, so a cache hung on the

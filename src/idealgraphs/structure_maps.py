@@ -17,11 +17,10 @@ from typing import Sequence
 
 from .errors import IsoViolation, WellDefinednessViolation
 from .grading import Grading, validate_grading
-from .graph_engine import Graph, Labels
+from .graph_engine import Graph
 from .ideal_lattice import (
     IdealSet,
     generated_left_ideal,
-    ideal_label,
     is_graded,
     is_left_ideal,
 )
@@ -110,18 +109,17 @@ def quotient_graph(partition: SimPartition, graded_graph: Graph) -> Graph:
     tests the diagonal block (the class is a clique), then the blocks
     towards later classes (each is all edges or none, so adjacency between
     classes does not depend on representatives), and keeps the class's
-    quotient row.  The first failure raises WellDefinednessViolation.  A
-    class's label, the label of its trace, is searched when it is read.
+    quotient row.  The first failure raises WellDefinednessViolation.  The
+    vertex of a class is its trace, an ideal of the identity component.
     """
-    classes, adj, labels = partition.classes, graded_graph.adj, graded_graph.labels
+    classes, adj, vertices = partition.classes, graded_graph.adj, graded_graph.vertices
     held = sum(classes)
     if held != (1 << graded_graph.n) - 1:
         raise WellDefinednessViolation(
             f"the graded graph has {graded_graph.n} vertices, "
             f"the trace classes hold {held.bit_count()}"
         )
-    keys, re_ring = partition.keys, partition.re_ring
-    names = Labels(len(keys), lambda k: ideal_label(re_ring, keys[k]))
+    traces = tuple(IdealSet(partition.re_ring, key) for key in partition.keys)
     rows = []
     for k, members in enumerate(classes):
         vs = mask_members(members)
@@ -134,8 +132,8 @@ def quotient_graph(partition: SimPartition, graded_graph: Graph) -> Graph:
             missing = members & ~adj[v] & ~(1 << v)
             if missing:
                 raise WellDefinednessViolation(
-                    f"class {names[k]} is not a clique: {labels[v]} meets "
-                    f"{labels[mask_members(missing)[0]]} only in 0"
+                    f"class {traces[k]} is not a clique: {vertices[v]} meets "
+                    f"{vertices[mask_members(missing)[0]]} only in 0"
                 )
         if any(adj[v] & ~members != outside for v in vs):
             j = next(
@@ -143,11 +141,11 @@ def quotient_graph(partition: SimPartition, graded_graph: Graph) -> Graph:
                 if {adj[v] & classes[j] for v in vs} not in ({0}, {classes[j]})
             )
             raise WellDefinednessViolation(
-                f"adjacency between classes {names[k]} and {names[j]} "
+                f"adjacency between classes {traces[k]} and {traces[j]} "
                 "depends on representatives"
             )
         rows.append(row)
-    return Graph(n=len(rows), adj=tuple(rows), labels=names)
+    return Graph(adj=tuple(rows), vertices=traces)
 
 
 def extension_map(
@@ -186,23 +184,23 @@ def phi_iso_check(source: Graph, image: Sequence[int | None], target: Graph) -> 
     source_of: list = [None] * target.n
     for a, t in enumerate(image):
         if t is None or not 0 <= t < target.n:
-            raise IsoViolation(f"{source.labels[a]} has no image")
+            raise IsoViolation(f"{source.vertices[a]} has no image")
         if source_of[t] is not None:
             raise IsoViolation(
-                f"{source.labels[source_of[t]]} and {source.labels[a]} "
-                f"both map to {target.labels[t]}"
+                f"{source.vertices[source_of[t]]} and {source.vertices[a]} "
+                f"both map to {target.vertices[t]}"
             )
         source_of[t] = a
     if None in source_of:
-        raise IsoViolation(f"{target.labels[source_of.index(None)]} is not in the image")
+        raise IsoViolation(f"{target.vertices[source_of.index(None)]} is not in the image")
     source_bit = [1 << a for a in source_of]
     for a, t in enumerate(image):
         pulled = sum([source_bit[u] for u in mask_members(target.adj[t])])
         diff = source.adj[a] ^ pulled
         if diff:
             raise IsoViolation(
-                f"adjacency of {source.labels[a]} and "
-                f"{source.labels[mask_members(diff)[0]]} is not preserved"
+                f"adjacency of {source.vertices[a]} and "
+                f"{source.vertices[mask_members(diff)[0]]} is not preserved"
             )
 
 

@@ -20,6 +20,7 @@ from idealgraphs.errors import (
 )
 from idealgraphs.grading import validate_grading
 from idealgraphs.graph_engine import graph_from_edges
+from idealgraphs.ideal_lattice import IdealSet
 from idealgraphs.ring_core import (
     FiniteGroup,
     _induced_ring,
@@ -783,13 +784,14 @@ def pairwise_quotient(partition, graph):
             f"the graded graph has {graph.n} vertices, the trace classes hold {len(held)}"
         )
     names = [ideal_label(partition.re_ring, key) for key in partition.keys]
+    traces = [IdealSet(partition.re_ring, key) for key in partition.keys]
     edges = []
     for i, members in enumerate(classes):
         for a, b in itertools.combinations(members, 2):
             if not graph.has_edge(a, b):
                 raise WellDefinednessViolation(
-                    f"class {names[i]} is not a clique: {graph.labels[a]} meets "
-                    f"{graph.labels[b]} only in 0"
+                    f"class {names[i]} is not a clique: {graph.vertices[a]} meets "
+                    f"{graph.vertices[b]} only in 0"
                 )
         for j in range(i + 1, len(classes)):
             verdicts = {graph.has_edge(a, b) for a in members for b in classes[j]}
@@ -800,7 +802,7 @@ def pairwise_quotient(partition, graph):
                 )
             if verdicts.pop():
                 edges.append((i, j))
-    return graph_from_edges(len(classes), edges, names)
+    return graph_from_edges(len(classes), edges, traces)
 
 
 def pairwise_phi_iso(source, image, target) -> None:
@@ -810,19 +812,19 @@ def pairwise_phi_iso(source, image, target) -> None:
     target, and then each pair (a, b), a < b, must keep its adjacency."""
     for a, t in enumerate(image):
         if t not in range(target.n):
-            raise IsoViolation(f"{source.labels[a]} has no image")
+            raise IsoViolation(f"{source.vertices[a]} has no image")
     if len(set(image)) != len(image):
         b = next(b for b in range(len(image)) if image[b] in image[:b])
         a = image.index(image[b])
         raise IsoViolation(
-            f"{source.labels[a]} and {source.labels[b]} both map to "
-            f"{target.labels[image[b]]}"
+            f"{source.vertices[a]} and {source.vertices[b]} both map to "
+            f"{target.vertices[image[b]]}"
         )
     missing = [t for t in range(target.n) if t not in image]
     if missing:
-        raise IsoViolation(f"{target.labels[missing[0]]} is not in the image")
+        raise IsoViolation(f"{target.vertices[missing[0]]} is not in the image")
     for a, b in itertools.combinations(range(source.n), 2):
         if source.has_edge(a, b) != target.has_edge(image[a], image[b]):
             raise IsoViolation(
-                f"adjacency of {source.labels[a]} and {source.labels[b]} is not preserved"
+                f"adjacency of {source.vertices[a]} and {source.vertices[b]} is not preserved"
             )

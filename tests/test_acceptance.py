@@ -230,7 +230,7 @@ def test_criterion_08_acyclic_star_structure(corpus_instances):
     two_gen = (
         rep.verdict == "PASS"
         and girth(g) == math.inf
-        and g.labels[center] == "<x,y>"
+        and str(g.vertices[center]) == "<x,y>"
         and rep.details.get("homogeneous_generators") == 2
     )
 

@@ -172,13 +172,28 @@ class TestParsing:
 
     def test_explicit_degree_keys_parse_negatives(self):
         doc = {
-            "ring": {"zn": 4},
+            "ring": {"poly_quotient": {"base": {"zn": 2}, "modulus": [0, 0, 1]}},
             "grading": {
-                "explicit": {"group": "integers", "components": {"0": [1]}}
+                "explicit": {"group": "integers", "components": {"0": [1], "-1": [2]}}
             },
         }
         inst = parse_instance(doc)
-        assert inst.grading.support == (0,)
+        assert inst.grading.support == (-1, 0)
+        assert inst.grading.degree_of(2) == -1
+
+    @pytest.mark.parametrize("key", ["1_0", "01", "+1", " 1", "1 ", "-0", "1.0", "one"])
+    def test_explicit_degree_keys_are_plain_decimal(self, key):
+        # int() reads each of these, or fails on it; only str(deg) names deg,
+        # so "1_0" is not degree 10 and "01" cannot stand in for "1"
+        doc = {
+            "ring": {"zn": 4},
+            "grading": {
+                "explicit": {"group": "integers", "components": {"0": [1], key: []}}
+            },
+        }
+        with pytest.raises(SchemaError, match="plain decimal") as info:
+            parse_instance(doc)
+        assert str(info.value).startswith("$.grading.explicit.components:")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealgraphs import (
-    Graph,
+    GraphTooLarge,
+    IdealSet,
     algebra_over_zn,
     build_intersection_graph,
     classify_shape,
@@ -22,7 +23,6 @@ from idealgraphs import (
     girth,
     graph_from_edges,
     graph_invariants,
-    intersection_graph,
     is_complete,
     is_connected,
     is_null,
@@ -100,8 +100,10 @@ class TestBasics:
         assert g.has_edge(1, 2) and not g.has_edge(0, 3)
 
     def test_intersection_graph_adjacency(self):
-        masks = [0b0110, 0b1100, 0b0001 | 0b1000]
-        g = intersection_graph(masks, zero_mask=0, labels=["a", "b", "c"])
+        z12 = make_cyclic_ring(12)
+        # element 0 is bit 0; sets meeting only there are not adjacent
+        masks = [0b0111, 0b1101, 0b1001]
+        g = build_intersection_graph([IdealSet(z12, m) for m in masks])
         assert g.has_edge(0, 1)  # share bit 2
         assert g.has_edge(1, 2)  # share bit 3
         assert not g.has_edge(0, 2)
@@ -110,10 +112,28 @@ class TestBasics:
         z12 = make_cyclic_ring(12)
         vertices = nontrivial_proper(enumerate_left_ideals(z12))
         g = build_intersection_graph(vertices)
-        assert g.n == 4
-        assert g.labels == ("<6>", "<4>", "<3>", "<2>")
+        assert g.n == 4 and g.vertices == tuple(vertices)
+        labels = [str(v) for v in g.vertices]
+        assert labels == ["<6>", "<4>", "<3>", "<2>"]
         assert g.edge_count == 4
-        assert not g.has_edge(g.labels.index("<6>"), g.labels.index("<4>"))
+        assert not g.has_edge(labels.index("<6>"), labels.index("<4>"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.permutations(range(10)))
+    def test_a_shuffled_list_keeps_its_order(self, order):
+        z60 = make_cyclic_ring(60)
+        ideals = nontrivial_proper(enumerate_left_ideals(z60))
+        shuffled = [ideals[i] for i in order]
+        g = build_intersection_graph(shuffled)
+        sorted_graph = build_intersection_graph(ideals)
+        assert g.vertices == tuple(shuffled)
+        for a, b in itertools.combinations(range(10), 2):
+            assert g.has_edge(a, b) == sorted_graph.has_edge(order[a], order[b])
+
+    def test_more_than_64_vertices_are_refused(self):
+        f2 = make_cyclic_ring(2)
+        with pytest.raises(GraphTooLarge):
+            build_intersection_graph([IdealSet(f2, 0b11)] * 65)
 
 
 class TestInvariants:
@@ -287,6 +307,26 @@ class TestShapes:
         assert not is_star(cycle_graph(4))
         # a two-vertex edge is a star with either center
         assert is_star(complete_graph(2))
+
+    @pytest.mark.parametrize(
+        "n, edges, center",
+        [(0, [], None), (1, [], 0), (2, [], None), (2, [(0, 1)], 0), (3, [(1, 0), (1, 2)], 1)],
+    )
+    def test_small_stars(self, n, edges, center):
+        g = graph_from_edges(n, edges)
+        assert star_center(g) == center
+        assert is_star(g) == (center is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=graphs())
+    def test_star_center_against_the_definition(self, g):
+        # a center joins every other vertex, and no edge avoids it
+        centers = [
+            c for c in range(g.n)
+            if set(g.edges) == {(min(c, v), max(c, v)) for v in range(g.n) if v != c}
+        ]
+        assert star_center(g) == (centers[0] if centers else None)
+        assert is_star(g) == bool(centers)
 
     def test_regular_null_complete(self):
         assert is_regular(cycle_graph(5))

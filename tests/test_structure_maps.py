@@ -17,6 +17,7 @@ from idealgraphs import (
     enumerate_graded_left_ideals,
     enumerate_left_ideals,
     graph_from_edges,
+    ideal_label,
     identity_component_ring,
     induced_factor_grading,
     is_connected,
@@ -74,6 +75,15 @@ class TestSimPartition:
         assert g.n == 1
         assert g.edge_count == 0
 
+    def test_quotient_vertices_are_the_traces(self, corpus_instances):
+        for name, inst in corpus_instances.items():
+            if not inst.e_faithful:
+                continue
+            keys, re_ring = inst.partition.keys, inst.re_ring
+            assert inst.quotient.vertices == tuple(IdealSet(re_ring, k) for k in keys), name
+            labels = [str(v) for v in inst.quotient.vertices]
+            assert labels == [ideal_label(re_ring, k) for k in keys], name
+
 
 class TestPhiIsomorphism:
     @pytest.mark.parametrize("name", ["z12", "z4c2", "z8c2", "m2f2", "f4", "z2c3"])
@@ -128,13 +138,13 @@ def _flip(graph: Graph, u: int, v: int) -> Graph:
     adj = list(graph.adj)
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
-    return Graph(n=graph.n, adj=tuple(adj), labels=graph.labels)
+    return Graph(adj=tuple(adj), vertices=graph.vertices)
 
 
-def _random_graph(data, n: int, labels) -> Graph:
+def _random_graph(data, n: int, vertices) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k], labels)
+    return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k], vertices)
 
 
 def _with_extra_vertex(data, graph: Graph) -> Graph:
@@ -142,7 +152,7 @@ def _with_extra_vertex(data, graph: Graph) -> Graph:
     n = graph.n
     joined = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     edges = graph.edges + [(v, n) for v in range(n) if joined[v]]
-    return graph_from_edges(n + 1, edges, graph.labels + ("extra",))
+    return graph_from_edges(n + 1, edges, graph.vertices + ("extra",))
 
 
 def _planted_partition(data, inst, k: int) -> SimPartition:
@@ -158,7 +168,7 @@ def _planted_partition(data, inst, k: int) -> SimPartition:
     return SimPartition(inst.re_ring, inst.partition.keys[:k], classes, class_of={})
 
 
-def _blow_up(data, part: SimPartition, labels) -> Graph:
+def _blow_up(data, part: SimPartition, vertices) -> Graph:
     """A graph the partition collapses cleanly: classes are cliques, and a
     drawn quotient decides each block between two classes."""
     quotient = _random_graph(data, len(part.classes), None)
@@ -167,7 +177,7 @@ def _blow_up(data, part: SimPartition, labels) -> Graph:
         (u, v) for u, v in itertools.combinations(sorted(owner), 2)
         if owner[u] == owner[v] or quotient.has_edge(owner[u], owner[v])
     ]
-    return graph_from_edges(len(owner), edges, labels)
+    return graph_from_edges(len(owner), edges, vertices)
 
 
 # branch -> text the violation must contain; None: no violation, "": any outcome
@@ -188,8 +198,8 @@ def test_quotient_matches_the_pairwise_reference(corpus_instances, branch, data)
         inst = corpus_instances[name]
         if not inst.e_faithful:
             continue
-        labels = inst.graded_graph.labels
-        n = len(labels)
+        vertices = inst.graded_graph.vertices
+        n = len(vertices)
         # a non-clique class needs a class of two; a mixed block, two classes
         # and three vertices
         low, high = {"non-clique class": (1, n - 1), "mixed block": (2, n - 1)}.get(
@@ -198,13 +208,13 @@ def test_quotient_matches_the_pairwise_reference(corpus_instances, branch, data)
         if low > high:
             continue
         part = _planted_partition(data, inst, data.draw(st.integers(low, high)))
-        graph = _blow_up(data, part, labels)
+        graph = _blow_up(data, part, vertices)
         if branch == "random":
-            graph = _random_graph(data, n, labels)
+            graph = _random_graph(data, n, vertices)
         elif branch == "order":
             graph = (
                 _with_extra_vertex(data, graph) if n == 0 or data.draw(st.booleans())
-                else _random_graph(data, n - 1, labels[:-1])
+                else _random_graph(data, n - 1, vertices[:-1])
             )
         elif branch == "non-clique class":
             members = data.draw(st.sampled_from([m for m in part.classes if m.bit_count() > 1]))
@@ -265,7 +275,7 @@ def test_isomorphism_matches_the_pairwise_reference(corpus_instances, branch, da
         for image, target in _isomorphisms(inst):
             image = list(image)
             if branch == "random":
-                target = _random_graph(data, target.n, target.labels)
+                target = _random_graph(data, target.n, target.vertices)
             elif branch == "no image":
                 a = data.draw(st.integers(0, n - 1))
                 image[a] = data.draw(st.sampled_from([None, -1, target.n]))
