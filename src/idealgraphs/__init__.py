@@ -65,7 +65,6 @@ _EXPORTS = {
         "is_sigma_faithful",
         "is_strong",
         "poly_quotient_integer_grading",
-        "same_grading",
         "support_is_subgroup",
         "trivial_grading",
         "validate_grading",
@@ -76,7 +75,6 @@ _EXPORTS = {
         "enumerate_left_ideals",
         "enumerate_submodules",
         "generated_left_ideal",
-        "ideal_intersect",
         "ideal_label",
         "ideal_power",
         "ideal_product",

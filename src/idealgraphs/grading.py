@@ -310,9 +310,11 @@ def explicit_grading(
     return validate_grading(ring, grades, comps)
 
 
-def _has_components(grading: Grading, grades: GradeGroup, components: dict) -> bool:
-    """Same degrees with the same nonzero components over the same kind of
+def is_canonical(grading: Grading) -> bool:
+    """Whether a group ring or an idealization carries its canonical grading:
+    the same degrees with the same nonzero components over the same kind of
     grade group (finite grade groups must share their operation table)."""
+    grades, components = _canonical(grading.ring)
     if grading.grades.kind != grades.kind:
         return False
     if grades.kind == "finite" and not np.array_equal(
@@ -321,16 +323,6 @@ def _has_components(grading: Grading, grades: GradeGroup, components: dict) -> b
         return False
     zero = grading.ring.zero_mask
     return grading.components == {d: c for d, c in components.items() if c != zero}
-
-
-def same_grading(a: Grading, b: Grading) -> bool:
-    """The same grading of the same ring."""
-    return a.ring is b.ring and _has_components(a, b.grades, b.components)
-
-
-def is_canonical(grading: Grading) -> bool:
-    """Whether a group ring or an idealization carries its canonical grading."""
-    return _has_components(grading, *_canonical(grading.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ class Graph:
     # invariant name -> value, filled by the memoized invariants below
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        if len(self.vertices) != len(self.adj):
+            raise ValueError(
+                f"{len(self.vertices)} vertices for {len(self.adj)} adjacency rows"
+            )
+
     @property
     def n(self) -> int:
         return len(self.adj)

@@ -318,10 +318,6 @@ def ideal_sum(ring: FiniteRing, a_mask: int, b_mask: int) -> int:
     return span_extend(ring.add_array, a_mask, mask_members(a_mask), b_mask)
 
 
-def ideal_intersect(a_mask: int, b_mask: int) -> int:
-    return a_mask & b_mask
-
-
 def ideal_product(ring: FiniteRing, a_mask: int, b_mask: int) -> int:
     """Span of pairwise products; for left ideals this is again a left ideal."""
     products = ring.mul_array[np.ix_(mask_members(a_mask), mask_members(b_mask))]

@@ -2,17 +2,17 @@
 
 An Instance builds each derived object at most once, on first use:
 
-- the graded and the full left ideal families, their vertices and graphs
-  (when the identity component is the whole ring, as under a trivial
-  grading, every left ideal is graded, and the graded ones are the full
-  ones);
+- the graded and the full left ideal families and their graphs (when the
+  identity component is the whole ring, as under a trivial grading, every
+  left ideal is graded, and the graded ones are the full ones);
 - the identity component as a subring with its embedding, and that
   subring's family and graph (under a trivial grading the component is the
   whole ring, and these are the full family and graph);
 - the trace partition, its quotient graph, the extension map, and the
   isomorphism reports onto that quotient and onto the graded graph;
-  the quotient is read from the graded graph's rows, and each report
-  checks one vertex map from the identity component's graph, by position;
+  the partition groups the graded graph's vertices, the quotient is read
+  from that graph's rows, and each report checks one vertex map from the
+  identity component's graph, built from that graph's own vertices;
 - the identity-faithful and first-strong flags;
 - the base family and the submodule family of a composite carrier;
 - the induced grading, and its graded graph, of each direct-sum factor.
@@ -20,11 +20,13 @@ An Instance builds each derived object at most once, on first use:
 The checks in theorem_suite and the command line take these objects from
 here, so one run over every check derives each object once.  Each check
 computes its own comparisons from them: graph invariants, maximal members,
-leading ideals.  Each graph is built from its vertex list and holds that
-list, in that order, as its vertices, so a position in the list is a
-vertex of the graph; `by_position` checks a graph against its list before
-a check reads it that way, as a graph planted in place of an Instance's
-own may not match it.
+leading ideals.  A graph is built from the nontrivial proper members of
+its family and holds them as its vertices, so a check that pairs ideals
+with a graph reads `graph.vertices`, and a check that needs only the
+ideals reads the family.  `of_family` checks that a graph's vertices are
+the nontrivial proper members of the family it shows, in any order,
+before a check relies on that, as a graph planted in place of an
+Instance's own may not show it.
 
 The caches live on the Instance, never on the ring or the grading: the
 families, gradings and graphs point back at the ring, so a cache hung on the
@@ -53,15 +55,20 @@ from .ideal_lattice import (
 from .ring_core import FiniteRing
 
 
-def by_position(graph: Graph, vertices: Sequence[IdealSet]) -> Graph:
-    """`graph`, for a reader that takes its vertex a to be vertices[a];
-    raises IsoViolation when the two differ in order, as a graph planted in
-    place of an Instance's own may."""
-    if graph.n != len(vertices):
+def of_family(graph: Graph, family: Sequence[IdealSet]) -> Graph:
+    """`graph`, once its vertices are checked to be the nontrivial proper
+    members of `family`, in any order; raises IsoViolation when they are
+    not, as a graph planted in place of an Instance's own may not be."""
+    members = nontrivial_proper(family)
+    if graph.n != len(members):
         raise IsoViolation(
             f"a graph of {graph.n} vertices is read by the positions of "
-            f"{len(vertices)} nontrivial proper left ideals"
+            f"{len(members)} nontrivial proper left ideals"
         )
+    shown = {getattr(v, "mask", None) for v in graph.vertices}
+    missing = next((i for i in members if i.mask not in shown), None)
+    if missing is not None:
+        raise IsoViolation(f"{missing} is not a vertex of the graph")
     return graph
 
 
@@ -92,16 +99,10 @@ class Instance:
         return enumerate_graded_left_ideals(self.grading)
 
     @cached_property
-    def graded_vertices(self) -> list[IdealSet]:
-        if self._identity_is_whole:
-            return self.all_vertices
-        return nontrivial_proper(self.graded_family)
-
-    @cached_property
     def graded_graph(self) -> Graph:
         if self._identity_is_whole:
             return self.all_graph
-        return build_intersection_graph(self.graded_vertices)
+        return build_intersection_graph(nontrivial_proper(self.graded_family))
 
     @cached_property
     def graded_decompositions(self) -> list[tuple[IdealSet, IdealSet]]:
@@ -113,12 +114,8 @@ class Instance:
         return enumerate_left_ideals(self.ring)
 
     @cached_property
-    def all_vertices(self) -> list[IdealSet]:
-        return nontrivial_proper(self.all_family)
-
-    @cached_property
     def all_graph(self) -> Graph:
-        return build_intersection_graph(self.all_vertices)
+        return build_intersection_graph(nontrivial_proper(self.all_family))
 
     # -- identity component
 
@@ -145,16 +142,10 @@ class Instance:
         return enumerate_left_ideals(self.re_ring)
 
     @cached_property
-    def re_vertices(self) -> list[IdealSet]:
-        if self._identity_is_whole:
-            return self.all_vertices
-        return nontrivial_proper(self.re_family)
-
-    @cached_property
     def re_graph(self) -> Graph:
         if self._identity_is_whole:
             return self.all_graph
-        return build_intersection_graph(self.re_vertices)
+        return build_intersection_graph(nontrivial_proper(self.re_family))
 
     @cached_property
     def e_faithful(self) -> bool:
@@ -168,13 +159,16 @@ class Instance:
 
     @cached_property
     def partition(self):
-        """The graded vertices grouped by identity trace (a SimPartition);
-        raises NotEFaithful unless the grading is faithful at the identity."""
+        """The graded graph's vertices grouped by identity trace (a
+        SimPartition); raises NotEFaithful unless the grading is faithful at
+        the identity, and IsoViolation unless that graph shows the graded
+        family."""
         from .structure_maps import sim_partition
 
         if not self.e_faithful:
             raise NotEFaithful("grading is not faithful at the identity degree")
-        return sim_partition(self.graded_vertices, self.re_ring, self.re_embedding)
+        graded = of_family(self.graded_graph, self.graded_family)
+        return sim_partition(graded.vertices, self.re_ring, self.re_embedding)
 
     @cached_property
     def quotient(self) -> Graph:
@@ -189,7 +183,7 @@ class Instance:
         generates in the whole ring."""
         from .structure_maps import extension_map
 
-        return extension_map(self.grading, self.re_embedding, self.re_vertices)
+        return extension_map(self.grading, self.re_embedding, self.re_graph.vertices)
 
     @cached_property
     def quotient_iso(self) -> dict:
@@ -202,8 +196,9 @@ class Instance:
         # a violation in the partition or the quotient is reported before
         # one in the extension
         quotient, class_of = self.quotient, self.partition.class_of
-        image = [class_of.get(self.extension[ie.mask]) for ie in self.re_vertices]
-        phi_iso_check(by_position(self.re_graph, self.re_vertices), image, quotient)
+        source = of_family(self.re_graph, self.re_family)
+        image = [class_of.get(self.extension[ie.mask]) for ie in source.vertices]
+        phi_iso_check(source, image, quotient)
         classes = self.partition.classes
         return {
             "variant": "quotient",
@@ -223,14 +218,14 @@ class Instance:
             raise WrongConstruction(
                 "first-strong comparison needs a first-strong grading"
             )
-        position = {v.mask: i for i, v in enumerate(self.graded_vertices)}
-        image = [position.get(self.extension[ie.mask]) for ie in self.re_vertices]
-        source = by_position(self.re_graph, self.re_vertices)
-        phi_iso_check(source, image, self.graded_graph)
+        source, target = of_family(self.re_graph, self.re_family), self.graded_graph
+        position = {v.mask: i for i, v in enumerate(target.vertices)}
+        image = [position.get(self.extension[ie.mask]) for ie in source.vertices]
+        phi_iso_check(source, image, target)
         return {
             "variant": "first_strong",
             "identity_vertices": len(image),
-            "graded_vertices": len(position),
+            "graded_vertices": target.n,
         }
 
     # -- parts of composite carriers
@@ -241,12 +236,8 @@ class Instance:
         return enumerate_left_ideals(self.ring.parts["base"])
 
     @cached_property
-    def base_vertices(self) -> list[IdealSet]:
-        return nontrivial_proper(self.base_family)
-
-    @cached_property
     def base_graph(self) -> Graph:
-        return build_intersection_graph(self.base_vertices)
+        return build_intersection_graph(nontrivial_proper(self.base_family))
 
     @cached_property
     def module_family(self) -> list[int]:

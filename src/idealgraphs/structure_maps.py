@@ -52,8 +52,8 @@ class SimPartition:
     """Nontrivial proper graded left ideals, grouped by identity trace.
 
     keys are the trace masks over the identity-component ring, sorted by
-    (popcount, value); classes[k] is the mask of the positions, among the
-    graded vertices, of the ideals whose trace is keys[k]; class_of maps a
+    (popcount, value); classes[k] is the mask of the positions, in the
+    graded graph, of the ideals whose trace is keys[k]; class_of maps a
     graded ideal's mask to its class position k.
     """
 
@@ -64,11 +64,12 @@ class SimPartition:
 
 
 def sim_partition(
-    graded_vertices: Sequence[IdealSet],
+    graded_ideals: Sequence[IdealSet],
     re_ring: FiniteRing,
     embedding: Sequence[int],
 ) -> SimPartition:
-    """Group the nontrivial proper graded ideals by identity trace.
+    """Group the nontrivial proper graded ideals, the graded graph's
+    vertices in that graph's order, by identity trace.
 
     The caller establishes that the grading is faithful at the identity
     degree (Instance.partition raises NotEFaithful otherwise).  Verifies
@@ -77,7 +78,7 @@ def sim_partition(
     quotient_graph checks that every class is a clique.
     """
     positions: dict = {}
-    for pos, ideal in enumerate(graded_vertices):
+    for pos, ideal in enumerate(graded_ideals):
         key = _trace_mask(ideal.mask, embedding)
         if key == re_ring.zero_mask:
             raise WellDefinednessViolation(
@@ -95,7 +96,7 @@ def sim_partition(
     keys = tuple(sorted(positions, key=lambda m: (m.bit_count(), m)))
     classes = tuple(positions[key] for key in keys)
     class_of = {
-        graded_vertices[v].mask: k
+        graded_ideals[v].mask: k
         for k, members in enumerate(classes)
         for v in mask_members(members)
     }
@@ -149,14 +150,14 @@ def quotient_graph(partition: SimPartition, graded_graph: Graph) -> Graph:
 
 
 def extension_map(
-    grading: Grading, embedding: Sequence[int], re_vertices: Sequence[IdealSet]
+    grading: Grading, embedding: Sequence[int], re_ideals: Sequence[IdealSet]
 ) -> dict:
     """mask over the identity component -> mask of the generated graded ideal
     of the full ring; raises IsoViolation when an extension fails to be a
     nontrivial proper graded left ideal."""
     ring = grading.ring
     out = {}
-    for ie in re_vertices:
+    for ie in re_ideals:
         gens = [embedding[x] for x in ie.members]
         ext = generated_left_ideal(ring, gens)
         if ext == ring.zero_mask or ext == ring.full_mask:

@@ -65,8 +65,9 @@ from .ideal_lattice import (
     maximal_members,
     min_generator_count,
     minimal_members,
+    nontrivial_proper,
 )
-from .instance import Instance, by_position
+from .instance import Instance, of_family
 from .ordered_grading import leading_ideal
 from .ring_core import FiniteModule, FiniteRing, index_mask, mask_members
 
@@ -206,12 +207,12 @@ def _check_lemma_b(inst: Instance) -> Finding:
     "minimal and maximal; essential means adjacent to everything else",
 )
 def _check_lemma_r1(inst: Instance) -> Finding:
-    vertices = inst.graded_vertices
+    g = inst.graded_graph
     family = inst.graded_family
     laws = ("minimal_neighborhood", "isolated_iff_min_and_max", "essential_neighborhood")
-    details = {"vertices": len(vertices)}
+    details = {"vertices": g.n}
     try:
-        g = by_position(inst.graded_graph, vertices)
+        vertices = of_family(g, family).vertices
     except IsoViolation as exc:
         return Finding(True, [(law, FAIL) for law in laws], str(exc), details=details)
     ok_min = ok_iso = ok_ess = True
@@ -279,7 +280,7 @@ def _check_c1(inst: Instance) -> Finding:
     bad = next(
         (
             v
-            for v in inst.graded_vertices
+            for v in inst.graded_graph.vertices
             if not (
                 min_generator_count(inst.ring, v.mask, limit=1) == 1
                 and is_minimal(v, family)
@@ -444,15 +445,16 @@ def _check_t6(inst: Instance) -> Finding:
         return Finding(False)
     witness = None
     annotations = []
-    gamma = domination_number(inst.graded_graph)
+    g = inst.graded_graph
+    gamma = domination_number(g)
     directions = [("gamma_at_most_two", PASS if gamma <= 2 else FAIL)]
     decomps = inst.graded_decompositions
     indecomposable = not decomps
     if gamma > 2:
         witness = f"domination number {gamma}"
-    elif indecomposable and inst.graded_vertices and gamma != 1:
+    elif indecomposable and g.n and gamma != 1:
         witness = f"domination number {gamma} with no internal split"
-    if indecomposable and not inst.graded_vertices:
+    if indecomposable and not g.n:
         annotations.append(
             "indecomposable with no vertices: the dominating singleton "
             "needs a graded maximal ideal, so the empty graph is excluded"
@@ -460,7 +462,7 @@ def _check_t6(inst: Instance) -> Finding:
     directions.append(
         _direction(
             "indecomposable_gamma_one",
-            indecomposable and bool(inst.graded_vertices),
+            indecomposable and g.n > 0,
             gamma == 1,
         )
     )
@@ -576,7 +578,7 @@ def _check_t4(inst: Instance) -> Finding:
     if is_null(g) or girth(g) != math.inf:
         return Finding(False)
     try:
-        by_position(g, inst.graded_vertices)
+        of_family(g, inst.graded_family)
     except IsoViolation as exc:
         return Finding(True, [("star_centered_at_maximal", FAIL)], str(exc))
     if not is_graded_local(inst.grading, inst.graded_family):
@@ -586,7 +588,7 @@ def _check_t4(inst: Instance) -> Finding:
     directions = [("graded_local", PASS)]
     witness = None
     m = maximal_members(inst.graded_family)[0]
-    idx = next(i for i, v in enumerate(inst.graded_vertices) if v.mask == m.mask)
+    idx = next(i for i, v in enumerate(g.vertices) if v.mask == m.mask)
     star = is_star(g) and g.degree(idx) == g.n - 1
     directions.append(("star_centered_at_maximal", PASS if star else FAIL))
     if not star:
@@ -630,7 +632,8 @@ def _check_t4(inst: Instance) -> Finding:
     "the graded graph and the full-lattice graph are both connected",
 )
 def _check_t100(inst: Instance) -> Finding:
-    hyp = len(inst.re_vertices) >= 2 and is_connected(inst.re_graph)
+    count = len(nontrivial_proper(inst.re_family))
+    hyp = count >= 2 and is_connected(inst.re_graph)
     directions = []
     witness = None
     if hyp:
@@ -648,7 +651,7 @@ def _check_t100(inst: Instance) -> Finding:
             "the premise needs an edge, so two nontrivial proper left ideals of "
             "the identity component are required",
         ),
-        details={"identity_vertices": len(inst.re_vertices)},
+        details={"identity_vertices": count},
     )
 
 
@@ -670,7 +673,7 @@ def _check_lemma51(inst: Instance) -> Finding:
     else:
         probes = list(range(grades.group.size))
     zero_mask = inst.ring.zero_mask
-    vertices = inst.graded_vertices
+    vertices = nontrivial_proper(inst.graded_family)
     forward_ok = True
     backward_ok = True
     witness = None
@@ -787,14 +790,14 @@ def _check_omega_formula(inst: Instance) -> Finding:
         return Finding(False, annotations=annotations)
     try:
         partition = inst.partition  # before the extension, as in quotient_iso
+        re_graph = of_family(inst.re_graph, inst.re_family)
         extension = inst.extension
-        re_graph = by_position(inst.re_graph, inst.re_vertices)
     except (IsoViolation, WellDefinednessViolation) as exc:
         directions = [("finiteness_equivalence", PASS), ("clique_sum_formula", FAIL)]
         return Finding(True, directions, str(exc), annotations)
     sizes = [members.bit_count() for members in partition.classes]
     # each identity-component vertex weighs the size of its extension's class
-    weights = [sizes[partition.class_of[extension[ie.mask]]] for ie in inst.re_vertices]
+    weights = [sizes[partition.class_of[extension[ie.mask]]] for ie in re_graph.vertices]
     details = {
         "omega_graded": clique_number(inst.graded_graph),
         "omega_identity": clique_number(re_graph),
@@ -820,14 +823,15 @@ def _check_omega_formula(inst: Instance) -> Finding:
 )
 def _check_lemma_l0(inst: Instance) -> Finding:
     hyp = inst.first_strong
-    details = {"vertices": len(inst.graded_vertices)}
+    vertices = nontrivial_proper(inst.graded_family)
+    details = {"vertices": len(vertices)}
     if not hyp:
         return Finding(False, details=details)
     comp_e = inst.grading.component(inst.grading.grades.identity)
     bad = next(
         (
             v
-            for v in inst.graded_vertices
+            for v in vertices
             if generated_left_ideal(inst.ring, mask_members(v.mask & comp_e)) != v.mask
         ),
         None,
@@ -903,10 +907,10 @@ def _check_groupring_example(inst: Instance) -> Finding:
     directions.append(("coefficient_ring_is_identity_component", PASS if iso_ok else FAIL))
     if not iso_ok:
         return Finding(True, directions, witness)
-    lifted = {frozenset(embed[x] for x in v.members) for v in inst.base_vertices}
-    # identity-component vertices traced back to parent coordinates
+    lifted = {frozenset(embed[x] for x in v.members) for v in inst.base_family}
+    # identity-component ideals traced back to parent coordinates
     emb = inst.re_embedding
-    re_lifted = {frozenset(emb[x] for x in v.members) for v in inst.re_vertices}
+    re_lifted = {frozenset(emb[x] for x in v.members) for v in inst.re_family}
     directions.append(("ideal_families_match", PASS if lifted == re_lifted else FAIL))
     if lifted != re_lifted:
         witness = "coefficient-ring ideals do not match the identity component"
@@ -976,7 +980,7 @@ def _check_lemma17(inst: Instance) -> Finding:
 
 def _base_is_simple(inst: Instance) -> bool:
     # for the commutative carriers used here, simple means no nontrivial ideal
-    return not inst.base_vertices
+    return not nontrivial_proper(inst.base_family)
 
 
 def _module_is_simple(inst: Instance) -> bool:
@@ -1013,7 +1017,7 @@ def _check_t777(inst: Instance) -> Finding:
     gv = girth(g)
     details["girth"] = "inf" if gv == math.inf else gv
     trig_a = (not _base_is_simple(inst)) and not _module_is_simple(inst)
-    trig_b = len(inst.base_vertices) >= 2
+    trig_b = len(nontrivial_proper(inst.base_family)) >= 2
     full_action = index_mask(module.act_array, module.size)
     trig_c = full_action != (1 << module.size) - 1
     directions.append(_direction("both_nonsimple_girth_three", trig_a, gv == 3))
@@ -1070,16 +1074,16 @@ def _check_t777_cor(inst: Instance) -> Finding:
 def _check_t231(inst: Instance) -> Finding:
     if inst.ring.parts["module"].size <= 1:
         return Finding(False)
-    base_vertices = inst.base_vertices
+    base_count = len(nontrivial_proper(inst.base_family))
     base_graph = inst.base_graph
     omega_base = clique_number(base_graph)
-    bound = 1 + 2 * omega_base + len(base_vertices)
+    bound = 1 + 2 * omega_base + base_count
     omega = clique_number(inst.graded_graph)
     details = {
         "omega_graded": omega,
         "bound": bound,
         "omega_base": omega_base,
-        "base_ideals": len(base_vertices),
+        "base_ideals": base_count,
     }
     equality = omega == bound
     directions = [
@@ -1100,7 +1104,7 @@ def _check_t231(inst: Instance) -> Finding:
 def _check_planarity_cor(inst: Instance) -> Finding:
     if inst.ring.parts["module"].size <= 1:
         return Finding(False)
-    base_count = len(inst.base_vertices)
+    base_count = len(nontrivial_proper(inst.base_family))
     planar = is_planar(inst.graded_graph)
     details = {"planar": planar, "base_ideals": base_count}
     ok = planar == (base_count <= 1)

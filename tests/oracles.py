@@ -596,11 +596,9 @@ def entrywise_polynomial_quotient(base, modulus) -> dict:
     return out
 
 
-def entrywise_group_ring(base, group) -> dict:
-    g = group.size
-    out = _entrywise_tables(
-        as_lists(base.add_array), base.neg, base.size, g, lambda a, b: gmul(base, group, a, b)
-    )
+def group_ring_names(base, group) -> list[str]:
+    """The element names of base[group], read off each element's digit
+    expansion alone: no table is built."""
 
     def term(c, k):
         name = base.names[c]
@@ -608,10 +606,16 @@ def entrywise_group_ring(base, group) -> dict:
             return name
         return group.names[k] if name == "1" else name + group.names[k]
 
-    out["names"] = [
-        _join_terms([term(c, k) for k, c in enumerate(e) if c != base.zero])
-        for e in out["elems"]
-    ]
+    digits = (index_to_digits(i, base.size, group.size) for i in range(base.size**group.size))
+    return [_join_terms([term(c, k) for k, c in enumerate(e) if c != base.zero]) for e in digits]
+
+
+def entrywise_group_ring(base, group) -> dict:
+    g = group.size
+    out = _entrywise_tables(
+        as_lists(base.add_array), base.neg, base.size, g, lambda a, b: gmul(base, group, a, b)
+    )
+    out["names"] = group_ring_names(base, group)
     one = [base.zero] * g
     one[group.identity] = base.one
     out["zero"] = digits_to_index([base.zero] * g, base.size)

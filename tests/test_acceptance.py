@@ -110,9 +110,9 @@ def test_criterion_04_domination_bounds(corpus_instances):
         if gamma > 2:
             bad.append(f"{name}: gamma {gamma}")
         indecomposable = is_graded_indecomposable(inst.grading, inst.graded_family)
-        if indecomposable and inst.graded_vertices and gamma != 1:
+        if indecomposable and inst.graded_graph.n and gamma != 1:
             bad.append(f"{name}: indecomposable with gamma {gamma}")
-        if indecomposable and not inst.graded_vertices and gamma != 0:
+        if indecomposable and not inst.graded_graph.n and gamma != 0:
             bad.append(f"{name}: empty graph with gamma {gamma}")
     report(
         4,
@@ -151,7 +151,7 @@ def test_criterion_05_fixed_points(corpus_instances):
             "group ring copies its coefficient graph",
             phi["identity_vertices"] == 1
             and phi["graded_vertices"] == 1
-            and z4c2.graded_vertices[0].size == 4,
+            and z4c2.graded_graph.vertices[0].size == 4,
         )
     )
 

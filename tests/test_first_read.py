@@ -25,6 +25,7 @@ from oracles import (
     entrywise_algebra_over_zn,
     entrywise_group_ring,
     entrywise_polynomial_quotient,
+    group_ring_names,
     relabelled_grading,
 )
 from oracles import ideal_label as oracle_label
@@ -58,7 +59,7 @@ def test_parsing_a_512_element_group_ring_formats_no_name(monkeypatch):
     build_intersection_graph(nontrivial_proper(family))
     assert formatted == []
     assert "names" not in vars(ring) and "names" not in vars(base)
-    want = entrywise_group_ring(base, ring.parts["group"])["names"]
+    want = group_ring_names(base, ring.parts["group"])
     assert list(ring.names) == want
     assert ring.names is ring.names and len(formatted) == 1
 

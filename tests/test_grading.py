@@ -32,7 +32,6 @@ from idealgraphs import (
     poly_quotient_integer_grading,
     polynomial_quotient,
     run_check,
-    same_grading,
     support_is_subgroup,
     trivial_grading,
     validate_grading,
@@ -137,12 +136,6 @@ class TestCanonicalGradings:
         g = idealization_grading(ring)
         assert g.support == (0, 1)
         assert g.component(1) == sum(1 << m for m in range(4)) | 1
-
-    def test_same_grading(self, z4c2):
-        a = group_ring_grading(z4c2)
-        b = group_ring_grading(z4c2)
-        assert same_grading(a, b)
-        assert not same_grading(a, trivial_grading(z4c2, finite_grades(cyclic_group(2))))
 
 
 # Z4 with residue a stored at index [2, 0, 3, 1][a]: zero at index 2
@@ -361,7 +354,7 @@ class TestArrayGroups:
         canonical = group_ring_grading(ring)
         twin = validate_grading(ring, finite_grades(cyclic_group(4)), canonical.components)
         assert twin.grades.group is not ring.parts["group"]
-        assert same_grading(canonical, twin) and is_canonical(twin)
+        assert is_canonical(twin)
         # C4 with 1 and 2 swapped, and the same components at their new degrees
         swap = [0, 2, 1, 3]
         relabelled = group_from_table(
@@ -370,11 +363,7 @@ class TestArrayGroups:
         moved = validate_grading(
             ring, finite_grades(relabelled), {swap[d]: c for d, c in canonical.components.items()}
         )
-        assert not same_grading(canonical, moved) and not is_canonical(moved)
-        # trivial gradings, whose components agree: only the tables differ
-        trivial = trivial_grading(ring, finite_grades(cyclic_group(4)))
-        assert same_grading(trivial, trivial_grading(ring, finite_grades(cyclic_group(4))))
-        assert not same_grading(trivial, trivial_grading(ring, finite_grades(relabelled)))
+        assert not is_canonical(moved)
 
     @pytest.mark.parametrize("name", ["C4", "V4", "S3"])
     def test_degrees_are_python_ints(self, name):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealgraphs import (
+    Graph,
     GraphTooLarge,
     IdealSet,
     algebra_over_zn,
@@ -129,6 +130,14 @@ class TestBasics:
         assert g.vertices == tuple(shuffled)
         for a, b in itertools.combinations(range(10), 2):
             assert g.has_edge(a, b) == sorted_graph.has_edge(order[a], order[b])
+
+    @pytest.mark.parametrize("vertices", [["a"], ["a", "b", "c", "d"]])
+    def test_a_vertex_count_other_than_the_row_count_is_refused(self, vertices):
+        # export_graph would otherwise write edges to vertices with no entry
+        with pytest.raises(ValueError, match="adjacency rows"):
+            graph_from_edges(3, [(0, 1)], vertices=vertices)
+        with pytest.raises(ValueError, match="adjacency rows"):
+            Graph(adj=(0b10, 0b01, 0), vertices=tuple(vertices))
 
     def test_more_than_64_vertices_are_refused(self):
         f2 = make_cyclic_ring(2)

@@ -24,7 +24,6 @@ from idealgraphs import (
     generated_left_ideal,
     group_ring,
     group_ring_grading,
-    ideal_intersect,
     ideal_label,
     ideal_power,
     ideal_product,
@@ -317,8 +316,8 @@ class TestFrozenLattices:
 
     def test_graded_family_drops_mixed_ideals(self, corpus_instances):
         inst = corpus_instances["f2xy_12"]
-        all_labels = {i.label() for i in inst.all_vertices}
-        graded_labels = {i.label() for i in inst.graded_vertices}
+        all_labels = {i.label() for i in inst.all_graph.vertices}
+        graded_labels = {i.label() for i in inst.graded_graph.vertices}
         assert all_labels - graded_labels == {"<x+y>"}
         assert len(graded_labels) == 3
 
@@ -367,7 +366,7 @@ class TestIdealArithmetic:
         six = generated_left_ideal(z12, [6])
         two = generated_left_ideal(z12, [2])
         assert ideal_sum(z12, four, six) == two
-        assert ideal_intersect(four, six) == 1 << 0
+        assert four & six == 1 << 0
         assert ideal_product(z12, four, six) == 1 << 0
         assert ideal_product(z12, two, two) == four
 
@@ -381,7 +380,7 @@ class TestIdealArithmetic:
     def test_min_generator_count(self, corpus_instances):
         inst = corpus_instances["f2xy_12"]
         ring = inst.ring
-        m = max(inst.all_vertices, key=lambda i: i.size)  # the radical
+        m = max(inst.all_graph.vertices, key=lambda i: i.size)  # the radical
         assert m.label() == "<x,y>"
         assert min_generator_count(ring, m.mask) == 2
         assert min_generator_count(ring, m.mask, limit=1) is None

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import idealgraphs
-from idealgraphs import WrongInstanceKind, run_all, run_check
+from idealgraphs import WrongInstanceKind, nontrivial_proper, run_all, run_check
 from idealgraphs.cli import load_instance
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
@@ -34,15 +34,15 @@ def test_each_check_alone_matches_run_all(path):
 
 
 def test_vertex_lists_are_in_their_graphs_order(corpus_instances):
-    # the transfer reads graph rows by list position, so each list must be
-    # in its graph's vertex order: (size, mask)
+    # a graph's vertices are the one vertex list: the nontrivial proper
+    # members of its family, in the family's (size, mask) order
     for name, inst in corpus_instances.items():
         for which in ("graded", "all", "re"):
-            vertices = getattr(inst, f"{which}_vertices")
+            family = getattr(inst, f"{which}_family")
             graph = getattr(inst, f"{which}_graph")
-            keys = [v.sort_key() for v in vertices]
+            keys = [v.sort_key() for v in graph.vertices]
             assert keys == sorted(keys), (name, which)
-            assert graph.vertices == tuple(vertices), (name, which)
+            assert graph.vertices == tuple(nontrivial_proper(family)), (name, which)
 
 
 def _count_calls(monkeypatch, name, key):

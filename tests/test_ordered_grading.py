@@ -35,7 +35,7 @@ class TestLeadingParts:
 
     def test_graded_ideal_is_fixed(self, corpus_instances):
         inst = corpus_instances["f2x3"]
-        for v in inst.graded_vertices:
+        for v in inst.graded_graph.vertices:
             assert leading_ideal(inst.grading, v.mask) == v.mask
 
     def test_rejects_finite_grade_groups(self, corpus_instances):
@@ -56,7 +56,7 @@ class TestClosureProperties:
         inst = corpus_instances["m2f2"]
         graded_masks = {i.mask for i in inst.graded_family}
         moved = [
-            i for i in inst.all_vertices if leading_ideal(inst.grading, i.mask) != i.mask
+            i for i in inst.all_graph.vertices if leading_ideal(inst.grading, i.mask) != i.mask
         ]
         assert moved  # the mixed-generator column ideal must move
         assert all(i.mask not in graded_masks for i in moved)

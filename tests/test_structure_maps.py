@@ -13,6 +13,7 @@ from idealgraphs import (
     SimPartition,
     WellDefinednessViolation,
     WrongConstruction,
+    build_intersection_graph,
     domination_number,
     enumerate_graded_left_ideals,
     enumerate_left_ideals,
@@ -51,14 +52,14 @@ class TestIdentityComponent:
 class TestSimPartition:
     def test_group_ring_single_class(self, corpus_instances):
         inst = corpus_instances["z4c2"]
-        part = sim_partition(inst.graded_vertices, *inst.identity_data)
+        part = sim_partition(inst.graded_graph.vertices, *inst.identity_data)
         assert len(part.keys) == 1
         (members,) = part.classes
-        assert [inst.graded_vertices[v].label() for v in mask_members(members)] == ["<2>"]
+        assert [inst.graded_graph.vertices[v].label() for v in mask_members(members)] == ["<2>"]
 
     def test_matrix_ring_classes(self, corpus_instances):
         inst = corpus_instances["m2f2"]
-        part = sim_partition(inst.graded_vertices, *inst.identity_data)
+        part = sim_partition(inst.graded_graph.vertices, *inst.identity_data)
         # two identity-component ideals, one graded ideal over each
         assert len(part.keys) == 2
         assert sorted(m.bit_count() for m in part.classes) == [1, 1]
@@ -70,7 +71,7 @@ class TestSimPartition:
 
     def test_quotient_graph_of_group_ring(self, corpus_instances):
         inst = corpus_instances["z4c2"]
-        part = sim_partition(inst.graded_vertices, *inst.identity_data)
+        part = sim_partition(inst.graded_graph.vertices, *inst.identity_data)
         g = quotient_graph(part, inst.graded_graph)
         assert g.n == 1
         assert g.edge_count == 0
@@ -90,7 +91,7 @@ class TestPhiIsomorphism:
     def test_quotient_variant_on_faithful_instances(self, corpus_instances, name):
         inst = corpus_instances[name]
         class_of = inst.partition.class_of
-        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
         target = quotient_graph(inst.partition, inst.graded_graph)
         assert phi_iso_check(inst.re_graph, image, target) is None
         report = inst.quotient_iso
@@ -100,8 +101,8 @@ class TestPhiIsomorphism:
     @pytest.mark.parametrize("name", ["z12", "z4c2", "z8c2", "z2c3"])
     def test_first_strong_variant(self, corpus_instances, name):
         inst = corpus_instances[name]
-        position = {v.mask: i for i, v in enumerate(inst.graded_vertices)}
-        image = [position[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        position = {v.mask: i for i, v in enumerate(inst.graded_graph.vertices)}
+        image = [position[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
         assert phi_iso_check(inst.re_graph, image, inst.graded_graph) is None
         report = inst.first_strong_iso
         assert report["variant"] == "first_strong"
@@ -159,7 +160,7 @@ def _planted_partition(data, inst, k: int) -> SimPartition:
     """The graded vertices dealt into k nonempty classes, keyed by the first
     k trace keys of the instance's own partition (every corpus class is a
     single vertex, so only a planted partition has larger classes)."""
-    n = len(inst.graded_vertices)
+    n = inst.graded_graph.n
     order = data.draw(st.permutations(range(n)))
     owner = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)) if k else []
     for c in range(k):
@@ -253,11 +254,11 @@ def _isomorphisms(inst):
     out = []
     if inst.e_faithful:
         class_of = inst.partition.class_of
-        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
         out.append((image, inst.quotient))
     if inst.first_strong:
-        position = {v.mask: i for i, v in enumerate(inst.graded_vertices)}
-        image = [position[inst.extension[ie.mask]] for ie in inst.re_vertices]
+        position = {v.mask: i for i, v in enumerate(inst.graded_graph.vertices)}
+        image = [position[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
         out.append((image, inst.graded_graph))
     return out
 
@@ -314,12 +315,17 @@ class TestTransferNumbers:
         assert omega.details["omega_from_classes"] == 1
 
     def test_zero_trace_vertex_fails_the_clique_formula(self, corpus_instances):
-        # the set {0, b} of the matrix ring has no identity-degree part
+        # the set {0, b} of the matrix ring has no identity-degree part; it
+        # is planted as one more vertex of the graded graph, and as one more
+        # member of the family that graph shows
         clean = corpus_instances["m2f2"]
         ring = clean.ring
         planted = IdealSet(ring=ring, mask=1 << ring.zero | 1 << ring.names.index("b"))
+        family = clean.graded_family + [planted]
         inst = Instance(name="m2f2", ring=ring, grading=clean.grading)
-        inst.__dict__["graded_vertices"] = clean.graded_vertices + [planted]
+        inst.__dict__["graded_family"] = family
+        inst.__dict__["graded_graph"] = build_intersection_graph(nontrivial_proper(family))
+        assert inst.graded_graph.vertices == clean.graded_graph.vertices + (planted,)
         t1001, gamma, omega = run_all(inst, ["t1001", "gamma_eq", "omega_formula"])
         message = "graded ideal {0,b} has zero identity trace"
         assert t1001.verdict == "FAIL" and t1001.witness == message

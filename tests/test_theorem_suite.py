@@ -10,6 +10,7 @@ from idealgraphs import (
     Instance,
     UnknownTheorem,
     WrongInstanceKind,
+    build_intersection_graph,
     graph_from_edges,
     make_cyclic_ring,
     run_all,
@@ -350,6 +351,26 @@ class TestReportShape:
                 assert rep.witness is None
 
 
+def planted_vertices(clean, n):
+    """n left ideals of the ring for a planted graded graph: the graded
+    graph's own vertices first, then the ring's other left ideals, the
+    trivial ones among them, repeated when the ring has fewer than n."""
+    own = clean.graded_graph.vertices
+    shown = {v.mask for v in own}
+    pool = list(own) + [i for i in clean.all_family if i.mask not in shown]
+    return [pool[v % len(pool)] for v in range(n)]
+
+
+def off_by_one(clean, slot, extra):
+    """The vertices of the clean instance's graph in `slot`, with the last
+    one dropped (extra -1) or the zero ideal added (extra 1); None when
+    there is no vertex to drop."""
+    own = getattr(clean, slot).vertices
+    if extra < 0:
+        return own[:-1] if own else None
+    return own + (next(i for i in clean.all_family if i.is_zero),)
+
+
 PLANTED_GRAPHS = {
     "C4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
     "P4": (4, [(0, 1), (1, 2), (2, 3)]),
@@ -362,14 +383,17 @@ PLANTED_GRAPHS = {
 class TestPlantedGraphReports:
     """The corpus never FAILs; planting other graded graphs through the
     cached slot, as TestFailurePlumbing does, drives most checks to FAIL and
-    shows how each report is written."""
+    shows how each report is written.  A planted graph's vertices are left
+    ideals of the ring: too few, too many, or the right ones with the wrong
+    edges."""
 
     def test_reports_follow_their_findings(self, corpus_instances):
         failing = set()
         for name, clean in corpus_instances.items():
             for shape, (n, edges) in PLANTED_GRAPHS.items():
                 inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
-                inst.__dict__["graded_graph"] = graph_from_edges(n, edges)
+                vertices = planted_vertices(clean, n)
+                inst.__dict__["graded_graph"] = graph_from_edges(n, edges, vertices)
                 for tid in ALL_IDS:
                     where = f"{name}/{shape}/{tid}"
                     (rep,) = run_all(inst, [tid])
@@ -392,17 +416,20 @@ class TestPlantedGraphReports:
 class TestPlantedGraphOrder:
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_transfer_checks_fail_with_a_witness(self, corpus_instances, extra):
-        # the transfer, lemma_r1 and t4 read the graded graph by position,
-        # so a planted graph with one vertex too few or too many refutes
-        # them; it is a star, with an edge and no cycle, so t4 applies
+        # the transfer, lemma_r1 and t4 pair the graded graph's vertices
+        # with the graded ideals, so a planted graph with one vertex too few
+        # or too many refutes them; it is a star, with an edge and no cycle,
+        # so t4 applies
         ids = ["t1001", "t56", "groupring_example", "lemma_r1", "t4"]
         failing = set()
         for name, clean in corpus_instances.items():
-            n = len(clean.graded_vertices) + extra
-            if n < 0:
+            vertices = off_by_one(clean, "graded_graph", extra)
+            if vertices is None:
                 continue
+            n = len(vertices)
             inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
-            inst.__dict__["graded_graph"] = graph_from_edges(n, [(0, v) for v in range(1, n)])
+            star = graph_from_edges(n, [(0, v) for v in range(1, n)], vertices)
+            inst.__dict__["graded_graph"] = star
             for rep in run_all(inst, ids):
                 if rep.verdict in ("VACUOUS", "SKIPPED"):
                     continue
@@ -415,22 +442,34 @@ class TestPlantedGraphOrder:
         self, corpus_instances, extra
     ):
         # under a trivial grading the identity component's graph is the full
-        # graph, which these checks read by position as well
+        # graph, whose vertices these checks pair with the ideals as well
         ids = ["t1001", "t56", "omega_formula"]
         failing = set()
         for name, clean in corpus_instances.items():
             grading = clean.grading
             if grading.component(grading.grades.identity) != clean.ring.full_mask:
                 continue
-            n = len(clean.all_vertices) + extra
-            if n < 0:
+            vertices = off_by_one(clean, "all_graph", extra)
+            if vertices is None:
                 continue
             inst = Instance(name=name, ring=clean.ring, grading=grading)
-            inst.__dict__["all_graph"] = graph_from_edges(n, [])
+            inst.__dict__["all_graph"] = graph_from_edges(len(vertices), [], vertices)
             for rep in run_all(inst, ids):
                 assert rep.verdict == "FAIL" and rep.witness, (name, rep)
                 failing.add(rep.theorem_id)
         assert sorted(failing) == sorted(ids)
+
+    @pytest.mark.parametrize("slot", ["graded_graph", "all_graph"])
+    def test_a_correct_graph_in_reverse_order_gives_the_clean_reports(
+        self, corpus_instances, slot
+    ):
+        # each check reads the vertices of the graph it uses, so the order
+        # in which a correct graph holds them changes no report
+        for name, clean in corpus_instances.items():
+            inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
+            vertices = getattr(clean, slot).vertices
+            inst.__dict__[slot] = build_intersection_graph(list(reversed(vertices)))
+            assert run_all(inst) == run_all(clean), name
 
 
 class TestIsomorphismReports:
