@@ -31,7 +31,6 @@ from .ring_core import (
     cyclic_group,
     index_mask,
     is_additive_subgroup,
-    is_subgroup,
     mask_members,
     span_extend,
 )
@@ -60,6 +59,26 @@ class GradeGroup:
         if self.kind == "integers":
             return str(deg)
         return self.group.names[deg]
+
+    def probes(self, support) -> list[int]:
+        """Degrees that decide a statement about every degree for a grading
+        with this support: all of a finite group; for the integers the
+        support and 0, then one degree past the support, which stands for
+        every degree outside the support and 0: all of their components are
+        zero."""
+        if self.kind == "integers":
+            degrees = sorted({0, *support})
+            if support:
+                degrees.append(max(support) + 1)
+            return degrees
+        return list(range(self.group.size))
+
+    def is_subgroup(self, degrees) -> bool:
+        """Whether a finite set of degrees holds the identity and is closed
+        under `op`; such a set is a subgroup, as the powers of each member
+        cycle back to the identity (in the integers only {0} is one)."""
+        s = set(degrees)
+        return self.identity in s and all(self.op(a, b) in s for a in s for b in s)
 
 
 INTEGERS = GradeGroup(kind="integers")
@@ -312,14 +331,11 @@ def explicit_grading(
 
 def is_canonical(grading: Grading) -> bool:
     """Whether a group ring or an idealization carries its canonical grading:
-    the same degrees with the same nonzero components over the same kind of
-    grade group (finite grade groups must share their operation table)."""
+    the same degrees with the same nonzero components over a finite grade
+    group with the same operation table."""
     grades, components = _canonical(grading.ring)
-    if grading.grades.kind != grades.kind:
-        return False
-    if grades.kind == "finite" and not np.array_equal(
-        grading.grades.group.op_array, grades.group.op_array
-    ):
+    group = grading.grades.group
+    if group is None or not np.array_equal(group.op_array, grades.group.op_array):
         return False
     zero = grading.ring.zero_mask
     return grading.components == {d: c for d, c in components.items() if c != zero}
@@ -355,51 +371,41 @@ def is_e_faithful(grading: Grading) -> bool:
 
 
 def is_faithful(grading: Grading) -> bool:
-    """sigma-faithful for every degree.
+    """sigma-faithful for every degree, decided on `GradeGroup.probes`.
 
-    Over the integers this fails whenever the ring is nonzero: the support is
-    finite, so degrees far beyond it have zero components that kill every
-    nonzero homogeneous element.
+    An integer grading of a nonzero ring is never faithful: the degree past
+    the support has a zero component, which kills the unity.
     """
-    if grading.grades.kind == "integers":
-        return not grading.support
-    return all(is_sigma_faithful(grading, s) for s in range(grading.grades.group.size))
+    grades = grading.grades
+    return all(is_sigma_faithful(grading, s) for s in grades.probes(grading.support))
+
+
+def _spans_unity(grading: Grading, s: int) -> bool:
+    """Whether the products of the degree s and s^-1 components span the unity."""
+    return bool(_span_of_products(grading, s, grading.grades.inv(s)) >> grading.ring.one & 1)
 
 
 def is_strong(grading: Grading) -> bool:
-    """Products of opposite-degree components span the unity at every degree.
+    """Products of opposite-degree components span the unity at every degree,
+    decided on `GradeGroup.probes`.
 
     That single condition is equivalent to every R_sigma R_tau filling
-    R_{sigma tau}: R_{st} = R_s R_{s^-1} R_{st} lands inside R_s R_t.
+    R_{sigma tau}: R_{st} = R_s R_{s^-1} R_{st} lands inside R_s R_t.  An
+    integer grading of a nonzero ring is never strong: the degree past the
+    support has a zero component, so its products span only zero.
     """
-    ring = grading.ring
-    g = grading.grades
-    if g.kind == "integers":
-        # any degree outside the finite support already fails unless the
-        # support is trivial
-        if any(s != 0 for s in grading.support):
-            return False
-        return bool(_span_of_products(grading, 0, 0) & (1 << ring.one))
-    for s in range(g.group.size):
-        if not _span_of_products(grading, s, g.inv(s)) & (1 << ring.one):
-            return False
-    return True
+    grades = grading.grades
+    return all(_spans_unity(grading, s) for s in grades.probes(grading.support))
 
 
 def support_is_subgroup(grading: Grading) -> bool:
-    if grading.grades.kind == "integers":
-        return grading.support == (0,)
-    return bool(grading.support) and is_subgroup(grading.grades.group, grading.support)
+    return grading.grades.is_subgroup(grading.support)
 
 
 def is_first_strong(grading: Grading) -> bool:
     """Support forms a subgroup and the strong condition holds across it."""
-    if not support_is_subgroup(grading):
-        return False
-    ring = grading.ring
-    g = grading.grades
-    return all(
-        _span_of_products(grading, s, g.inv(s)) & (1 << ring.one) for s in grading.support
+    return support_is_subgroup(grading) and all(
+        _spans_unity(grading, s) for s in grading.support
     )
 
 

@@ -397,17 +397,6 @@ def group_from_table(op, names: Sequence[str] | None = None) -> FiniteGroup:
     )
 
 
-def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
-    """Closure test on the gathered products of the members; in a finite
-    group, op-closure of a set containing the identity already implies
-    inverses."""
-    s = set(members)
-    if group.identity not in s:
-        return False
-    m = np.array(list(s))
-    return bool(np.isin(group.op_array[np.ix_(m, m)], m).all())
-
-
 # ---------------------------------------------------------------------------
 # rings
 
@@ -442,13 +431,13 @@ class FiniteRing:
     @property
     def add(self) -> np.ndarray:
         """`add_array` under its older name, kept only because
-        `perfbench/worker.py` reads it (ROADMAP item 10)."""
+        `perfbench/worker.py` reads it (ROADMAP item 11)."""
         return self.add_array
 
     @property
     def mul(self) -> np.ndarray:
         """`mul_array` under its older name, kept only because
-        `perfbench/worker.py` reads it (ROADMAP item 10)."""
+        `perfbench/worker.py` reads it (ROADMAP item 11)."""
         return self.mul_array
 
     @cached_property
@@ -724,10 +713,10 @@ def free_algebra(
     (sum a_i e_i)(sum b_j e_j) = sum_k (sum_ij (a_i b_j) structure[i][j][k]) e_k;
     base.one*e_unit must be the unity.  An element is its coefficient vector
     packed as base-|base| digits, low coordinate first.  Addition is the
-    direct product of d copies of the base, one broadcast outer sum per
-    digit.  The product rows follow from the products of monomials by
-    additive extension over the elements `low` whose digits from k up are
-    zero, one gather per digit: first the rows of the monomials,
+    direct product of d copies of the base, one `_pair_table` per digit.
+    The product rows follow from the products of monomials by additive
+    extension over the elements `low` whose digits from k up are zero, one
+    gather per digit: first the rows of the monomials,
     (c*e_i)(low + b*e_k) = (c*e_i)low + (c*e_i)(b*e_k), then all others,
     (low + c*e_k)y = (c*e_k)y + low*y.
     """
@@ -736,13 +725,12 @@ def free_algebra(
     r, z = base.size, base.zero
     n = r**d
     # sums are taken in the algebra's dtype, which holds every weighted digit
-    # sum (at most n - 1); base sums are widened to it before they are scaled
+    # sum (at most n - 1)
     weights = (r ** np.arange(d)).astype(_compact_dtype(n))
-    BA, BM = base.add_array.astype(weights.dtype), base.mul_array
+    BM = base.mul_array
     add = np.zeros((1, 1), dtype=weights.dtype)
     for k in range(d):  # element (hi, lo) of base x base^k at hi r^k + lo
-        m = r ** (k + 1)
-        add = (BA[:, None, :, None] * weights[k] + add[None, :, None, :]).reshape(m, m)
+        add = _pair_table(base.add_array, add)
     neg = np.asarray(base.neg)[_digit_array(r, d)] @ weights
     # pairs[i, c, b, k] = (c*e_i)(b*e_k), whose coefficient m is (c*b)*structure[i][k][m]
     pairs = BM[BM[None, :, :, None, None], S[:, None, None]] @ weights

@@ -666,19 +666,13 @@ def _check_t100(inst: Instance) -> Finding:
 def _check_lemma51(inst: Instance) -> Finding:
     grading = inst.grading
     grades = grading.grades
-    if grades.kind == "integers":
-        probes = sorted(set(grading.support) | {0})
-        if grading.support:
-            probes.append(max(grading.support) + 1)
-    else:
-        probes = list(range(grades.group.size))
     zero_mask = inst.ring.zero_mask
     vertices = nontrivial_proper(inst.graded_family)
     forward_ok = True
     backward_ok = True
     witness = None
     per_probe = {}
-    for sigma in probes:
+    for sigma in grades.probes(grading.support):
         lhs = is_sigma_faithful(grading, sigma)
         comp = grading.component(sigma)
         rhs = all(v.mask & comp & ~zero_mask for v in vertices)

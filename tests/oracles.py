@@ -381,6 +381,18 @@ def span_of_products(grading, ds: int, dt: int) -> int:
     return additive_span(ring, prod_mask)
 
 
+def is_strong(grading) -> bool:
+    """The definition over a finite grade group: R_sigma R_tau spans
+    R_{sigma tau} for every sigma and tau."""
+    g = grading.grades
+    degrees = range(g.group.size)
+    return all(
+        span_of_products(grading, s, t) == grading.component(g.op(s, t))
+        for s in degrees
+        for t in degrees
+    )
+
+
 def is_sigma_faithful(grading, sigma: int) -> bool:
     ring = grading.ring
     g = grading.grades

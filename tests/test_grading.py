@@ -36,9 +36,10 @@ from idealgraphs import (
     trivial_grading,
     validate_grading,
 )
+import oracles
 from oracles import first_escaping_product, pairwise_is_subgroup, relabelled_ring
 from idealgraphs.grading import _subgroup_generators, is_canonical
-from idealgraphs.ring_core import is_subgroup, mask_members
+from idealgraphs.ring_core import mask_members
 from test_ring_core import GROUPS
 
 F2XY_TABLE = [
@@ -235,6 +236,53 @@ class TestClassifiers:
     def test_integer_gradings_are_never_globally_faithful(self, f2xy):
         g = explicit_grading(f2xy, INTEGERS, {0: [1], 1: [2], 2: [4]})
         assert not is_faithful(g)
+        # nor strong, even in degree 0 alone: R_1 = 0, so R_1 R_-1 misses the
+        # unity in R_0, while the strong condition holds across the support
+        g = trivial_grading(make_cyclic_ring(8), INTEGERS)
+        assert not is_faithful(g) and not is_strong(g)
+        assert is_first_strong(g)
+
+    def test_flags_keep_the_implications_between_classes(self, corpus_instances):
+        # strong => faithful => e_faithful and strong => first_strong =>
+        # support_is_subgroup hold for every grading
+        implications = [
+            ("strong", "faithful"),
+            ("faithful", "e_faithful"),
+            ("strong", "first_strong"),
+            ("first_strong", "support_is_subgroup"),
+        ]
+        gradings = {name: inst.grading for name, inst in corpus_instances.items()}
+        gradings["Z8 in degree 0 of Z"] = trivial_grading(make_cyclic_ring(8), INTEGERS)
+        for name, grading in gradings.items():
+            flags = classify(grading)
+            broken = [(p, q) for p, q in implications if flags[p] and not flags[q]]
+            assert not broken, (name, broken)
+
+    def test_is_strong_matches_the_definition(self, corpus_instances):
+        # R_sigma R_tau spans R_{sigma tau} for every pair of degrees
+        gradings = {
+            name: inst.grading
+            for name, inst in corpus_instances.items()
+            if inst.grading.grades.group is not None
+        }
+        gradings.update(_s3_gradings())
+        verdicts = {name: is_strong(g) for name, g in gradings.items()}
+        assert verdicts == {name: oracles.is_strong(g) for name, g in gradings.items()}
+        assert any(verdicts.values()) and not all(verdicts.values())
+
+
+def _s3_gradings():
+    """Z2[S3] with its canonical grading, and Z2[C3] graded by the
+    3-cycles c and d = c c of S3."""
+    s3 = GROUPS["S3"]
+    c3 = group_ring(make_cyclic_ring(2), cyclic_group(3))
+    comps = group_ring_grading(c3).components
+    return {
+        "Z2[S3]": group_ring_grading(group_ring(make_cyclic_ring(2), s3)),
+        "Z2[C3] by S3": validate_grading(
+            c3, finite_grades(s3), {0: comps[0], 3: comps[1], 4: comps[2]}
+        ),
+    }
 
 
 def _canonical_cases():
@@ -372,7 +420,6 @@ class TestArrayGroups:
         assert {type(grades.op(a, b)) for a in range(n) for b in range(n)} == {int}
 
     def test_classify_on_s3(self):
-        s3 = GROUPS["S3"]
         flags = {
             "e_faithful": True,
             "faithful": True,
@@ -380,16 +427,12 @@ class TestArrayGroups:
             "first_strong": True,
             "support_is_subgroup": True,
         }
-        ring = group_ring(make_cyclic_ring(2), s3)
-        assert classify(group_ring_grading(ring)) == {
+        gradings = _s3_gradings()
+        assert classify(gradings["Z2[S3]"]) == {
             "support": ["e", "a", "b", "c", "d", "f"],
             **flags,
         }
-        # Z2[C3] graded by the 3-cycles c and d = c c of S3
-        c3 = group_ring(make_cyclic_ring(2), cyclic_group(3))
-        comps = group_ring_grading(c3).components
-        grading = validate_grading(c3, finite_grades(s3), {0: comps[0], 3: comps[1], 4: comps[2]})
-        assert classify(grading) == {
+        assert classify(gradings["Z2[C3] by S3"]) == {
             "support": ["e", "c", "d"],
             **flags,
             "faithful": False,
@@ -403,6 +446,20 @@ class TestArrayGroups:
         found = 0
         for bits in range(1 << group.size):
             members = [x for x in range(group.size) if bits >> x & 1]
-            assert is_subgroup(group, members) == pairwise_is_subgroup(group, members)
-            found += is_subgroup(group, members)
+            verdict = finite_grades(group).is_subgroup(members)
+            assert verdict == pairwise_is_subgroup(group, members)
+            found += verdict
         assert found == subgroups
+
+    def test_integer_subgroups(self):
+        # the only finite subgroup of the integers is {0}
+        assert INTEGERS.is_subgroup({0})
+        assert not INTEGERS.is_subgroup({0, 1})
+        assert not INTEGERS.is_subgroup(set())
+
+    def test_probes(self):
+        # a finite group probes every degree; the integers probe the
+        # support, 0, and the first degree past the support
+        assert finite_grades(GROUPS["S3"]).probes((0,)) == list(range(6))
+        assert INTEGERS.probes((0, 2)) == [0, 2, 3]
+        assert INTEGERS.probes((-1, 0, 1)) == [-1, 0, 1, 2]

@@ -157,3 +157,35 @@ def test_each_check_id_is_stated_once():
     assert len(ids) == 32
     repeated = [tid for tid in ids if len(re.findall(rf"[\"']{tid}[\"']", source)) != 1]
     assert not repeated, f"check ids stated more than once: {repeated}"
+
+
+def test_every_degree_questions_read_no_grade_kind():
+    # the classifiers, is_canonical and lemma51 ask about every degree
+    # through GradeGroup.probes and GradeGroup.is_subgroup, one definition
+    # for finite groups and the integers alike
+    guarded = {
+        "grading.py": {
+            "is_faithful",
+            "is_strong",
+            "support_is_subgroup",
+            "is_first_strong",
+            "is_canonical",
+        },
+        "theorem_suite.py": {"_check_lemma51"},
+    }
+    found = []
+    for filename, names in guarded.items():
+        tree = ast.parse((PACKAGE_DIR / filename).read_text(), filename=filename)
+        functions = {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names
+        }
+        assert set(functions) == names
+        found += [
+            f"{filename}:{node.lineno} ({name})"
+            for name, function in sorted(functions.items())
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr == "kind"
+        ]
+    assert not found, f"grade kind read by every-degree questions: {found}"
