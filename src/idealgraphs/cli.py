@@ -53,9 +53,6 @@ from .ring_core import (
     algebra_over_zn,
 )
 
-_RING_KEYS = ("zn", "product", "poly_quotient", "algebra", "group_ring", "idealization")
-
-
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise SchemaError(f"{path}: {message}")
@@ -254,15 +251,14 @@ def _parse_degree(key: str, grades: GradeGroup, path: str) -> int:
 
 def _parse_grading(node, ring: FiniteRing, path: str, max_size: int) -> Grading:
     if node == "canonical":
-        kind = ring.construction.get("kind")
-        if kind == "group_ring":
+        if ring.kind == "group_ring":
             return group_ring_grading(ring)
-        if kind == "idealization":
+        if ring.kind == "idealization":
             return idealization_grading(ring)
-        if kind == "poly_quotient":
+        if ring.kind == "poly_quotient":
             return poly_quotient_integer_grading(ring)
         raise SchemaError(
-            f"{path}: no canonical grading for a {kind!r} ring; use "
+            f"{path}: no canonical grading for a {ring.kind!r} ring; use "
             "'trivial' or 'explicit'"
         )
     _require(

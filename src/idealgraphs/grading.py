@@ -271,7 +271,7 @@ def _canonical(ring: FiniteRing) -> tuple[GradeGroup, dict]:
     """Grade group and unvalidated components of a group ring's or
     idealization's canonical grading."""
     base: FiniteRing = ring.parts["base"]
-    if ring.construction["kind"] == "group_ring":
+    if ring.kind == "group_ring":
         group: FiniteGroup = ring.parts["group"]
         lines = {k: _coefficient_line(ring, base, k) for k in range(group.size)}
         return finite_grades(group), lines
@@ -284,7 +284,7 @@ def _canonical(ring: FiniteRing) -> tuple[GradeGroup, dict]:
 
 def group_ring_grading(ring: FiniteRing) -> Grading:
     """Degree k component = base-multiples of group element k."""
-    if ring.construction.get("kind") != "group_ring":
+    if ring.kind != "group_ring":
         raise WrongConstruction("canonical group-ring grading needs a group-ring carrier")
     return validate_grading(ring, *_canonical(ring))
 
@@ -292,7 +292,7 @@ def group_ring_grading(ring: FiniteRing) -> Grading:
 def idealization_grading(ring: FiniteRing) -> Grading:
     """Two-step grading of a square-zero extension: base in degree 0, module
     in degree 1 of a two-element grade group."""
-    if ring.construction.get("kind") != "idealization":
+    if ring.kind != "idealization":
         raise WrongConstruction("canonical idealization grading needs an idealization carrier")
     return validate_grading(ring, *_canonical(ring))
 
@@ -300,9 +300,9 @@ def idealization_grading(ring: FiniteRing) -> Grading:
 def poly_quotient_integer_grading(ring: FiniteRing) -> Grading:
     """Integer grading of base[x]/(x^d) with x in degree 1; requires the
     modulus to be a pure power of x."""
-    if ring.construction.get("kind") != "poly_quotient":
+    if ring.kind != "poly_quotient":
         raise WrongConstruction("integer grading needs a polynomial-quotient carrier")
-    modulus = ring.construction["modulus"]
+    modulus = ring.parts["modulus"]
     base: FiniteRing = ring.parts["base"]
     d = len(modulus) - 1
     if any(c != base.zero for c in modulus[:d]):

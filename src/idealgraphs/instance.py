@@ -267,13 +267,12 @@ class Instance:
 
     def matches(self, requirement: str) -> bool:
         """Whether the instance meets a check's kind requirement."""
-        kind = self.ring.construction.get("kind")
         if requirement in ("idealization", "group_ring"):
-            return kind == requirement and is_canonical(self.grading)
+            return self.ring.kind == requirement and is_canonical(self.grading)
         if requirement == "self_idealization":
             return (
                 self.matches("idealization")
-                and self.ring.parts["module"].construction.get("kind") == "self"
+                and self.ring.parts["module"].kind == "self"
             )
         if requirement == "integer":
             return self.grading.grades.kind == "integers"

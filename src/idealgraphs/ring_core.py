@@ -411,11 +411,14 @@ class FiniteRing:
     one: int
     neg: tuple[int, ...]
     commutative: bool
-    construction: dict
+    # the constructor that built the ring: "zn", "table", "product",
+    # "poly_quotient", "algebra", "group_ring", "idealization", "subring"
+    # or "unital_subring"
+    kind: str
     # returns the display name of every element; `names` calls it once
     naming: Callable[[], Iterable[str]] = field(repr=False)
-    # live sub-objects for composite constructors (base ring, group, module,
-    # factors, parent + embedding); never serialized, never compared
+    # the live sub-objects that readers of a composite ring read: "base",
+    # "group", "module" and the polynomial "modulus"; never compared
     parts: dict = field(default_factory=dict, repr=False)
     # display label by ideal mask, filled by ideal_lattice.ideal_label; it
     # holds only ints and strings, so it never points back at the ring
@@ -555,7 +558,7 @@ def _finish_ring(
     zero: int,
     one: int,
     neg,
-    construction: dict,
+    kind: str,
     naming: Callable[[], Iterable[str]],
     parts: dict | None = None,
 ) -> FiniteRing:
@@ -572,7 +575,7 @@ def _finish_ring(
         one=one,
         neg=tuple(np.asarray(neg).tolist()),
         commutative=bool(np.array_equal(P, P.T)),
-        construction=construction,
+        kind=kind,
         naming=naming,
         parts=dict(parts or {}),
     )
@@ -604,7 +607,7 @@ def make_cyclic_ring(n: int, max_size: int = MAX_RING_SIZE) -> FiniteRing:
     _check_size(n, max_size)
     add, mul = _cyclic_tables(n)
     return _finish_ring(
-        n, add, mul, 0, 1, -np.arange(n) % n, {"kind": "zn", "n": n}, lambda: map(str, range(n))
+        n, add, mul, 0, 1, -np.arange(n) % n, "zn", lambda: map(str, range(n))
     )
 
 
@@ -629,7 +632,7 @@ def ring_from_tables(
         if len(names) != n:
             raise InvalidConstruction("ring names length mismatch")
     return _finish_ring(
-        n, A, mul, zero, one, neg, {"kind": "table"},
+        n, A, mul, zero, one, neg, "table",
         lambda: map(str, range(n)) if names is None else names,
     )
 
@@ -653,9 +656,8 @@ def direct_product(
         zero,
         one,
         neg,
-        {"kind": "product", "left": left.construction, "right": right.construction},
+        "product",
         lambda: (f"({a},{b})" for a in left.names for b in right.names),
-        parts={"left": left, "right": right},
     )
 
 
@@ -703,7 +705,7 @@ def free_algebra(
     base: FiniteRing,
     structure,
     unit: int,
-    construction: dict,
+    kind: str,
     naming: Callable[[], Iterable[str]],
     parts: dict | None = None,
 ) -> FiniteRing:
@@ -746,7 +748,7 @@ def free_algebra(
     for k in range(d):
         mul[lows[k + 1]] = add[mono[k][:, None, :], mul[lows[k]]].reshape(-1, n)
     one = zero + int((base.one - z) * weights[unit])
-    return _finish_ring(n, add, mul, zero, one, neg, construction, naming, parts)
+    return _finish_ring(n, add, mul, zero, one, neg, kind, naming, parts)
 
 
 def polynomial_quotient(
@@ -784,9 +786,9 @@ def polynomial_quotient(
         base,
         structure,
         0,
-        {"kind": "poly_quotient", "modulus": [int(c) for c in modulus]},
+        "poly_quotient",
         lambda: _linear_names(base, d, basis, bare=0, descending=True),
-        parts={"base": base},
+        parts={"base": base, "modulus": [int(c) for c in modulus]},
     )
 
 
@@ -825,13 +827,7 @@ def algebra_over_zn(
         base,
         tab,
         0,
-        {
-            "kind": "algebra",
-            "n": n,
-            "dim": dim,
-            "table": [[list(cell) for cell in row] for row in tab],
-            "basis": basis_names,
-        },
+        "algebra",
         lambda: _linear_names(base, dim, basis_names),
     )
 
@@ -852,7 +848,7 @@ def group_ring(
         base,
         structure,
         group.identity,
-        {"kind": "group_ring", "base": base.construction},
+        "group_ring",
         lambda: _linear_names(base, g, group.names, bare=group.identity),
         parts={"base": base, "group": group},
     )
@@ -872,7 +868,7 @@ class FiniteModule:
     act_array: np.ndarray = field(repr=False)  # act_array[r, m] = r.m
     # returns the display name of every element; `names` calls it once
     naming: Callable[[], Iterable[str]] = field(repr=False)
-    construction: dict
+    kind: str  # the constructor: "self" or "zn_quotient"
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -942,15 +938,15 @@ def module_self(ring: FiniteRing) -> FiniteModule:
         neg=ring.neg,
         act_array=ring.mul_array,
         naming=lambda: ring.names,
-        construction={"kind": "self"},
+        kind="self",
     )
 
 
 def module_zn_quotient(ring: FiniteRing, m: int) -> FiniteModule:
     """Z_m as a module over Z_n, for m dividing n."""
-    if ring.construction.get("kind") != "zn":
+    if ring.kind != "zn":
         raise InvalidConstruction("quotient modules are only defined over integers mod n")
-    n = ring.construction["n"]
+    n = ring.size
     if m < 1 or n % m != 0:
         raise InvalidConstruction(f"modulus {m} must divide {n}")
     add, mul = _cyclic_tables(m)
@@ -962,7 +958,7 @@ def module_zn_quotient(ring: FiniteRing, m: int) -> FiniteModule:
         neg=tuple((-np.arange(m) % m).tolist()),
         act_array=mul[np.arange(n) % m],  # r.x = (r mod m) x
         naming=lambda: map(str, range(m)),
-        construction={"kind": "zn_quotient", "m": m},
+        kind="zn_quotient",
     )
 
 
@@ -1004,11 +1000,7 @@ def idealization(
         zero,
         one,
         neg,
-        {
-            "kind": "idealization",
-            "base": base.construction,
-            "module": module.construction,
-        },
+        "idealization",
         lambda: (f"({r}|{m})" for r in base.names for m in module.names),
         parts={"base": base, "module": module},
     )
@@ -1044,7 +1036,6 @@ def _induced_ring(
         )
     if one_parent == parent.zero:
         raise InvalidConstruction("unity must differ from zero")
-    embedding = tuple(members)
     ring = FiniteRing(
         size=len(members),
         add_array=add,
@@ -1053,11 +1044,10 @@ def _induced_ring(
         one=int(index_of[one_parent]),
         neg=tuple(neg.tolist()),
         commutative=bool(np.array_equal(mul, mul.T)),
-        construction={"kind": kind, "members": list(members)},
+        kind=kind,
         naming=lambda: (parent.names[p] for p in members),
-        parts={"parent": parent, "embedding": embedding},
     )
-    return ring, embedding
+    return ring, tuple(members)
 
 
 def subring_on(

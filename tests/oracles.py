@@ -604,7 +604,7 @@ def entrywise_polynomial_quotient(base, modulus) -> dict:
     ]
     out["zero"] = digits_to_index([base.zero] * d, base.size)
     out["one"] = digits_to_index([base.one] + [base.zero] * (d - 1), base.size)
-    out["construction"] = {"kind": "poly_quotient", "modulus": list(modulus)}
+    out["kind"] = "poly_quotient"
     return out
 
 
@@ -632,7 +632,7 @@ def entrywise_group_ring(base, group) -> dict:
     one[group.identity] = base.one
     out["zero"] = digits_to_index([base.zero] * g, base.size)
     out["one"] = digits_to_index(one, base.size)
-    out["construction"] = {"kind": "group_ring", "base": base.construction}
+    out["kind"] = "group_ring"
     return out
 
 
@@ -647,7 +647,7 @@ def entrywise_algebra_over_zn(n: int, table, basis) -> dict:
         for e in out["elems"]
     ]
     out["zero"], out["one"] = 0, 1
-    out["construction"] = {"kind": "algebra", "n": n, "dim": dim, "table": tab, "basis": list(basis)}
+    out["kind"] = "algebra"
     return out
 
 

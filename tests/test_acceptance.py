@@ -45,7 +45,7 @@ def grading_kind(inst):
         return "trivial"
     if inst.grading.grades.kind == "integers":
         return "integer"
-    return inst.ring.construction.get("kind", "explicit")
+    return inst.ring.kind
 
 
 def test_criterion_01_enumeration_matches_brute_force(small_instances):

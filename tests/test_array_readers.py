@@ -136,7 +136,7 @@ def _relabelled_module(module, at):
         neg=tuple(neg.tolist()),
         act_array=act,
         naming=lambda: tuple(module.names[x] for x in np.argsort(at)),
-        construction={"kind": "relabelled"},
+        kind="relabelled",
     )
 
 

@@ -245,6 +245,11 @@ class TestReadmeSchema:
         assert form in readme
         inst = parse_instance({"ring": ring, "grading": {"trivial": {}}})
         assert inst.ring.size > 1
+        assert inst.ring.kind == next(iter(ring))
+        if "idealization" in ring:
+            module = ring["idealization"]["module"]
+            want = module if module == "self" else next(iter(module))
+            assert inst.ring.parts["module"].kind == want
 
 
 class TestExitCodes:

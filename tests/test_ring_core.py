@@ -160,6 +160,7 @@ class TestTableValidation:
         add = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
         mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0], [0, 3, 0, 3]]
         ring = ring_from_tables(add=add, mul=mul, zero=0, one=1)
+        assert ring.kind == "table"
         assert ring.commutative
         assert ring.neg == (0, 1, 2, 3)
 
@@ -387,6 +388,7 @@ class TestInducedRings:
     def test_unital_subring_finds_its_own_identity(self):
         z12 = make_cyclic_ring(12)
         sub, embedding = unital_ring_on(z12, [0, 4, 8])
+        assert sub.kind == "unital_subring"
         assert sub.size == 3
         assert embedding[sub.one] == 4  # 4*4 = 16 = 4 mod 12
         assert sub.commutative
@@ -426,6 +428,7 @@ class TestInducedRings:
     def test_subring_on_full_carrier(self):
         z4 = make_cyclic_ring(4)
         sub, embedding = subring_on(z4, [0, 1, 2, 3])
+        assert sub.kind == "subring"
         assert sub.size == 4
         assert tuple(embedding) == (0, 1, 2, 3)
 
@@ -628,7 +631,7 @@ class TestAdditiveEdges:
             neg=[PAIR_INDEX[times(-1, p)] for p in PAIRS],
             act_array=np.array(act),
             naming=lambda: [str(p) for p in PAIRS],
-            construction={"kind": "hand-built"},
+            kind="hand-built",
         )
         tree, relations = _walk_edges(add, 0, [1, 2, 3])
         row = act[4]  # x acting
@@ -683,7 +686,7 @@ class TestAdditiveEdges:
             neg=neg,
             act_array=np.array(act),
             naming=lambda: [str(x) for x in range(n)],
-            construction={"kind": "hand-built"},
+            kind="hand-built",
         )
         library = _module_accepted(ring_core._validate_module, module)
         assert library == _module_accepted(exhaustive_validate_module, module)
@@ -751,7 +754,7 @@ GROUPS = {
     "V4": _klein_with_identity_at_2(),
     "S3": _s3(),
 }
-FIELDS = ("add", "mul", "neg", "zero", "one", "names", "construction")
+FIELDS = ("add", "mul", "neg", "zero", "one", "names", "kind")
 
 
 def _fields_of(ring):
@@ -762,7 +765,7 @@ def _fields_of(ring):
         "zero": ring.zero,
         "one": ring.one,
         "names": list(ring.names),
-        "construction": ring.construction,
+        "kind": ring.kind,
     }
 
 
@@ -791,7 +794,7 @@ class TestFreeAlgebraAgainstOracle:
         modulus = low + [base.one]
         ring = polynomial_quotient(base, modulus)
         _assert_fields_match(_fields_of(ring), entrywise_polynomial_quotient(base, modulus))
-        assert ring.parts["base"] is base
+        assert ring.parts["base"] is base and ring.parts["modulus"] == modulus
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -806,9 +809,9 @@ class TestFreeAlgebraAgainstOracle:
         handed = {}
         finish = ring_core._finish_ring
 
-        def capture(size, add, mul, zero, one, neg, construction, names, parts=None):
-            if construction["kind"] != "algebra":  # the base Z_n
-                return finish(size, add, mul, zero, one, neg, construction, names, parts)
+        def capture(size, add, mul, zero, one, neg, kind, names, parts=None):
+            if kind != "algebra":  # the base Z_n
+                return finish(size, add, mul, zero, one, neg, kind, names, parts)
             handed.update(
                 add=np.asarray(add).tolist(),
                 mul=np.asarray(mul).tolist(),
@@ -816,7 +819,7 @@ class TestFreeAlgebraAgainstOracle:
                 zero=zero,
                 one=one,
                 names=list(names()),
-                construction=construction,
+                kind=kind,
             )
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1140,7 +1143,7 @@ class TestGroupsAndModulesAgainstOracle:
             neg=list(range(size)),
             act_array=np.array(act),
             naming=lambda: [str(x) for x in range(size)],
-            construction={"kind": "hand-built"},
+            kind="hand-built",
         )
         with pytest.raises(InvalidConstruction, match=law):
             ring_core._validate_module(module)
@@ -1587,7 +1590,7 @@ class TestAdditivityWitness:
             neg=[0, 1, 2, 3],
             act_array=np.array(act),
             naming=lambda: ["0", "1", "2", "3"],
-            construction={"kind": "hand-built"},
+            kind="hand-built",
         )
         message = _refusal(ring_core._validate_module, module)
         assert message == "module action not additive in the module (witness 4.(1+2))"

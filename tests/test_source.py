@@ -189,3 +189,22 @@ def test_every_degree_questions_read_no_grade_kind():
             if isinstance(node, ast.Attribute) and node.attr == "kind"
         ]
     assert not found, f"grade kind read by every-degree questions: {found}"
+
+
+def test_rings_record_their_constructor_as_one_string():
+    # a ring or module names its constructor with `kind`, one string; no
+    # nested record of its construction is built or kept
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "kind" for key in node.keys
+            ):
+                found.append(f"{path.name}:{node.lineno} (a dict with a 'kind' key)")
+            elif "construction" in (
+                getattr(node, "attr", None),  # ring.construction
+                getattr(node, "arg", None),  # a parameter or keyword argument
+                getattr(getattr(node, "target", None), "id", None),  # a field
+            ):
+                found.append(f"{path.name}:{node.lineno} (construction)")
+    assert not found, f"construction records in the package: {found}"
