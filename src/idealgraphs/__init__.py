@@ -85,7 +85,6 @@ _EXPORTS = {
         "is_graded_division",
         "is_graded_domain",
         "is_graded_field",
-        "is_graded_indecomposable",
         "is_graded_local",
         "is_graded_reduced",
         "is_left_ideal",
@@ -131,6 +130,7 @@ _EXPORTS = {
     ),
     "instance": (
         "Instance",
+        "Lattice",
     ),
     "theorem_suite": (
         "TheoremReport",

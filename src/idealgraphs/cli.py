@@ -36,7 +36,7 @@ from .grading import (
     trivial_grading,
 )
 from .graph_engine import export_graph
-from .ideal_lattice import is_graded
+from .ideal_lattice import is_graded, nontrivial_proper
 from .instance import Instance
 from .ring_core import (
     MAX_RING_SIZE,
@@ -348,7 +348,10 @@ def load_instance(file_path: str) -> Instance:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -356,7 +359,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_ideals(args) -> int:
     inst = load_instance(args.instance)
     rows = []
-    for ideal in inst.all_family:
+    for ideal in inst.full.family:
         graded = is_graded(inst.grading, ideal.mask)
         if args.graded_only and not graded:
             continue
@@ -374,9 +377,9 @@ def _graph_for(inst: Instance, which: str):
     if which == "graded":
         return inst.graded_graph
     if which == "all":
-        return inst.all_graph
+        return inst.full.graph
     if which == "identity":
-        return inst.re_graph
+        return inst.identity.graph
     if which == "quotient":
         return inst.quotient
     raise SchemaError(f"unknown graph selector {which!r}")
@@ -400,9 +403,10 @@ def cmd_classify(args) -> int:
     for key in ("e_faithful", "faithful", "strong", "first_strong", "support_is_subgroup"):
         lines.append(f"{key}: {info[key]}")
     lines.append(f"graded left ideals: {len(inst.graded_family)}")
-    lines.append(f"left ideals: {len(inst.all_family)}")
-    lines.append(f"graded graph: {inst.graded_graph.n} vertices")
-    lines.append(f"full graph: {inst.all_graph.n} vertices")
+    lines.append(f"left ideals: {len(inst.full.family)}")
+    # the vertices are counted, not built, so the graph cap refuses no ring here
+    lines.append(f"graded graph: {len(nontrivial_proper(inst.graded_family))} vertices")
+    lines.append(f"full graph: {len(nontrivial_proper(inst.full.family))} vertices")
     _emit("\n".join(lines), None)
     return 0
 
@@ -442,13 +446,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    from .theorem_suite import run_all, theorem_ids
+    from .theorem_suite import run_all, theorem_ids, theorem_summary
 
+    ids = _selected_ids(args.theorems)
+    for theorem_id in ids or ():
+        theorem_summary(theorem_id)  # an unknown id is refused before any file
     root = Path(args.directory)
     files = sorted(root.glob("*.json"))
     if not files:
         raise SchemaError(f"no instance files in {args.directory}")
-    ids = _selected_ids(args.theorems)
     totals = [0, 0, 0, 0]
     pass_by_id: dict[str, int] = {t: 0 for t in (ids or theorem_ids())}
     failed = []

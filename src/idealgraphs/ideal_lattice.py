@@ -420,13 +420,6 @@ def internal_decompositions(
     ]
 
 
-def is_graded_indecomposable(
-    grading: Grading, graded_family: Sequence[IdealSet]
-) -> bool:
-    """No internal direct sum splitting into two nonzero proper graded
-    ideals."""
-    return not internal_decompositions(grading.ring, graded_family)
-
 
 def ideal_label(ring: FiniteRing, mask: int) -> str:
     """Deterministic display label: a smallest generating set in angle

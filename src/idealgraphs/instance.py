@@ -1,24 +1,27 @@
 """One graded ring under test, and the single owner of what derives from it.
 
-An Instance builds each derived object at most once, on first use:
+A Lattice is one ideal family that the checks compare: the left ideals of
+a ring, or its graded left ideals under a grading, with its intersection
+graph and its internal direct-sum splittings.  An Instance holds four
+kinds: the graded and the `full` lattice of its ring, the `identity`
+component's, the `base` ring's of a group ring or an idealization, and
+each direct-sum `factor`'s under its induced grading.  One rule, in
+`_graded`, shares them: when the identity component is the whole ring, as
+under a trivial grading, every left ideal is graded, so the graded and the
+identity component's lattices are the full one.  The graded lattice is read
+as `graded_family`, `graded_graph` and `graded_decompositions`, the names
+the benchmark worker reads (ROADMAP item 11).
 
-- the graded and the full left ideal families and their graphs (when the
-  identity component is the whole ring, as under a trivial grading, every
-  left ideal is graded, and the graded ones are the full ones);
-- the identity component as a subring with its embedding, and that
-  subring's family and graph (under a trivial grading the component is the
-  whole ring, and these are the full family and graph);
-- the trace partition, its quotient graph, the extension map, and the
-  isomorphism reports onto that quotient and onto the graded graph;
-  the partition groups the graded graph's vertices, the quotient is read
-  from that graph's rows, and each report checks one vertex map from the
-  identity component's graph, built from that graph's own vertices;
-- the identity-faithful and first-strong flags;
-- the base family and the submodule family of a composite carrier;
-- the induced grading, and its graded graph, of each direct-sum factor.
+An Instance also holds the identity component as a subring with its
+embedding; the trace partition, its quotient graph, the extension map, and
+the isomorphism reports onto that quotient and onto the graded graph (the
+partition groups the graded graph's vertices, the quotient is read from
+that graph's rows, and each report checks one vertex map from the identity
+component's graph, built from that graph's own vertices); the
+identity-faithful and first-strong flags; and an idealization's submodules.
 
-The checks in theorem_suite and the command line take these objects from
-here, so one run over every check derives each object once.  Each check
+Each object is built at most once, on first use, and the checks in
+theorem_suite and the command line take them from here.  Each check
 computes its own comparisons from them: graph invariants, maximal members,
 leading ideals.  A graph is built from the nontrivial proper members of
 its family and holds them as its vertices, so a check that pairs ideals
@@ -28,11 +31,11 @@ the nontrivial proper members of the family it shows, in any order,
 before a check relies on that, as a graph planted in place of an
 Instance's own may not show it.
 
-The caches live on the Instance, never on the ring or the grading: the
-families, gradings and graphs point back at the ring, so a cache hung on the
-ring would form a reference cycle that only the cycle collector frees.
-structure_maps is imported where it is first needed, so loading an
-instance does not load it.
+The caches live on the Instance and its Lattices, never on the ring or the
+grading: the families, gradings and graphs point back at the ring, so a
+cache hung on the ring would form a reference cycle that only the cycle
+collector frees.  structure_maps is imported where it is first needed, so
+loading an instance does not load it.
 """
 
 from __future__ import annotations
@@ -73,49 +76,93 @@ def of_family(graph: Graph, family: Sequence[IdealSet]) -> Graph:
 
 
 @dataclass(eq=False)
+class Lattice:
+    """The left ideals of `ring`, or its graded left ideals under `grading`,
+    with their intersection graph and internal direct-sum splittings."""
+
+    ring: FiniteRing
+    grading: Grading | None = None
+
+    @cached_property
+    def family(self) -> list[IdealSet]:
+        if self.grading is None:
+            return enumerate_left_ideals(self.ring)
+        return enumerate_graded_left_ideals(self.grading)
+
+    @cached_property
+    def graph(self) -> Graph:
+        return build_intersection_graph(nontrivial_proper(self.family))
+
+    @cached_property
+    def decompositions(self) -> list[tuple[IdealSet, IdealSet]]:
+        """Unordered pairs of members that split the ring as a direct sum."""
+        return internal_decompositions(self.ring, self.family)
+
+
+@dataclass(eq=False)
 class Instance:
     """One graded ring under test, with lazily cached derived objects."""
 
     name: str
     ring: FiniteRing
     grading: Grading
-    _factor_gradings: dict = field(default_factory=dict, init=False, repr=False)
-    _factor_graphs: dict = field(default_factory=dict, init=False, repr=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def _identity_is_whole(self) -> bool:
-        """Whether the identity component is the whole ring, as it is under
-        a trivial grading: every left ideal is then graded, and the graded
-        lattice and graph, like the identity component's, are the full ones."""
+    # -- lattices
+
+    @cached_property
+    def full(self) -> Lattice:
+        return Lattice(self.ring)
+
+    @cached_property
+    def _graded(self) -> Lattice:
+        """The graded lattice, the full one when every left ideal is graded."""
         grading = self.grading
-        return grading.component(grading.grades.identity) == self.ring.full_mask
+        if grading.component(grading.grades.identity) == self.ring.full_mask:
+            return self.full
+        return Lattice(self.ring, grading)
 
-    # -- graded and full lattices
+    @cached_property
+    def identity(self) -> Lattice:
+        """The identity component's lattice, the full one when it is whole."""
+        if self._graded is self.full:
+            return self.full
+        return Lattice(self.identity_data[0])
+
+    @cached_property
+    def base(self) -> Lattice:
+        """The base ring's lattice, for a group ring or an idealization."""
+        return Lattice(self.ring.parts["base"])
+
+    @cached_property
+    def module_family(self) -> list[int]:
+        """Submodule masks of an idealization's module."""
+        return enumerate_submodules(self.ring.parts["module"])
+
+    def factor(self, factor_mask: int) -> Lattice:
+        """The graded lattice of a direct-sum factor under the grading it
+        inherits, kept per factor."""
+        from .structure_maps import induced_factor_grading
+
+        if factor_mask not in self._factors:
+            grading = induced_factor_grading(self.grading, factor_mask)
+            self._factors[factor_mask] = Lattice(grading.ring, grading)
+        return self._factors[factor_mask]
+
+    # The graded lattice, under the names `perfbench/worker.py` reads with its
+    # vars(inst) key "graded_graph"; ROADMAP item 11 makes them `inst.graded`.
 
     @cached_property
     def graded_family(self) -> list[IdealSet]:
-        if self._identity_is_whole:
-            return self.all_family
-        return enumerate_graded_left_ideals(self.grading)
+        return self._graded.family
 
     @cached_property
     def graded_graph(self) -> Graph:
-        if self._identity_is_whole:
-            return self.all_graph
-        return build_intersection_graph(nontrivial_proper(self.graded_family))
+        return self._graded.graph
 
     @cached_property
     def graded_decompositions(self) -> list[tuple[IdealSet, IdealSet]]:
-        """Internal direct-sum splittings into two graded ideals."""
-        return internal_decompositions(self.ring, self.graded_family)
-
-    @cached_property
-    def all_family(self) -> list[IdealSet]:
-        return enumerate_left_ideals(self.ring)
-
-    @cached_property
-    def all_graph(self) -> Graph:
-        return build_intersection_graph(nontrivial_proper(self.all_family))
+        return self._graded.decompositions
 
     # -- identity component
 
@@ -128,24 +175,8 @@ class Instance:
         return identity_component_ring(self.grading)
 
     @property
-    def re_ring(self) -> FiniteRing:
-        return self.identity_data[0]
-
-    @property
     def re_embedding(self) -> tuple[int, ...]:
         return self.identity_data[1]
-
-    @cached_property
-    def re_family(self) -> list[IdealSet]:
-        if self._identity_is_whole:
-            return self.all_family
-        return enumerate_left_ideals(self.re_ring)
-
-    @cached_property
-    def re_graph(self) -> Graph:
-        if self._identity_is_whole:
-            return self.all_graph
-        return build_intersection_graph(nontrivial_proper(self.re_family))
 
     @cached_property
     def e_faithful(self) -> bool:
@@ -168,7 +199,7 @@ class Instance:
         if not self.e_faithful:
             raise NotEFaithful("grading is not faithful at the identity degree")
         graded = of_family(self.graded_graph, self.graded_family)
-        return sim_partition(graded.vertices, self.re_ring, self.re_embedding)
+        return sim_partition(graded.vertices, self.identity.ring, self.re_embedding)
 
     @cached_property
     def quotient(self) -> Graph:
@@ -183,7 +214,8 @@ class Instance:
         generates in the whole ring."""
         from .structure_maps import extension_map
 
-        return extension_map(self.grading, self.re_embedding, self.re_graph.vertices)
+        vertices = self.identity.graph.vertices
+        return extension_map(self.grading, self.re_embedding, vertices)
 
     @cached_property
     def quotient_iso(self) -> dict:
@@ -196,7 +228,7 @@ class Instance:
         # a violation in the partition or the quotient is reported before
         # one in the extension
         quotient, class_of = self.quotient, self.partition.class_of
-        source = of_family(self.re_graph, self.re_family)
+        source = of_family(self.identity.graph, self.identity.family)
         image = [class_of.get(self.extension[ie.mask]) for ie in source.vertices]
         phi_iso_check(source, image, quotient)
         classes = self.partition.classes
@@ -218,7 +250,8 @@ class Instance:
             raise WrongConstruction(
                 "first-strong comparison needs a first-strong grading"
             )
-        source, target = of_family(self.re_graph, self.re_family), self.graded_graph
+        source = of_family(self.identity.graph, self.identity.family)
+        target = self.graded_graph
         position = {v.mask: i for i, v in enumerate(target.vertices)}
         image = [position.get(self.extension[ie.mask]) for ie in source.vertices]
         phi_iso_check(source, image, target)
@@ -227,41 +260,6 @@ class Instance:
             "identity_vertices": len(image),
             "graded_vertices": target.n,
         }
-
-    # -- parts of composite carriers
-
-    @cached_property
-    def base_family(self) -> list[IdealSet]:
-        """Left ideals of the base ring of a group ring or idealization."""
-        return enumerate_left_ideals(self.ring.parts["base"])
-
-    @cached_property
-    def base_graph(self) -> Graph:
-        return build_intersection_graph(nontrivial_proper(self.base_family))
-
-    @cached_property
-    def module_family(self) -> list[int]:
-        """Submodule masks of an idealization's module."""
-        return enumerate_submodules(self.ring.parts["module"])
-
-    def factor_grading(self, factor_mask: int) -> Grading:
-        """The grading a direct-sum factor inherits, kept per factor."""
-        from .structure_maps import induced_factor_grading
-
-        grading = self._factor_gradings.get(factor_mask)
-        if grading is None:
-            grading = induced_factor_grading(self.grading, factor_mask)
-            self._factor_gradings[factor_mask] = grading
-        return grading
-
-    def factor_graph(self, factor_mask: int) -> Graph:
-        """The graded graph of a direct-sum factor, kept per factor."""
-        graph = self._factor_graphs.get(factor_mask)
-        if graph is None:
-            family = enumerate_graded_left_ideals(self.factor_grading(factor_mask))
-            graph = build_intersection_graph(nontrivial_proper(family))
-            self._factor_graphs[factor_mask] = graph
-        return graph
 
     # -- construction kinds
 

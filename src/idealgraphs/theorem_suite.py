@@ -312,9 +312,7 @@ def _check_c11(inst: Instance) -> Finding:
     disconnected = not is_connected(inst.graded_graph)
     split = None
     for a, b in inst.graded_decompositions:
-        if is_graded_field(inst.factor_grading(a.mask)) and is_graded_field(
-            inst.factor_grading(b.mask)
-        ):
+        if all(is_graded_field(inst.factor(x.mask).grading) for x in (a, b)):
             split = (a.label(), b.label())
             break
     details = {"field_split": split, "disconnected": disconnected}
@@ -469,8 +467,8 @@ def _check_t6(inst: Instance) -> Finding:
     evaluable_pairs = 0
     split_ok = True
     for a, b in decomps:
-        graph_a = inst.factor_graph(a.mask)
-        graph_b = inst.factor_graph(b.mask)
+        graph_a = inst.factor(a.mask).graph
+        graph_b = inst.factor(b.mask).graph
         if graph_a.n == 0 or graph_b.n == 0:
             annotations.append(
                 f"split {a.label()} + {b.label()} skipped: a factor has no "
@@ -632,12 +630,12 @@ def _check_t4(inst: Instance) -> Finding:
     "the graded graph and the full-lattice graph are both connected",
 )
 def _check_t100(inst: Instance) -> Finding:
-    count = len(nontrivial_proper(inst.re_family))
-    hyp = count >= 2 and is_connected(inst.re_graph)
+    count = len(nontrivial_proper(inst.identity.family))
+    hyp = count >= 2 and is_connected(inst.identity.graph)
     directions = []
     witness = None
     if hyp:
-        graded, full = is_connected(inst.graded_graph), is_connected(inst.all_graph)
+        graded, full = is_connected(inst.graded_graph), is_connected(inst.full.graph)
         directions = [
             ("graded_graph_connected", PASS if graded else FAIL),
             ("full_graph_connected", PASS if full else FAIL),
@@ -738,7 +736,7 @@ def _check_t1001(inst: Instance) -> Finding:
 def _check_conn_equiv(inst: Instance) -> Finding:
     if not inst.e_faithful:
         return Finding(False)
-    left = is_connected(inst.re_graph)
+    left = is_connected(inst.identity.graph)
     right = is_connected(inst.graded_graph)
     details = {"identity_connected": left, "graded_connected": right}
     directions = [
@@ -758,7 +756,7 @@ def _check_conn_equiv(inst: Instance) -> Finding:
 def _check_gamma_eq(inst: Instance) -> Finding:
     if not inst.e_faithful:
         return Finding(False)
-    gamma_identity = domination_number(inst.re_graph)
+    gamma_identity = domination_number(inst.identity.graph)
     gamma_graded = domination_number(inst.graded_graph)
     details = {"gamma_identity": gamma_identity, "gamma_graded": gamma_graded}
     return Finding(
@@ -784,7 +782,7 @@ def _check_omega_formula(inst: Instance) -> Finding:
         return Finding(False, annotations=annotations)
     try:
         partition = inst.partition  # before the extension, as in quotient_iso
-        re_graph = of_family(inst.re_graph, inst.re_family)
+        re_graph = of_family(inst.identity.graph, inst.identity.family)
         extension = inst.extension
     except (IsoViolation, WellDefinednessViolation) as exc:
         directions = [("finiteness_equivalence", PASS), ("clique_sum_formula", FAIL)]
@@ -901,10 +899,10 @@ def _check_groupring_example(inst: Instance) -> Finding:
     directions.append(("coefficient_ring_is_identity_component", PASS if iso_ok else FAIL))
     if not iso_ok:
         return Finding(True, directions, witness)
-    lifted = {frozenset(embed[x] for x in v.members) for v in inst.base_family}
+    lifted = {frozenset(embed[x] for x in v.members) for v in inst.base.family}
     # identity-component ideals traced back to parent coordinates
     emb = inst.re_embedding
-    re_lifted = {frozenset(emb[x] for x in v.members) for v in inst.re_family}
+    re_lifted = {frozenset(emb[x] for x in v.members) for v in inst.identity.family}
     directions.append(("ideal_families_match", PASS if lifted == re_lifted else FAIL))
     if lifted != re_lifted:
         witness = "coefficient-ring ideals do not match the identity component"
@@ -953,7 +951,7 @@ def _check_lemma17(inst: Instance) -> Finding:
     if module.size <= 1:
         return Finding(False)
     witness = None
-    expected = _compatible_pairs(module, inst.base_family, inst.module_family)
+    expected = _compatible_pairs(module, inst.base.family, inst.module_family)
     actual = {i.mask for i in inst.graded_family}
     missing = sorted(set(expected) - actual)
     extra = sorted(actual - set(expected))
@@ -974,7 +972,7 @@ def _check_lemma17(inst: Instance) -> Finding:
 
 def _base_is_simple(inst: Instance) -> bool:
     # for the commutative carriers used here, simple means no nontrivial ideal
-    return not nontrivial_proper(inst.base_family)
+    return not nontrivial_proper(inst.base.family)
 
 
 def _module_is_simple(inst: Instance) -> bool:
@@ -1011,7 +1009,7 @@ def _check_t777(inst: Instance) -> Finding:
     gv = girth(g)
     details["girth"] = "inf" if gv == math.inf else gv
     trig_a = (not _base_is_simple(inst)) and not _module_is_simple(inst)
-    trig_b = len(nontrivial_proper(inst.base_family)) >= 2
+    trig_b = len(nontrivial_proper(inst.base.family)) >= 2
     full_action = index_mask(module.act_array, module.size)
     trig_c = full_action != (1 << module.size) - 1
     directions.append(_direction("both_nonsimple_girth_three", trig_a, gv == 3))
@@ -1068,8 +1066,8 @@ def _check_t777_cor(inst: Instance) -> Finding:
 def _check_t231(inst: Instance) -> Finding:
     if inst.ring.parts["module"].size <= 1:
         return Finding(False)
-    base_count = len(nontrivial_proper(inst.base_family))
-    base_graph = inst.base_graph
+    base_count = len(nontrivial_proper(inst.base.family))
+    base_graph = inst.base.graph
     omega_base = clique_number(base_graph)
     bound = 1 + 2 * omega_base + base_count
     omega = clique_number(inst.graded_graph)
@@ -1098,7 +1096,7 @@ def _check_t231(inst: Instance) -> Finding:
 def _check_planarity_cor(inst: Instance) -> Finding:
     if inst.ring.parts["module"].size <= 1:
         return Finding(False)
-    base_count = len(nontrivial_proper(inst.base_family))
+    base_count = len(nontrivial_proper(inst.base.family))
     planar = is_planar(inst.graded_graph)
     details = {"planar": planar, "base_ideals": base_count}
     ok = planar == (base_count <= 1)
@@ -1120,7 +1118,7 @@ def _check_planarity_cor(inst: Instance) -> Finding:
 )
 def _check_lemma_ll(inst: Instance) -> Finding:
     grading, zero = inst.grading, inst.ring.zero_mask
-    ideals = sorted(inst.all_family, key=lambda i: i.sort_key())
+    ideals = sorted(inst.full.family, key=lambda i: i.sort_key())
     lead = {i.mask: leading_ideal(grading, i.mask) for i in ideals}
     violations = []  # (law, witness) in the order found
     for i in ideals:
@@ -1161,7 +1159,7 @@ def _check_lemma_ll(inst: Instance) -> Finding:
 )
 def _check_t543(inst: Instance) -> Finding:
     graded = is_connected(inst.graded_graph)
-    full = is_connected(inst.all_graph)
+    full = is_connected(inst.full.graph)
     return Finding(
         True,
         [("connectivity_agrees", PASS if graded == full else FAIL)],
@@ -1179,8 +1177,8 @@ def _check_t543(inst: Instance) -> Finding:
     kinds=("integer",),
 )
 def _check_t544(inst: Instance) -> Finding:
-    local = len(maximal_members(inst.all_family)) == 1
-    graded, full = girth(inst.graded_graph), girth(inst.all_graph)
+    local = len(maximal_members(inst.full.family)) == 1
+    graded, full = girth(inst.graded_graph), girth(inst.full.graph)
     return Finding(
         local,
         [("girth_agrees", PASS if graded == full else FAIL)] if local else [],
@@ -1200,8 +1198,8 @@ def _check_t544(inst: Instance) -> Finding:
     kinds=("integer",),
 )
 def _check_r545(inst: Instance) -> Finding:
-    triggered = girth(inst.graded_graph) == math.inf and girth(inst.all_graph) == 3
-    counts = sorted(maximal_chain_term_counts(inst.all_family))
+    triggered = girth(inst.graded_graph) == math.inf and girth(inst.full.graph) == 3
+    counts = sorted(maximal_chain_term_counts(inst.full.family))
     details = {"branch_triggered": triggered, "chain_term_counts": counts}
     if not triggered:
         return Finding(
@@ -1214,7 +1212,7 @@ def _check_r545(inst: Instance) -> Finding:
             ],
             details=details,
         )
-    maxima = maximal_members(inst.all_family)
+    maxima = maximal_members(inst.full.family)
     graded_maxima = maximal_members(inst.graded_family)
     found = {"graded_local": len(graded_maxima) == 1}
     if found["graded_local"]:

@@ -19,7 +19,6 @@ from idealgraphs import (
     girth,
     graph_from_edges,
     is_connected,
-    is_graded_indecomposable,
     is_null,
     is_planar,
     leading_ideal,
@@ -52,7 +51,7 @@ def test_criterion_01_enumeration_matches_brute_force(small_instances):
     start = time.perf_counter()
     mismatches = []
     for name, inst in small_instances.items():
-        if {i.mask for i in inst.all_family} != brute_left_ideal_masks(inst.ring):
+        if {i.mask for i in inst.full.family} != brute_left_ideal_masks(inst.ring):
             mismatches.append(f"{name}/all")
         if {i.mask for i in inst.graded_family} != brute_graded_left_ideal_masks(
             inst.ring, inst.grading
@@ -87,7 +86,7 @@ def test_criterion_02_girth_dichotomy(corpus_instances):
 def test_criterion_03_connectivity_dichotomy(corpus_instances):
     bad = []
     for name, inst in corpus_instances.items():
-        for tag, g in (("graded", inst.graded_graph), ("all", inst.all_graph)):
+        for tag, g in (("graded", inst.graded_graph), ("all", inst.full.graph)):
             if is_connected(g):
                 if g.n > 1 and diameter(g) > 2:
                     bad.append(f"{name}/{tag}: connected with diameter {diameter(g)}")
@@ -109,7 +108,7 @@ def test_criterion_04_domination_bounds(corpus_instances):
         gamma = domination_number(inst.graded_graph)
         if gamma > 2:
             bad.append(f"{name}: gamma {gamma}")
-        indecomposable = is_graded_indecomposable(inst.grading, inst.graded_family)
+        indecomposable = not inst.graded_decompositions
         if indecomposable and inst.graded_graph.n and gamma != 1:
             bad.append(f"{name}: indecomposable with gamma {gamma}")
         if indecomposable and not inst.graded_graph.n and gamma != 0:
@@ -126,7 +125,7 @@ def test_criterion_05_fixed_points(corpus_instances):
     start = time.perf_counter()
     checks = []
 
-    g12 = corpus_instances["z12"].all_graph
+    g12 = corpus_instances["z12"].full.graph
     checks.append(("z12 order", g12.n == 4))
     checks.append(("z12 size", g12.edge_count == 4))
     checks.append(("z12 diameter", diameter(g12) == 2))

@@ -335,6 +335,18 @@ class TestOutputs:
         assert "first_strong: True" in out
         assert "graded left ideals: 6" in out
 
+    def test_classify_counts_vertices_past_the_graph_cap(self, tmp_path, capsys):
+        # F2^7 has 126 nontrivial proper left ideals, past the 64-vertex cap
+        # on graphs; classify prints their count and builds no graph
+        ring = {"zn": 2}
+        for _ in range(6):
+            ring = {"product": [ring, {"zn": 2}]}
+        path = write(tmp_path, "f2_7.json", {"ring": ring, "grading": {"trivial": {}}})
+        assert main(["classify", path]) == 0
+        out = capsys.readouterr().out
+        assert "graded graph: 126 vertices" in out
+        assert "full graph: 126 vertices" in out
+
     def test_graph_dot_golden(self, tmp_path, capsys):
         path = write(tmp_path, "z12.json", Z12_DOC)
         assert main(["graph", path, "--which", "graded", "--format", "dot"]) == 0
@@ -350,6 +362,15 @@ class TestOutputs:
         doc = json.loads(target.read_text())
         assert doc["invariants"]["order"] == 4
         assert doc["invariants"]["clique_number"] == 3
+
+    @pytest.mark.parametrize("target", ["missing/g.dot", "."])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, target):
+        path = write(tmp_path, "z12.json", Z12_DOC)
+        out = tmp_path / target
+        assert main(["graph", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
 
     def test_quotient_graph_needs_faithful_grading(self, tmp_path, capsys):
         doc = {
@@ -389,6 +410,12 @@ class TestCorpusCommand:
     def test_empty_directory_is_an_input_error(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_check_id_is_refused_before_any_file(self, corpus_dir, capsys):
+        assert main(["corpus", str(corpus_dir), "--theorems", "t1,nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no check registered under id 'nope'\n"
 
     def test_bad_file_does_not_stop_the_sweep(self, corpus_dir, tmp_path, capsys):
         write(tmp_path, "a_zn1.json", {"ring": {"zn": 1}, "grading": {"trivial": {}}})

@@ -302,7 +302,7 @@ class TestInvariantMemo:
 
         inst = load_instance(str(corpus_dir / "f2x3.json"))
         inst.graded_graph.memo["girth"] = "graded"
-        inst.all_graph.memo["girth"] = "full"
+        inst.full.graph.memo["girth"] = "full"
         report = run_all(inst, ["t544"])[0]
         assert report.details["graded_girth"] == "graded"
         assert report.details["all_girth"] == "full"

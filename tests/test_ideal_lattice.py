@@ -34,7 +34,6 @@ from idealgraphs import (
     is_graded_division,
     is_graded_domain,
     is_graded_field,
-    is_graded_indecomposable,
     is_graded_local,
     is_graded_reduced,
     is_left_ideal,
@@ -75,7 +74,7 @@ class TestEnumerationAgainstBruteForce:
     def test_small_corpus_rings_full_lattice(self, small_instances):
         for name, inst in small_instances.items():
             expected = brute_left_ideal_masks(inst.ring)
-            got = ideal_masks(inst.all_family)
+            got = ideal_masks(inst.full.family)
             assert got == expected, f"{name}: left ideal lattice mismatch"
 
     def test_small_corpus_rings_graded_lattice(self, small_instances):
@@ -316,7 +315,7 @@ class TestFrozenLattices:
 
     def test_graded_family_drops_mixed_ideals(self, corpus_instances):
         inst = corpus_instances["f2xy_12"]
-        all_labels = {i.label() for i in inst.all_graph.vertices}
+        all_labels = {i.label() for i in inst.full.graph.vertices}
         graded_labels = {i.label() for i in inst.graded_graph.vertices}
         assert all_labels - graded_labels == {"<x+y>"}
         assert len(graded_labels) == 3
@@ -380,7 +379,7 @@ class TestIdealArithmetic:
     def test_min_generator_count(self, corpus_instances):
         inst = corpus_instances["f2xy_12"]
         ring = inst.ring
-        m = max(inst.all_graph.vertices, key=lambda i: i.size)  # the radical
+        m = max(inst.full.graph.vertices, key=lambda i: i.size)  # the radical
         assert m.label() == "<x,y>"
         assert min_generator_count(ring, m.mask) == 2
         assert min_generator_count(ring, m.mask, limit=1) is None
@@ -490,10 +489,10 @@ class TestGradedStructureFlags:
     def test_local_and_indecomposable(self, corpus_instances):
         z12 = corpus_instances["z12"]
         assert not is_graded_local(z12.grading, z12.graded_family)
-        assert not is_graded_indecomposable(z12.grading, z12.graded_family)
+        assert z12.graded_decompositions  # graded splittings: not indecomposable
         f2x3 = corpus_instances["f2x3"]
         assert is_graded_local(f2x3.grading, f2x3.graded_family)
-        assert is_graded_indecomposable(f2x3.grading, f2x3.graded_family)
+        assert not f2x3.graded_decompositions
 
     def test_internal_decompositions_of_z12(self, corpus_instances):
         z12 = corpus_instances["z12"]
@@ -602,7 +601,7 @@ class TestIdealSetBasics:
 
     def test_graded_flag_matches_predicate(self, corpus_instances):
         inst = corpus_instances["m2f2"]
-        for ideal in inst.all_family:
+        for ideal in inst.full.family:
             assert is_graded(inst.grading, ideal.mask) == (
                 ideal.mask in {i.mask for i in inst.graded_family}
             )

@@ -56,7 +56,7 @@ class TestClosureProperties:
         inst = corpus_instances["m2f2"]
         graded_masks = {i.mask for i in inst.graded_family}
         moved = [
-            i for i in inst.all_graph.vertices if leading_ideal(inst.grading, i.mask) != i.mask
+            i for i in inst.full.graph.vertices if leading_ideal(inst.grading, i.mask) != i.mask
         ]
         assert moved  # the mixed-generator column ideal must move
         assert all(i.mask not in graded_masks for i in moved)

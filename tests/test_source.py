@@ -1,8 +1,9 @@
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
-from idealgraphs import cyclic_group, group_ring, make_cyclic_ring
+from idealgraphs import Instance, cyclic_group, group_ring, ideal_lattice, make_cyclic_ring
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "idealgraphs"
 
@@ -208,3 +209,48 @@ def test_rings_record_their_constructor_as_one_string():
             ):
                 found.append(f"{path.name}:{node.lineno} (construction)")
     assert not found, f"construction records in the package: {found}"
+
+
+def test_instance_builds_every_lattice_with_one_builder():
+    # the graded, full, identity-component, base and factor lattices are
+    # each a Lattice, so instance.py enumerates, graphs and splits a family
+    # in one place
+    builders = (
+        "enumerate_left_ideals",
+        "enumerate_graded_left_ideals",
+        "build_intersection_graph",
+        "internal_decompositions",
+    )
+    tree = ast.parse((PACKAGE_DIR / "instance.py").read_text())
+    calls = Counter(
+        getattr(node.func, "id", None) for node in ast.walk(tree) if isinstance(node, ast.Call)
+    )
+    assert {name: calls[name] for name in builders} == dict.fromkeys(builders, 1)
+
+
+def test_per_lattice_pairs_stay_deleted():
+    # each compared lattice is read through its Lattice: inst.full,
+    # inst.identity, inst.base and inst.factor(mask)
+    gone = (
+        "all_family",
+        "all_graph",
+        "re_family",
+        "re_graph",
+        "re_ring",
+        "base_family",
+        "base_graph",
+        "factor_grading",
+        "factor_graph",
+        "_factor_gradings",
+        "_factor_graphs",
+        "_identity_is_whole",
+    )
+    assert [name for name in gone if hasattr(Instance, name)] == []
+    assert not hasattr(ideal_lattice, "is_graded_indecomposable")
+    pattern = re.compile(rf"\b(inst|self)\.({'|'.join(gone)})\b")
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(line):
+                found.append(f"{path.name}:{lineno}")
+    assert not found, f"per-lattice attributes read in the package: {found}"

@@ -80,7 +80,7 @@ class TestSimPartition:
         for name, inst in corpus_instances.items():
             if not inst.e_faithful:
                 continue
-            keys, re_ring = inst.partition.keys, inst.re_ring
+            keys, re_ring = inst.partition.keys, inst.identity.ring
             assert inst.quotient.vertices == tuple(IdealSet(re_ring, k) for k in keys), name
             labels = [str(v) for v in inst.quotient.vertices]
             assert labels == [ideal_label(re_ring, k) for k in keys], name
@@ -91,9 +91,9 @@ class TestPhiIsomorphism:
     def test_quotient_variant_on_faithful_instances(self, corpus_instances, name):
         inst = corpus_instances[name]
         class_of = inst.partition.class_of
-        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
+        image = [class_of[inst.extension[ie.mask]] for ie in inst.identity.graph.vertices]
         target = quotient_graph(inst.partition, inst.graded_graph)
-        assert phi_iso_check(inst.re_graph, image, target) is None
+        assert phi_iso_check(inst.identity.graph, image, target) is None
         report = inst.quotient_iso
         assert report["variant"] == "quotient"
         assert report["identity_vertices"] == report["classes"]
@@ -102,8 +102,8 @@ class TestPhiIsomorphism:
     def test_first_strong_variant(self, corpus_instances, name):
         inst = corpus_instances[name]
         position = {v.mask: i for i, v in enumerate(inst.graded_graph.vertices)}
-        image = [position[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
-        assert phi_iso_check(inst.re_graph, image, inst.graded_graph) is None
+        image = [position[inst.extension[ie.mask]] for ie in inst.identity.graph.vertices]
+        assert phi_iso_check(inst.identity.graph, image, inst.graded_graph) is None
         report = inst.first_strong_iso
         assert report["variant"] == "first_strong"
         assert report["identity_vertices"] == report["graded_vertices"]
@@ -166,7 +166,7 @@ def _planted_partition(data, inst, k: int) -> SimPartition:
     for c in range(k):
         owner[order[c]] = c
     classes = tuple(sum(1 << v for v in range(n) if owner[v] == c) for c in range(k))
-    return SimPartition(inst.re_ring, inst.partition.keys[:k], classes, class_of={})
+    return SimPartition(inst.identity.ring, inst.partition.keys[:k], classes, class_of={})
 
 
 def _blow_up(data, part: SimPartition, vertices) -> Graph:
@@ -254,11 +254,11 @@ def _isomorphisms(inst):
     out = []
     if inst.e_faithful:
         class_of = inst.partition.class_of
-        image = [class_of[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
+        image = [class_of[inst.extension[ie.mask]] for ie in inst.identity.graph.vertices]
         out.append((image, inst.quotient))
     if inst.first_strong:
         position = {v.mask: i for i, v in enumerate(inst.graded_graph.vertices)}
-        image = [position[inst.extension[ie.mask]] for ie in inst.re_graph.vertices]
+        image = [position[inst.extension[ie.mask]] for ie in inst.identity.graph.vertices]
         out.append((image, inst.graded_graph))
     return out
 
@@ -269,7 +269,7 @@ def _isomorphisms(inst):
 def test_isomorphism_matches_the_pairwise_reference(corpus_instances, branch, data):
     for name in TRANSFER:
         inst = corpus_instances[name]
-        source = inst.re_graph
+        source = inst.identity.graph
         n = source.n
         if n < {"no image": 1, "two sources on one image": 2, "broken pair": 2}.get(branch, 0):
             continue
@@ -345,7 +345,7 @@ class TestTransferNumbers:
         clean = corpus_instances[name]
         inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
         assert inst.graded_graph == clean.graded_graph
-        inst.__dict__["all_graph"] = graph_from_edges(2, [])
+        inst.full.__dict__["graph"] = graph_from_edges(2, [])
         (gamma,) = run_all(inst, ["gamma_eq"])
         assert gamma.details == {
             "gamma_identity": 2,

@@ -172,7 +172,7 @@ class TestLemmaBPairs:
 
     def test_one_ungraded_ideal_still_fails(self, corpus_dir, corpus_instances):
         inst = corpus_instances["f2xy_12"]
-        (mixed,) = [i for i in inst.all_family if i.label() == "<x+y>"]
+        (mixed,) = [i for i in inst.full.family if i.label() == "<x+y>"]
         report = _lemma_b_on(corpus_dir, "f2xy_12", [*inst.graded_family, mixed])
         assert report == ("FAIL", "sum of <0> and <x+y>", 4)
 
@@ -182,7 +182,7 @@ class TestLemmaBPairs:
         witnesses = set()
         for name, inst in small_instances.items():
             graded = {i.mask for i in inst.graded_family}
-            mixed = [[]] + [[i] for i in inst.all_family if i.mask not in graded]
+            mixed = [[]] + [[i] for i in inst.full.family if i.mask not in graded]
             for drop, extra in itertools.product(("is_zero", "is_full"), mixed):
                 family = [i for i in inst.graded_family if not getattr(i, drop)] + extra
                 expected = _lemma_b_by_spans(inst, sorted(family, key=lambda i: i.sort_key()))
@@ -357,18 +357,18 @@ def planted_vertices(clean, n):
     trivial ones among them, repeated when the ring has fewer than n."""
     own = clean.graded_graph.vertices
     shown = {v.mask for v in own}
-    pool = list(own) + [i for i in clean.all_family if i.mask not in shown]
+    pool = list(own) + [i for i in clean.full.family if i.mask not in shown]
     return [pool[v % len(pool)] for v in range(n)]
 
 
-def off_by_one(clean, slot, extra):
-    """The vertices of the clean instance's graph in `slot`, with the last
+def off_by_one(clean, graph, extra):
+    """The vertices of `graph`, one of the clean instance's, with the last
     one dropped (extra -1) or the zero ideal added (extra 1); None when
     there is no vertex to drop."""
-    own = getattr(clean, slot).vertices
+    own = graph.vertices
     if extra < 0:
         return own[:-1] if own else None
-    return own + (next(i for i in clean.all_family if i.is_zero),)
+    return own + (next(i for i in clean.full.family if i.is_zero),)
 
 
 PLANTED_GRAPHS = {
@@ -423,7 +423,7 @@ class TestPlantedGraphOrder:
         ids = ["t1001", "t56", "groupring_example", "lemma_r1", "t4"]
         failing = set()
         for name, clean in corpus_instances.items():
-            vertices = off_by_one(clean, "graded_graph", extra)
+            vertices = off_by_one(clean, clean.graded_graph, extra)
             if vertices is None:
                 continue
             n = len(vertices)
@@ -449,17 +449,17 @@ class TestPlantedGraphOrder:
             grading = clean.grading
             if grading.component(grading.grades.identity) != clean.ring.full_mask:
                 continue
-            vertices = off_by_one(clean, "all_graph", extra)
+            vertices = off_by_one(clean, clean.full.graph, extra)
             if vertices is None:
                 continue
             inst = Instance(name=name, ring=clean.ring, grading=grading)
-            inst.__dict__["all_graph"] = graph_from_edges(len(vertices), [], vertices)
+            inst.full.__dict__["graph"] = graph_from_edges(len(vertices), [], vertices)
             for rep in run_all(inst, ids):
                 assert rep.verdict == "FAIL" and rep.witness, (name, rep)
                 failing.add(rep.theorem_id)
         assert sorted(failing) == sorted(ids)
 
-    @pytest.mark.parametrize("slot", ["graded_graph", "all_graph"])
+    @pytest.mark.parametrize("slot", ["graded", "full"])
     def test_a_correct_graph_in_reverse_order_gives_the_clean_reports(
         self, corpus_instances, slot
     ):
@@ -467,8 +467,13 @@ class TestPlantedGraphOrder:
         # in which a correct graph holds them changes no report
         for name, clean in corpus_instances.items():
             inst = Instance(name=name, ring=clean.ring, grading=clean.grading)
-            vertices = getattr(clean, slot).vertices
-            inst.__dict__[slot] = build_intersection_graph(list(reversed(vertices)))
+            if slot == "graded":
+                vertices = clean.graded_graph.vertices
+                cache, key = inst.__dict__, "graded_graph"
+            else:
+                vertices = clean.full.graph.vertices
+                cache, key = inst.full.__dict__, "graph"
+            cache[key] = build_intersection_graph(list(reversed(vertices)))
             assert run_all(inst) == run_all(clean), name
 
 
