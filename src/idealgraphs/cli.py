@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AlgebraError, SchemaError, SizeLimit, UnknownConstructor
+from .errors import AlgebraError, SchemaError, SizeLimit, UnknownConstructor, UnknownTheorem
 from .grading import (
     INTEGERS,
     GradeGroup,
@@ -412,10 +412,14 @@ def cmd_classify(args) -> int:
 
 
 def _selected_ids(arg: str | None) -> list[str] | None:
+    """The ids a --theorems list names, each once, in the order first named;
+    None when the option is absent."""
     if arg is None:
         return None
-    wanted = [t.strip() for t in arg.split(",") if t.strip()]
-    return wanted or None
+    wanted = list(dict.fromkeys(t.strip() for t in arg.split(",") if t.strip()))
+    if not wanted:
+        raise UnknownTheorem(f"--theorems {arg!r} names no check id")
+    return wanted
 
 
 def _print_reports(reports, verbose: bool) -> tuple[int, int, int, int]:
@@ -437,8 +441,9 @@ def _print_reports(reports, verbose: bool) -> tuple[int, int, int, int]:
 def cmd_verify(args) -> int:
     from .theorem_suite import run_all
 
+    ids = _selected_ids(args.theorems)
     inst = load_instance(args.instance)
-    reports = run_all(inst, _selected_ids(args.theorems))
+    reports = run_all(inst, ids)
     print(f"{inst.name}:")
     p, f, v, s = _print_reports(reports, args.verbose)
     print(f"checks: {len(reports)}  pass: {p}  fail: {f}  vacuous: {v}  skipped: {s}")

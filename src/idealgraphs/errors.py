@@ -73,7 +73,7 @@ class NotIntegerGraded(AlgebraError):
 
 
 class UnknownTheorem(AlgebraError):
-    """A check id not present in the registry was requested."""
+    """A check id not present in the registry was requested, or none was."""
 
 
 class WrongInstanceKind(AlgebraError):

@@ -10,12 +10,16 @@ additionally record per-direction verdicts, where a direction with a false
 antecedent is VACUOUS on that instance.
 
 A check is registered once, by `_register`, with its id, summary, hypothesis
-and conclusion text and the construction kinds it needs.  Its body returns
-only a Finding: whether the hypothesis held, and the directions, witness,
-annotations and details found.  A single dispatcher behind run_check and
-run_all writes every TheoremReport from the registered text and the Finding:
-an unmet hypothesis gives VACUOUS, a FAIL direction gives FAIL, and anything
-else PASS; the witness is kept only on a FAIL.
+and conclusion text, the construction kinds it needs, and three optional
+parts: `holds`, the hypothesis as a predicate on an Instance (always true by
+default); `notes`, fixed annotations for every report it writes; and
+`facts`, details reported whether or not the hypothesis holds.  Its body is
+called only where the hypothesis holds and returns only its conclusion, a
+Finding: the directions, witness, annotations and details found.  A single
+dispatcher behind run_check and run_all writes every TheoremReport from the
+registration and the Finding: a false `holds` gives VACUOUS without calling
+the body, a FAIL direction gives FAIL, and anything else PASS; the witness
+is kept only on a FAIL.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -96,10 +100,10 @@ class TheoremReport:
 
 
 class Finding(NamedTuple):
-    """What one check found on one instance; the dispatcher adds the rest."""
+    """What one check's conclusion gave on an instance that meets its
+    hypothesis; the dispatcher adds the rest."""
 
-    hypothesis_met: bool
-    directions: Sequence[tuple[str, str]] = ()
+    directions: Sequence[tuple[str, str]]
     witness: str | None = None
     annotations: Sequence[str] = ()
     details: dict | None = None
@@ -107,20 +111,36 @@ class Finding(NamedTuple):
 
 @dataclass(frozen=True)
 class TheoremCheck:
+    """One registered check: its text, the kinds it needs and its body
+    `run`, plus `holds` (the hypothesis), `notes` (annotations on every
+    report) and `facts` (details reported whether or not `holds` is true)."""
+
     theorem_id: str
     kinds: tuple
     summary: str
     hypothesis: str
     conclusion: str
     run: Callable[[Instance], Finding]
+    _: KW_ONLY
+    holds: Callable[[Instance], bool] = lambda inst: True
+    notes: tuple = ()
+    facts: Callable[[Instance], dict] = lambda inst: {}
 
 
 _REGISTRY: "OrderedDict[str, TheoremCheck]" = OrderedDict()
 
 
 def _register(
-    theorem_id: str, summary: str, hypothesis: str, conclusion: str, kinds: tuple = ()
+    theorem_id: str,
+    summary: str,
+    hypothesis: str,
+    conclusion: str,
+    kinds: tuple = (),
+    **parts,
 ):
+    """Register the decorated body; `parts` are TheoremCheck's keyword-only
+    holds, notes and facts."""
+
     def wrap(fn):
         _REGISTRY[theorem_id] = TheoremCheck(
             theorem_id=theorem_id,
@@ -129,6 +149,7 @@ def _register(
             hypothesis=hypothesis,
             conclusion=conclusion,
             run=fn,
+            **parts,
         )
         return fn
 
@@ -154,6 +175,31 @@ def _direction(name: str, antecedent: bool, consequent: bool) -> tuple[str, str]
     if not antecedent:
         return (name, VACUOUS)
     return (name, PASS if consequent else FAIL)
+
+
+# ---------------------------------------------------------------------------
+# hypotheses shared by several checks
+
+
+def _commutative(inst: Instance) -> bool:
+    return inst.ring.commutative
+
+
+def _e_faithful(inst: Instance) -> bool:
+    return inst.e_faithful
+
+
+def _first_strong(inst: Instance) -> bool:
+    return inst.first_strong
+
+
+def _nonzero_module(inst: Instance) -> bool:
+    return inst.ring.parts["module"].size > 1
+
+
+def _finite_or_inf(value: float):
+    """A distance or girth as details record it: the number, or "inf"."""
+    return "inf" if value == math.inf else value
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +238,6 @@ def _check_lemma_b(inst: Instance) -> Finding:
         if witness:
             break
     return Finding(
-        True,
         [("closure", FAIL if witness else PASS)],
         witness,
         details={"pairs": pairs},
@@ -205,16 +250,17 @@ def _check_lemma_b(inst: Instance) -> Finding:
     "the graded graph has at least one vertex",
     "minimal vertices see exactly their proper supersets; isolated means "
     "minimal and maximal; essential means adjacent to everything else",
+    holds=lambda inst: inst.graded_graph.n > 0,
+    facts=lambda inst: {"vertices": inst.graded_graph.n},
 )
 def _check_lemma_r1(inst: Instance) -> Finding:
     g = inst.graded_graph
     family = inst.graded_family
     laws = ("minimal_neighborhood", "isolated_iff_min_and_max", "essential_neighborhood")
-    details = {"vertices": g.n}
     try:
         vertices = of_family(g, family).vertices
     except IsoViolation as exc:
-        return Finding(True, [(law, FAIL) for law in laws], str(exc), details=details)
+        return Finding([(law, FAIL) for law in laws], str(exc))
     ok_min = ok_iso = ok_ess = True
     witness = None
     for i, v in enumerate(vertices):
@@ -232,10 +278,8 @@ def _check_lemma_r1(inst: Instance) -> Finding:
         if is_essential(v, family) != (neighbors == others):
             ok_ess, witness = False, f"{v.label()} (essential vs neighborhood)"
     return Finding(
-        bool(vertices),
         [(law, PASS if ok else FAIL) for law, ok in zip(laws, (ok_min, ok_iso, ok_ess))],
         witness,
-        details=details,
     )
 
 
@@ -254,7 +298,6 @@ def _check_t1(inst: Instance) -> Finding:
     disconnected = not is_connected(g)
     shape = is_null(g) and g.n >= 2
     return Finding(
-        True,
         [
             _direction("disconnected_implies_edgeless", disconnected, shape),
             _direction("edgeless_implies_disconnected", shape, disconnected),
@@ -271,10 +314,9 @@ def _check_t1(inst: Instance) -> Finding:
     "the graded graph is disconnected",
     "at least two graded minimal ideals exist and every vertex is a "
     "principal, minimal, and maximal graded ideal",
+    holds=lambda inst: not is_connected(inst.graded_graph),
 )
 def _check_c1(inst: Instance) -> Finding:
-    if is_connected(inst.graded_graph):
-        return Finding(False)
     family = inst.graded_family
     minima = minimal_members(family)
     bad = next(
@@ -290,7 +332,6 @@ def _check_c1(inst: Instance) -> Finding:
         None,
     )
     return Finding(
-        True,
         [
             ("two_minimal_ideals", PASS if len(minima) >= 2 else FAIL),
             ("each_vertex_principal_min_max", PASS if bad is None else FAIL),
@@ -305,10 +346,9 @@ def _check_c1(inst: Instance) -> Finding:
     "the ring is commutative",
     "the graded graph is disconnected exactly when the ring splits "
     "internally into two graded ideals that are graded fields",
+    holds=_commutative,
 )
 def _check_c11(inst: Instance) -> Finding:
-    if not inst.ring.commutative:
-        return Finding(False)
     disconnected = not is_connected(inst.graded_graph)
     split = None
     for a, b in inst.graded_decompositions:
@@ -321,7 +361,7 @@ def _check_c11(inst: Instance) -> Finding:
         _direction("split_implies_disconnected", split is not None, disconnected),
         ("equivalence", PASS if disconnected == (split is not None) else FAIL),
     ]
-    return Finding(True, directions, str(details), details=details)
+    return Finding(directions, str(details), details=details)
 
 
 def _maxima_apart(inst: Instance) -> tuple[list[IdealSet], str | None]:
@@ -342,16 +382,14 @@ def _maxima_apart(inst: Instance) -> tuple[list[IdealSet], str | None]:
     "commutative and connected: graded maximal ideals pairwise intersect",
     "the ring is commutative and the graded graph is connected",
     "every two graded maximal left ideals intersect beyond zero",
+    holds=lambda inst: _commutative(inst) and is_connected(inst.graded_graph),
 )
 def _check_c101(inst: Instance) -> Finding:
-    if not (inst.ring.commutative and is_connected(inst.graded_graph)):
-        return Finding(False)
     maxima, apart = _maxima_apart(inst)
     annotations = []
     if len(maxima) < 2:
         annotations.append("fewer than two graded maximal ideals; no pairs")
     return Finding(
-        True,
         [("pairwise_intersection", PASS if apart is None else FAIL)],
         apart,
         annotations,
@@ -363,17 +401,12 @@ def _check_c101(inst: Instance) -> Finding:
     "a connected graded graph has diameter at most two",
     "the graded graph is connected",
     "its diameter is at most two",
+    holds=lambda inst: is_connected(inst.graded_graph),
+    facts=lambda inst: {"diameter": _finite_or_inf(diameter(inst.graded_graph))},
 )
 def _check_t2(inst: Instance) -> Finding:
-    g = inst.graded_graph
-    hyp = is_connected(g)
-    d = diameter(g)
-    return Finding(
-        hyp,
-        [("diameter_bound", PASS if d <= 2 else FAIL)] if hyp else [],
-        f"diameter {d}",
-        details={"diameter": d if d != math.inf else "inf"},
-    )
+    d = diameter(inst.graded_graph)
+    return Finding([("diameter_bound", PASS if d <= 2 else FAIL)], f"diameter {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +419,9 @@ def _check_t2(inst: Instance) -> Finding:
     "the ring is commutative",
     "no homogeneous zero divisors exactly when no homogeneous nilpotents "
     "and the graded graph is complete",
+    holds=_commutative,
 )
 def _check_t51(inst: Instance) -> Finding:
-    if not inst.ring.commutative:
-        return Finding(False)
     domain = is_graded_domain(inst.grading)
     reduced = is_graded_reduced(inst.grading)
     complete = is_complete(inst.graded_graph)
@@ -400,7 +432,7 @@ def _check_t51(inst: Instance) -> Finding:
         _direction("reduced_complete_implies_domain", rhs, domain),
         ("equivalence", PASS if domain == rhs else FAIL),
     ]
-    return Finding(True, directions, str(details), details=details)
+    return Finding(directions, str(details), details=details)
 
 
 @_register(
@@ -409,23 +441,18 @@ def _check_t51(inst: Instance) -> Finding:
     "the graded graph has at least one edge",
     "regularity, a unique graded minimal ideal, and completeness are "
     "equivalent",
+    holds=lambda inst: not is_null(inst.graded_graph),
+    notes=("chain conditions hold outright on a finite carrier",),
 )
 def _check_t52(inst: Instance) -> Finding:
     g = inst.graded_graph
-    annotations = ("chain conditions hold outright on a finite carrier",)
-    if is_null(g):
-        return Finding(False, annotations=annotations)
     regular = is_regular(g)
     unique_min = len(minimal_members(inst.graded_family)) == 1
     complete = is_complete(g)
     details = {"regular": regular, "unique_minimal": unique_min, "complete": complete}
     agree = regular == unique_min == complete
     return Finding(
-        True,
-        [("three_way_equivalence", PASS if agree else FAIL)],
-        str(details),
-        annotations,
-        details,
+        [("three_way_equivalence", PASS if agree else FAIL)], str(details), details=details
     )
 
 
@@ -437,10 +464,9 @@ def _check_t52(inst: Instance) -> Finding:
     "internal split; for a split into two factors with vertices, the "
     "domination number is two exactly when both factors have domination "
     "number two",
+    holds=_commutative,
 )
 def _check_t6(inst: Instance) -> Finding:
-    if not inst.ring.commutative:
-        return Finding(False)
     witness = None
     annotations = []
     g = inst.graded_graph
@@ -487,7 +513,7 @@ def _check_t6(inst: Instance) -> Finding:
         "splits": len(decomps),
         "evaluable_splits": evaluable_pairs,
     }
-    return Finding(True, directions, witness, annotations, details)
+    return Finding(directions, witness, annotations, details)
 
 
 @_register(
@@ -497,16 +523,15 @@ def _check_t6(inst: Instance) -> Finding:
     "carrier)",
     "descending chains of graded left ideals terminate (a finite family "
     "cannot descend forever)",
+    notes=(
+        "both sides hold outright on finite carriers; recorded for coverage "
+        "accounting",
+    ),
 )
 def _check_l18(inst: Instance) -> Finding:
     omega = clique_number(inst.graded_graph)
     return Finding(
-        True,
         [("chain_condition", PASS)],
-        annotations=(
-            "both sides hold outright on finite carriers; recorded for "
-            "coverage accounting",
-        ),
         details={"omega": omega, "graded_ideals": len(inst.graded_family)},
     )
 
@@ -518,10 +543,9 @@ def _check_l18(inst: Instance) -> Finding:
     "the ring is commutative",
     "clique number one exactly for an edgeless graph on one or two "
     "vertices; beyond that the graded maximal ideals pairwise intersect",
+    holds=_commutative,
 )
 def _check_l187(inst: Instance) -> Finding:
-    if not inst.ring.commutative:
-        return Finding(False)
     g = inst.graded_graph
     omega = clique_number(g)
     small_null = is_null(g) and g.n in (1, 2)
@@ -536,9 +560,7 @@ def _check_l187(inst: Instance) -> Finding:
         "null": is_null(g),
         "maximal_count": len(maxima),
     }
-    return Finding(
-        True, directions, apart or f"omega {omega}, order {g.n}", details=details
-    )
+    return Finding(directions, apart or f"omega {omega}, order {g.n}", details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +577,9 @@ def _check_t3(inst: Instance) -> Finding:
     gv = girth(inst.graded_graph)
     ok = gv == 3 or gv == math.inf
     return Finding(
-        True,
         [("girth_value", PASS if ok else FAIL)],
         f"girth {gv}",
-        details={"girth": "inf" if gv == math.inf else gv},
+        details={"girth": _finite_or_inf(gv)},
     )
 
 
@@ -570,19 +591,17 @@ def _check_t3(inst: Instance) -> Finding:
     "unique graded maximal ideal, and that ideal either is principal "
     "(graph is a single vertex or edge) or needs two homogeneous "
     "generators and squares to zero",
+    holds=lambda inst: not is_null(inst.graded_graph)
+    and girth(inst.graded_graph) == math.inf,
 )
 def _check_t4(inst: Instance) -> Finding:
     g = inst.graded_graph
-    if is_null(g) or girth(g) != math.inf:
-        return Finding(False)
     try:
         of_family(g, inst.graded_family)
     except IsoViolation as exc:
-        return Finding(True, [("star_centered_at_maximal", FAIL)], str(exc))
+        return Finding([("star_centered_at_maximal", FAIL)], str(exc))
     if not is_graded_local(inst.grading, inst.graded_family):
-        return Finding(
-            True, [("graded_local", FAIL)], "no unique graded maximal ideal"
-        )
+        return Finding([("graded_local", FAIL)], "no unique graded maximal ideal")
     directions = [("graded_local", PASS)]
     witness = None
     m = maximal_members(inst.graded_family)[0]
@@ -614,7 +633,7 @@ def _check_t4(inst: Instance) -> Finding:
         )
         if not square_zero:
             witness = f"{m.label()} squared is not zero"
-    return Finding(True, directions, witness, details=details)
+    return Finding(directions, witness, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -628,28 +647,22 @@ def _check_t4(inst: Instance) -> Finding:
     "the identity component has at least two nontrivial proper left "
     "ideals and their intersection graph is connected",
     "the graded graph and the full-lattice graph are both connected",
+    holds=lambda inst: len(nontrivial_proper(inst.identity.family)) >= 2
+    and is_connected(inst.identity.graph),
+    notes=(
+        "the premise needs an edge, so two nontrivial proper left ideals of the "
+        "identity component are required",
+    ),
+    facts=lambda inst: {"identity_vertices": len(nontrivial_proper(inst.identity.family))},
 )
 def _check_t100(inst: Instance) -> Finding:
-    count = len(nontrivial_proper(inst.identity.family))
-    hyp = count >= 2 and is_connected(inst.identity.graph)
-    directions = []
-    witness = None
-    if hyp:
-        graded, full = is_connected(inst.graded_graph), is_connected(inst.full.graph)
-        directions = [
+    graded, full = is_connected(inst.graded_graph), is_connected(inst.full.graph)
+    return Finding(
+        [
             ("graded_graph_connected", PASS if graded else FAIL),
             ("full_graph_connected", PASS if full else FAIL),
-        ]
-        witness = f"graded connected {graded}, full connected {full}"
-    return Finding(
-        hyp,
-        directions,
-        witness,
-        annotations=(
-            "the premise needs an edge, so two nontrivial proper left ideals of "
-            "the identity component are required",
-        ),
-        details={"identity_vertices": count},
+        ],
+        f"graded connected {graded}, full connected {full}",
     )
 
 
@@ -694,7 +707,7 @@ def _check_lemma51(inst: Instance) -> Finding:
             "no graded vertices: the trace condition holds for every degree "
             "by emptiness, so it cannot witness faithfulness"
         )
-    return Finding(True, directions, witness, annotations, {"probes": per_probe})
+    return Finding(directions, witness, annotations, {"probes": per_probe})
 
 
 def _isomorphism(
@@ -716,14 +729,13 @@ def _isomorphism(
     "the grading is faithful at the identity degree",
     "ideal extension followed by trace-class collapse is a graph "
     "isomorphism onto the quotient of the graded graph",
+    holds=_e_faithful,
 )
 def _check_t1001(inst: Instance) -> Finding:
-    if not inst.e_faithful:
-        return Finding(False)
     direction, witness, details = _isomorphism(
         "isomorphism", lambda: inst.quotient_iso
     )
-    return Finding(True, [direction], witness, details=details)
+    return Finding([direction], witness, details=details)
 
 
 @_register(
@@ -732,10 +744,9 @@ def _check_t1001(inst: Instance) -> Finding:
     "the grading is faithful at the identity degree",
     "the identity-component graph is connected exactly when the graded "
     "graph is",
+    holds=_e_faithful,
 )
 def _check_conn_equiv(inst: Instance) -> Finding:
-    if not inst.e_faithful:
-        return Finding(False)
     left = is_connected(inst.identity.graph)
     right = is_connected(inst.graded_graph)
     details = {"identity_connected": left, "graded_connected": right}
@@ -744,7 +755,7 @@ def _check_conn_equiv(inst: Instance) -> Finding:
         _direction("graded_to_identity", right, left),
         ("equivalence", PASS if left == right else FAIL),
     ]
-    return Finding(True, directions, str(details), details=details)
+    return Finding(directions, str(details), details=details)
 
 
 @_register(
@@ -752,15 +763,13 @@ def _check_conn_equiv(inst: Instance) -> Finding:
     "identity-faithful: domination numbers agree across the transfer",
     "the grading is faithful at the identity degree",
     "both graphs have the same domination number",
+    holds=_e_faithful,
 )
 def _check_gamma_eq(inst: Instance) -> Finding:
-    if not inst.e_faithful:
-        return Finding(False)
     gamma_identity = domination_number(inst.identity.graph)
     gamma_graded = domination_number(inst.graded_graph)
     details = {"gamma_identity": gamma_identity, "gamma_graded": gamma_graded}
     return Finding(
-        True,
         [("domination_equal", PASS if gamma_identity == gamma_graded else FAIL)],
         str(details),
         details=details,
@@ -775,18 +784,17 @@ def _check_gamma_eq(inst: Instance) -> Finding:
     "clique numbers are finite together, and the graded clique number "
     "equals the best sum of class sizes over cliques of the identity "
     "component's graph",
+    holds=_e_faithful,
+    notes=("finiteness holds outright on finite carriers",),
 )
 def _check_omega_formula(inst: Instance) -> Finding:
-    annotations = ("finiteness holds outright on finite carriers",)
-    if not inst.e_faithful:
-        return Finding(False, annotations=annotations)
     try:
         partition = inst.partition  # before the extension, as in quotient_iso
         re_graph = of_family(inst.identity.graph, inst.identity.family)
         extension = inst.extension
     except (IsoViolation, WellDefinednessViolation) as exc:
         directions = [("finiteness_equivalence", PASS), ("clique_sum_formula", FAIL)]
-        return Finding(True, directions, str(exc), annotations)
+        return Finding(directions, str(exc))
     sizes = [members.bit_count() for members in partition.classes]
     # each identity-component vertex weighs the size of its extension's class
     weights = [sizes[partition.class_of[extension[ie.mask]]] for ie in re_graph.vertices]
@@ -803,7 +811,7 @@ def _check_omega_formula(inst: Instance) -> Finding:
             PASS if details["omega_graded"] == details["omega_from_classes"] else FAIL,
         ),
     ]
-    return Finding(True, directions, str(details), annotations, details)
+    return Finding(directions, str(details), details=details)
 
 
 @_register(
@@ -812,13 +820,11 @@ def _check_omega_formula(inst: Instance) -> Finding:
     "the grading is first strong",
     "each nontrivial proper graded ideal is generated as a left ideal by "
     "its identity-component part",
+    holds=_first_strong,
+    facts=lambda inst: {"vertices": len(nontrivial_proper(inst.graded_family))},
 )
 def _check_lemma_l0(inst: Instance) -> Finding:
-    hyp = inst.first_strong
     vertices = nontrivial_proper(inst.graded_family)
-    details = {"vertices": len(vertices)}
-    if not hyp:
-        return Finding(False, details=details)
     comp_e = inst.grading.component(inst.grading.grades.identity)
     bad = next(
         (
@@ -829,10 +835,8 @@ def _check_lemma_l0(inst: Instance) -> Finding:
         None,
     )
     return Finding(
-        True,
         [("trace_generates", PASS if bad is None else FAIL)],
         None if bad is None else bad.label(),
-        details=details,
     )
 
 
@@ -842,14 +846,13 @@ def _check_lemma_l0(inst: Instance) -> Finding:
     "the grading is first strong",
     "extending ideals from the identity component is a graph isomorphism "
     "onto the graded graph",
+    holds=_first_strong,
 )
 def _check_t56(inst: Instance) -> Finding:
-    if not inst.first_strong:
-        return Finding(False)
     direction, witness, details = _isomorphism(
         "isomorphism", lambda: inst.first_strong_iso
     )
-    return Finding(True, [direction], witness, details=details)
+    return Finding([direction], witness, details=details)
 
 
 def _first_unembedded_pair(
@@ -898,7 +901,7 @@ def _check_groupring_example(inst: Instance) -> Finding:
             witness = "coefficients {}, {}".format(*(base.names[x] for x in pair))
     directions.append(("coefficient_ring_is_identity_component", PASS if iso_ok else FAIL))
     if not iso_ok:
-        return Finding(True, directions, witness)
+        return Finding(directions, witness)
     lifted = {frozenset(embed[x] for x in v.members) for v in inst.base.family}
     # identity-component ideals traced back to parent coordinates
     emb = inst.re_embedding
@@ -910,7 +913,7 @@ def _check_groupring_example(inst: Instance) -> Finding:
         "graded_graph_isomorphism", lambda: inst.first_strong_iso
     )
     directions.append(direction)
-    return Finding(True, directions, violation or witness, details=details)
+    return Finding(directions, violation or witness, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -945,11 +948,10 @@ def _compatible_pairs(
     "ideal moves the module into the submodule; intersections work "
     "componentwise",
     kinds=("idealization",),
+    holds=_nonzero_module,
 )
 def _check_lemma17(inst: Instance) -> Finding:
     module = inst.ring.parts["module"]
-    if module.size <= 1:
-        return Finding(False)
     witness = None
     expected = _compatible_pairs(module, inst.base.family, inst.module_family)
     actual = {i.mask for i in inst.graded_family}
@@ -967,7 +969,7 @@ def _check_lemma17(inst: Instance) -> Finding:
             witness = "componentwise intersection mismatch"
     directions.append(("componentwise_intersection", PASS if inter_ok else FAIL))
     details = {"graded_ideals": len(actual), "compatible_pairs": len(expected)}
-    return Finding(True, directions, witness, details=details)
+    return Finding(directions, witness, details=details)
 
 
 def _base_is_simple(inst: Instance) -> bool:
@@ -989,11 +991,14 @@ def _module_is_simple(inst: Instance) -> bool:
     "the graded graph is edgeless exactly when the base is simple and "
     "the module is simple; each stated trigger forces girth three",
     kinds=("idealization",),
+    holds=_nonzero_module,
+    notes=(
+        "the third trigger compares the module with its ring multiples; a unital "
+        "action always reaches the whole module, so that trigger cannot fire here",
+    ),
 )
 def _check_t777(inst: Instance) -> Finding:
     module = inst.ring.parts["module"]
-    if module.size <= 1:
-        return Finding(False)
     witness = None
     g = inst.graded_graph
     edgeless = is_null(g)
@@ -1007,7 +1012,7 @@ def _check_t777(inst: Instance) -> Finding:
     if edgeless != tiny:
         witness = f"edgeless {edgeless}, simple pair {tiny}"
     gv = girth(g)
-    details["girth"] = "inf" if gv == math.inf else gv
+    details["girth"] = _finite_or_inf(gv)
     trig_a = (not _base_is_simple(inst)) and not _module_is_simple(inst)
     trig_b = len(nontrivial_proper(inst.base.family)) >= 2
     full_action = index_mask(module.act_array, module.size)
@@ -1017,12 +1022,7 @@ def _check_t777(inst: Instance) -> Finding:
     directions.append(_direction("partial_action_girth_three", trig_c, gv == 3))
     if (trig_a or trig_b or trig_c) and gv != 3:
         witness = f"girth {gv}"
-    annotations = [
-        "the third trigger compares the module with its ring multiples; "
-        "a unital action always reaches the whole module, so that "
-        "trigger cannot fire here"
-    ]
-    return Finding(True, directions, witness, annotations, details)
+    return Finding(directions, witness, details=details)
 
 
 @_register(
@@ -1032,10 +1032,9 @@ def _check_t777(inst: Instance) -> Finding:
     "the graded graph has an edge exactly when the base ring has a "
     "nontrivial ideal, exactly when the girth is three",
     kinds=("self_idealization",),
+    holds=_nonzero_module,
 )
 def _check_t777_cor(inst: Instance) -> Finding:
-    if inst.ring.parts["module"].size <= 1:
-        return Finding(False)
     g = inst.graded_graph
     has_edges = not is_null(g)
     nonsimple = not _base_is_simple(inst)
@@ -1047,7 +1046,6 @@ def _check_t777_cor(inst: Instance) -> Finding:
     }
     agree = has_edges == nonsimple == three
     return Finding(
-        True,
         [("three_way_equivalence", PASS if agree else FAIL)],
         str(details),
         details=details,
@@ -1062,10 +1060,9 @@ def _check_t777_cor(inst: Instance) -> Finding:
     "number plus the base ideal count, with equality exactly when the "
     "base graph has no edges",
     kinds=("self_idealization",),
+    holds=_nonzero_module,
 )
 def _check_t231(inst: Instance) -> Finding:
-    if inst.ring.parts["module"].size <= 1:
-        return Finding(False)
     base_count = len(nontrivial_proper(inst.base.family))
     base_graph = inst.base.graph
     omega_base = clique_number(base_graph)
@@ -1082,7 +1079,7 @@ def _check_t231(inst: Instance) -> Finding:
         ("lower_bound", PASS if omega >= bound else FAIL),
         ("equality_iff_base_edgeless", PASS if equality == is_null(base_graph) else FAIL),
     ]
-    return Finding(True, directions, str(details), details=details)
+    return Finding(directions, str(details), details=details)
 
 
 @_register(
@@ -1092,16 +1089,15 @@ def _check_t231(inst: Instance) -> Finding:
     "the graded graph is planar exactly when the base ring has at most "
     "one nontrivial proper ideal",
     kinds=("self_idealization",),
+    holds=_nonzero_module,
 )
 def _check_planarity_cor(inst: Instance) -> Finding:
-    if inst.ring.parts["module"].size <= 1:
-        return Finding(False)
     base_count = len(nontrivial_proper(inst.base.family))
     planar = is_planar(inst.graded_graph)
     details = {"planar": planar, "base_ideals": base_count}
     ok = planar == (base_count <= 1)
     direction = ("planar_iff_small_base", PASS if ok else FAIL)
-    return Finding(True, [direction], str(details), details=details)
+    return Finding([direction], str(details), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,7 +1139,6 @@ def _check_lemma_ll(inst: Instance) -> Finding:
     broken = {law for law, _ in violations}
     laws = ("fixed_iff_graded", "zero_iff_zero", "monotone", "nested_separated", "idempotent")
     return Finding(
-        True,
         [(law, FAIL if law in broken else PASS) for law in laws],
         "; ".join(f"{law}: {witness}" for law, witness in violations) or None,
         details={"checked": len(ideals), "nested_pairs": nested_pairs},
@@ -1161,7 +1156,6 @@ def _check_t543(inst: Instance) -> Finding:
     graded = is_connected(inst.graded_graph)
     full = is_connected(inst.full.graph)
     return Finding(
-        True,
         [("connectivity_agrees", PASS if graded == full else FAIL)],
         f"graded {graded}, full {full}",
         details={"graded_connected": graded, "all_connected": full},
@@ -1175,15 +1169,18 @@ def _check_t543(inst: Instance) -> Finding:
     "left ideal",
     "the graded graph and the full-lattice graph have the same girth",
     kinds=("integer",),
+    holds=lambda inst: len(maximal_members(inst.full.family)) == 1,
+    facts=lambda inst: {
+        "graded_girth": str(girth(inst.graded_graph)),
+        "all_girth": str(girth(inst.full.graph)),
+        "local": len(maximal_members(inst.full.family)) == 1,
+    },
 )
 def _check_t544(inst: Instance) -> Finding:
-    local = len(maximal_members(inst.full.family)) == 1
     graded, full = girth(inst.graded_graph), girth(inst.full.graph)
     return Finding(
-        local,
-        [("girth_agrees", PASS if graded == full else FAIL)] if local else [],
+        [("girth_agrees", PASS if graded == full else FAIL)],
         f"graded girth {graded}, full girth {full}",
-        details={"graded_girth": str(graded), "all_girth": str(full), "local": local},
     )
 
 
@@ -1203,7 +1200,6 @@ def _check_r545(inst: Instance) -> Finding:
     details = {"branch_triggered": triggered, "chain_term_counts": counts}
     if not triggered:
         return Finding(
-            True,
             [("branch_structure", VACUOUS)],
             annotations=[
                 "the premise (graded graph acyclic while the full graph has a "
@@ -1223,7 +1219,6 @@ def _check_r545(inst: Instance) -> Finding:
         )
     found["four_term_chains"] = counts == [4]
     return Finding(
-        True,
         # graded_local is False whenever the two middle keys are missing
         [("branch_structure", PASS if all(found.values()) else FAIL)],
         str(found),
@@ -1253,13 +1248,11 @@ def _dispatch(inst: Instance, check: TheoremCheck, strict: bool) -> TheoremRepor
             hypothesis="construction kind does not match",
             conclusion=check.summary,
         )
-    found = check.run(inst)
-    if not found.hypothesis_met:
-        verdict = VACUOUS
-    elif any(v == FAIL for _, v in found.directions):
-        verdict = FAIL
+    if not check.holds(inst):
+        verdict, found = VACUOUS, Finding(())
     else:
-        verdict = PASS
+        found = check.run(inst)
+        verdict = FAIL if any(v == FAIL for _, v in found.directions) else PASS
     return TheoremReport(
         theorem_id=check.theorem_id,
         instance=inst.name,
@@ -1268,8 +1261,8 @@ def _dispatch(inst: Instance, check: TheoremCheck, strict: bool) -> TheoremRepor
         conclusion=check.conclusion,
         directions=tuple(found.directions),
         witness=found.witness if verdict == FAIL else None,
-        annotations=tuple(found.annotations),
-        details=found.details or {},
+        annotations=check.notes + tuple(found.annotations),
+        details={**check.facts(inst), **(found.details or {})},
     )
 
 

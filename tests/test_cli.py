@@ -263,7 +263,7 @@ class TestExitCodes:
         path = write(tmp_path, "z12.json", Z12_DOC)
 
         def always_fail(inst):
-            return suite.Finding(True, [("refuted", "FAIL")], "by construction")
+            return suite.Finding([("refuted", "FAIL")], "by construction")
 
         doomed = suite.TheoremCheck(
             theorem_id="doomed",
@@ -277,6 +277,19 @@ class TestExitCodes:
         assert main(["verify", path, "--theorems", "doomed"]) == 1
         out = capsys.readouterr().out
         assert "witness: by construction" in out
+
+    def test_verify_refuses_an_empty_selection(self, corpus_dir, capsys):
+        assert main(["verify", str(corpus_dir / "z4.json"), "--theorems", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --theorems ',' names no check id\n"
+
+    def test_verify_runs_a_repeated_id_once_in_first_named_order(self, corpus_dir, capsys):
+        args = ["verify", str(corpus_dir / "z4.json"), "--theorems", "t1,c1,t1"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:-1]] == ["t1", "c1"]
+        assert lines[-1].startswith("checks: 2  ")
 
     def test_bad_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -416,6 +429,21 @@ class TestCorpusCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no check registered under id 'nope'\n"
+
+    @pytest.mark.parametrize("selection", [",", "", " , "])
+    def test_an_empty_selection_is_refused_before_any_file(
+        self, corpus_dir, capsys, selection
+    ):
+        assert main(["corpus", str(corpus_dir), "--theorems", selection]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --theorems {selection!r} names no check id\n"
+
+    def test_a_repeated_id_runs_once(self, corpus_dir, capsys):
+        assert main(["corpus", str(corpus_dir), "--theorems", "t1,t1"]) == 0
+        out = capsys.readouterr().out
+        assert "instances: 20  pass: 20  fail: 0  vacuous: 0  skipped: 0" in out
+        assert out.count("  t1 ") == 20
 
     def test_bad_file_does_not_stop_the_sweep(self, corpus_dir, tmp_path, capsys):
         write(tmp_path, "a_zn1.json", {"ring": {"zn": 1}, "grading": {"trivial": {}}})

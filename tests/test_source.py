@@ -147,6 +147,18 @@ def test_one_dispatcher_writes_every_check_report():
     assert not found, f"reports built outside the dispatcher: {found}"
 
 
+def test_check_bodies_leave_the_hypothesis_to_the_dispatcher():
+    # a check registers its hypothesis as a predicate, `holds`, and its body
+    # returns only its conclusion; no finding says whether the hypothesis held
+    pattern = re.compile(r"Finding\((True|False)\b|hypothesis_met")
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(line):
+                found.append(f"{path.name}:{lineno}")
+    assert not found, f"hypotheses decided in check bodies: {found}"
+
+
 def test_each_check_id_is_stated_once():
     # the id, like the hypothesis and conclusion text, lives in _register
     source = (PACKAGE_DIR / "theorem_suite.py").read_text()

@@ -350,6 +350,69 @@ class TestReportShape:
             if rep.verdict != "FAIL":
                 assert rep.witness is None
 
+    def test_vacuous_reports_carry_no_directions_and_no_witness(self, corpus_instances):
+        # a direction with a false antecedent is VACUOUS, so a report whose
+        # hypothesis fails states no direction at all
+        vacuous = 0
+        for name, inst in corpus_instances.items():
+            for rep in run_all(inst):
+                if rep.verdict == "VACUOUS":
+                    vacuous += 1
+                    assert rep.directions == () and rep.witness is None, (name, rep)
+        assert vacuous > 0
+
+
+# checks whose hypothesis is a registered predicate rather than "always"
+HYPOTHESIS_IDS = [
+    "lemma_r1", "c1", "c11", "c101", "t2", "t51", "t52", "t6", "l187", "t4",
+    "t100", "t1001", "conn_equiv", "gamma_eq", "omega_formula", "lemma_l0",
+    "t56", "lemma17", "t777", "t777_cor", "t231", "planarity_cor", "t544",
+]
+
+
+class TestHypothesisPredicates:
+    def test_registered_hypotheses(self):
+        default = suite.TheoremCheck.holds
+        registered = [t for t, check in suite._REGISTRY.items() if check.holds is not default]
+        assert registered == HYPOTHESIS_IDS
+
+    def test_a_false_hypothesis_never_runs_the_body(self, monkeypatch):
+        z12 = parse_instance({"ring": {"zn": 12}, "grading": {"trivial": {}}}, "z12")
+        ran = []
+
+        def body(inst):
+            ran.append(inst.name)
+            return suite.Finding([("refuted", "FAIL")], "by construction", ["found"])
+
+        for holds, verdict in ((False, "VACUOUS"), (True, "FAIL")):
+            check = suite.TheoremCheck(
+                theorem_id="guarded",
+                kinds=(),
+                summary="s",
+                hypothesis="h",
+                conclusion="c",
+                run=body,
+                holds=lambda inst, holds=holds: holds,
+                notes=("fixed",),
+                facts=lambda inst: {"order": inst.ring.size},
+            )
+            monkeypatch.setitem(suite._REGISTRY, "guarded", check)
+            for rep in (run_check(z12, "guarded"), *run_all(z12, ["guarded"])):
+                assert rep.verdict == verdict
+                assert rep.details == {"order": 12}
+                if verdict == "VACUOUS":
+                    assert rep.directions == () and rep.witness is None
+                    assert rep.annotations == ("fixed",)
+                else:
+                    assert rep.witness == "by construction"
+                    assert rep.annotations == ("fixed", "found")
+        assert ran == ["z12", "z12"]
+
+    def test_facts_are_reported_where_the_hypothesis_fails(self, corpus_instances):
+        # the details a VACUOUS report keeps come from the registered facts
+        t2 = run_check(corpus_instances["z2xz2"], "t2")
+        assert t2.verdict == "VACUOUS" and t2.details == {"diameter": "inf"}
+
 
 def planted_vertices(clean, n):
     """n left ideals of the ring for a planted graded graph: the graded
